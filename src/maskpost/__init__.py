@@ -19,8 +19,11 @@ from .core import (
     mask_bbox,
     mask_iou,
     resample,
+    rle_bbox,
     rle_decode,
     rle_encode,
+    rle_iou,
+    rle_merge,
     sample_points,
     size_bucket,
 )

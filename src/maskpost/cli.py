@@ -304,10 +304,21 @@ def cmd_eval(args: argparse.Namespace) -> None:
     gt_path = _require_path(args.gt, "--gt dataset file")
     results_path = _require_path(args.results, "--results file")
     try:
-        gts = dataset_ground_truth(load_dataset(gt_path))
+        ds = load_dataset(gt_path)
+        gts = dataset_ground_truth(ds)
         dets = load_results(results_path)
     except SchemaError as exc:
         raise InputError(str(exc))
+    images = ds.image_by_id()
+    for i, det in enumerate(dets):
+        img = images.get(det.image_id)
+        if det.mask is None or img is None:
+            continue
+        if (det.mask.width, det.mask.height) != (img.width, img.height):
+            raise InputError(
+                f"results[{i}].segmentation: mask is {det.mask.width}x{det.mask.height} "
+                f"but image {img.id} is {img.width}x{img.height}"
+            )
     cfg = EvalConfig(
         max_detections_per_image=int(opts["max_dets"]),
         iou_on=str(opts["iou_on"]),

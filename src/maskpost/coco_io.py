@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BBox, RleMask, ScoreField, mask_bbox, rle_decode, rle_encode
+from .core import BBox, RleMask, ScoreField, rle_bbox, rle_encode
 from .evaluation import GroundTruthInstance
 from .fusion import Detection
 
@@ -65,6 +65,18 @@ def _as_int(value, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{context}: expected an integer, got {type(value).__name__}")
     return value
+
+
+def _as_box(value, context: str) -> list[float]:
+    """``[x, y, w, h]``: four finite numbers with non-negative sides."""
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise SchemaError(f"{context}: expected [x, y, w, h]")
+    box = [_as_number(v, f"{context}[{j}]") for j, v in enumerate(value)]
+    if not all(math.isfinite(v) for v in box):
+        raise SchemaError(f"{context}: non-finite value in {box}")
+    if box[2] < 0 or box[3] < 0:
+        raise SchemaError(f"{context}: negative side in {box}")
+    return box
 
 
 def _read_json(path):
@@ -158,9 +170,7 @@ def load_dataset(path) -> DatasetFile:
             raise SchemaError(f"{ctx}.category_id: references missing category {category_id}")
         bbox = rec.get("bbox")
         if bbox is not None:
-            if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-                raise SchemaError(f"{ctx}.bbox: expected [x, y, w, h]")
-            bbox = [_as_number(v, f"{ctx}.bbox[{j}]") for j, v in enumerate(bbox)]
+            bbox = _as_box(bbox, f"{ctx}.bbox")
             img = by_id[image_id]
             if bbox[0] < 0 or bbox[1] < 0 or bbox[0] + bbox[2] > img.width or bbox[1] + bbox[3] > img.height:
                 warnings.warn(f"{ctx}: bbox {bbox} extends outside image {image_id}")
@@ -229,10 +239,7 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
         mask = annotation_mask(
             ann.segmentation, img.width, img.height, f"annotations[{i}].segmentation"
         )
-        if ann.bbox is not None:
-            bbox = BBox(*ann.bbox)
-        else:
-            bbox = mask_bbox(rle_decode(mask))
+        bbox = BBox(*ann.bbox) if ann.bbox is not None else rle_bbox(mask)
         out.append(
             GroundTruthInstance(
                 image_id=ann.image_id,
@@ -273,11 +280,9 @@ def load_results(path) -> list[Detection]:
             mask = annotation_mask(seg, w, h, f"{ctx}.segmentation")
         bbox = rec.get("bbox")
         if bbox is not None:
-            if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-                raise SchemaError(f"{ctx}.bbox: expected [x, y, w, h]")
-            bbox = BBox(*(_as_number(v, f"{ctx}.bbox[{j}]") for j, v in enumerate(bbox)))
+            bbox = BBox(*_as_box(bbox, f"{ctx}.bbox"))
         elif mask is not None:
-            bbox = mask_bbox(rle_decode(mask))
+            bbox = rle_bbox(mask)
         else:
             raise SchemaError(f"{ctx}: needs a bbox or a segmentation")
         dets.append(

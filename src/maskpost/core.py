@@ -2,9 +2,10 @@
 evaluation stages.
 
 Binary masks are plain boolean numpy arrays of shape ``(height, width)``.
-Run-length encoded masks use the COCO column-major layout. Score fields hold
-mask logits (logit 0 corresponds to foreground probability 0.5) and support
-continuous bilinear sampling over the closed unit square.
+Run-length encoded masks use the COCO column-major layout; their area,
+tight box, IoU and vote merge are computed from the runs, without decoding.
+Score fields hold mask logits (logit 0 corresponds to foreground probability
+0.5) and support continuous bilinear sampling over the closed unit square.
 """
 from __future__ import annotations
 
@@ -28,6 +29,9 @@ __all__ = [
     "binarize",
     "rle_encode",
     "rle_decode",
+    "rle_bbox",
+    "rle_iou",
+    "rle_merge",
     "mask_iou",
     "box_iou",
     "mask_bbox",
@@ -66,6 +70,13 @@ class BBox:
 
     def to_list(self) -> list[float]:
         return [float(self.x), float(self.y), float(self.w), float(self.h)]
+
+    def overlaps(self, other: "BBox") -> bool:
+        """Whether the two boxes share a region of positive area."""
+        return (
+            min(self.x + self.w, other.x + other.w) > max(self.x, other.x)
+            and min(self.y + self.h, other.y + other.h) > max(self.y, other.y)
+        )
 
 
 class SizeBucket(Enum):
@@ -273,6 +284,96 @@ def rle_decode(rle: RleMask) -> np.ndarray:
     pattern = (np.arange(rle.counts.size) % 2).astype(bool)
     flat = np.repeat(pattern, rle.counts)
     return flat.reshape((rle.height, rle.width), order="F")
+
+
+def _run_bounds(rle: RleMask) -> np.ndarray:
+    """Run ``k`` covers column-major pixels ``[bounds[k], bounds[k + 1])``;
+    odd ``k`` are foreground."""
+    return np.concatenate(([0], np.cumsum(rle.counts)))
+
+
+def _coverage(rle: RleMask, points: np.ndarray) -> np.ndarray:
+    """Foreground pixels of ``rle`` before each column-major position in ``points``."""
+    bounds = _run_bounds(rle)
+    fg_counts = rle.counts.copy()
+    fg_counts[::2] = 0
+    fg_before = np.concatenate(([0], np.cumsum(fg_counts)))
+    k = np.searchsorted(bounds, points, side="right") - 1
+    return fg_before[k] + (points - bounds[k]) * (k % 2)
+
+
+def _check_same_size(a: RleMask, b: RleMask) -> None:
+    if (a.height, a.width) != (b.height, b.width):
+        raise ValueError(
+            f"mask shapes differ: {(a.height, a.width)} vs {(b.height, b.width)}"
+        )
+
+
+def rle_bbox(rle: RleMask) -> BBox:
+    """Tight bounding box of a run-length mask; zero box for an empty mask.
+
+    Equal to ``mask_bbox(rle_decode(rle))``. A run that spans a column break
+    covers the bottom of one column and the top of the next, so it reaches
+    both the first and the last row.
+    """
+    bounds = _run_bounds(rle)
+    starts, lasts = bounds[1:-1:2], bounds[2::2] - 1
+    if starts.size == 0:
+        return BBox(0.0, 0.0, 0.0, 0.0)
+    h = rle.height
+    spans = starts // h != lasts // h
+    x0, x1 = int(starts[0] // h), int(lasts[-1] // h)
+    y0 = int(np.where(spans, 0, starts % h).min())
+    y1 = int(np.where(spans, h - 1, lasts % h).max())
+    return BBox(float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
+
+
+def rle_iou(a: RleMask, b: RleMask) -> float:
+    """Intersection over union of two equally sized run-length masks.
+
+    Equal, bit for bit, to ``mask_iou`` of the decoded masks: the
+    intersection is the count of ``b``'s foreground pixels inside each
+    foreground run of ``a``, read off ``b``'s cumulative run coverage.
+    """
+    _check_same_size(a, b)
+    inside = np.diff(_coverage(b, _run_bounds(a)))
+    inter = int(inside[1::2].sum())
+    union = a.area + b.area - inter
+    if union == 0:
+        return 0.0
+    return inter / union
+
+
+def rle_merge(masks, weights) -> RleMask:
+    """Weighted per-pixel vote of equally sized run-length masks.
+
+    A pixel is foreground when the weights of the masks covering it sum to
+    strictly more than half the total weight. Votes are summed per segment
+    between consecutive run boundaries of all masks, in member order, so the
+    result equals the dense ``sum(w * decoded) > 0.5 * sum(w)`` bit for bit.
+    """
+    masks = list(masks)
+    weights = list(weights)
+    if not masks:
+        raise ValueError("rle_merge needs at least one mask")
+    if len(weights) != len(masks):
+        raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
+    for rle in masks[1:]:
+        _check_same_size(masks[0], rle)
+    bounds = np.unique(np.concatenate([_run_bounds(rle) for rle in masks]))
+    seg_starts = bounds[:-1]
+    votes = np.zeros(seg_starts.size)
+    total = 0.0
+    for rle, weight in zip(masks, weights):
+        covered = (np.searchsorted(_run_bounds(rle), seg_starts, side="right") - 1) % 2
+        votes = votes + weight * covered
+        total += weight
+    fg = votes > 0.5 * total
+    edges = np.flatnonzero(fg[1:] != fg[:-1]) + 1
+    counts = np.add.reduceat(np.diff(bounds), np.concatenate(([0], edges)))
+    if fg[0]:
+        counts = np.concatenate(([0], counts))
+    return RleMask(masks[0].width, masks[0].height, counts)
 
 
 def mask_iou(a, b) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BBox, RleMask, SizeBucket, box_iou, mask_iou, rle_decode, size_bucket
+from .core import BBox, RleMask, SizeBucket, box_iou, rle_bbox, rle_iou, size_bucket
 from .fusion import Detection
 
 __all__ = [
@@ -172,22 +172,28 @@ def average_precision(scores, tp_flags, n_gt: int, recall_points=DEFAULT_RECALL_
     return float(sampled.mean())
 
 
-def _pairwise_ious(gts, dets, iou_on, mask_cache):
-    n_det, n_gt = len(dets), len(gts)
-    ious = np.zeros((n_det, n_gt))
-    for d, det in enumerate(dets):
-        for g, gt in enumerate(gts):
-            if iou_on == "mask":
-                ious[d, g] = mask_iou(mask_cache[id(det)], mask_cache[id(gt)])
-            else:
+def _pairwise_ious(gts, dets, iou_on):
+    """IoU matrix of one image group; mask pairs whose tight boxes share no
+    pixel are 0 without touching the runs."""
+    ious = np.zeros((len(dets), len(gts)))
+    if iou_on == "mask":
+        gt_boxes = [rle_bbox(gt.mask) for gt in gts]
+        for d, det in enumerate(dets):
+            det_box = rle_bbox(det.mask)
+            for g, gt in enumerate(gts):
+                if det_box.overlaps(gt_boxes[g]):
+                    ious[d, g] = rle_iou(det.mask, gt.mask)
+    else:
+        for d, det in enumerate(dets):
+            for g, gt in enumerate(gts):
                 ious[d, g] = box_iou(det.bbox, gt.bbox)
     return ious
 
 
-def _detection_area(det: Detection, mask_cache) -> float:
+def _detection_area(det: Detection) -> float:
     """Bucket area of a detection: mask pixels when available, box area otherwise."""
     if det.mask is not None:
-        return float(np.count_nonzero(mask_cache[id(det)]))
+        return float(det.mask.area)
     return det.bbox.area
 
 
@@ -214,15 +220,8 @@ def evaluate(
     cat_set = set(cats)
     skipped = tuple(sorted({d.category_id for d in dets} - cat_set))
 
-    mask_cache: dict[int, np.ndarray] = {}
-    if cfg.iou_on == "mask":
-        for gt in gts:
-            mask_cache[id(gt)] = rle_decode(gt.mask)
-    for det in dets:
-        if det.mask is not None:
-            mask_cache[id(det)] = rle_decode(det.mask)
-        elif cfg.iou_on == "mask":
-            raise ValueError("mask IoU requested but a detection has no mask")
+    if cfg.iou_on == "mask" and any(det.mask is None for det in dets):
+        raise ValueError("mask IoU requested but a detection has no mask")
 
     gt_groups: dict[tuple[int, int], list[GroundTruthInstance]] = {}
     for gt in gts:
@@ -243,7 +242,7 @@ def evaluate(
     def _matrix(key):
         group_gts = gt_groups.get(key, [])
         group_dets = [r[2] for r in det_groups.get(key, [])]
-        return _pairwise_ious(group_gts, group_dets, cfg.iou_on, mask_cache)
+        return _pairwise_ious(group_gts, group_dets, cfg.iou_on)
 
     if workers > 1 and len(pair_keys) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -257,7 +256,7 @@ def evaluate(
         id(gt): size_bucket(gt.area, cfg.bucket_thresholds) for gt in gts
     }
     det_bucket = {
-        id(det): size_bucket(_detection_area(det, mask_cache), cfg.bucket_thresholds)
+        id(det): size_bucket(_detection_area(det), cfg.bucket_thresholds)
         for det in dets
     }
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BBox, RleMask, box_iou, mask_iou, rle_decode, rle_encode
+from .core import BBox, RleMask, box_iou, rle_bbox, rle_iou, rle_merge
 
 __all__ = [
     "Detection",
@@ -170,30 +170,38 @@ def _decay_factor(iou: float, cfg: SoftNmsConfig) -> float:
 
 
 def _suppress_group(group: list[tuple[Detection, int]], cfg: SoftNmsConfig) -> list[Detection]:
-    """Soft-NMS over one image (and category) worth of detections."""
-    masks = {}
+    """Soft-NMS over one image (and category) worth of detections.
+
+    Mask overlap is computed on the runs. Each mask's tight box is found
+    once; a pair whose boxes share no pixel has IoU 0 without further work.
+    """
+    dets = [det for det, _ in group]
     if cfg.use_mask_iou:
-        for det, idx in group:
-            if det.mask is None:
-                raise ValueError("use_mask_iou requires every detection to carry a mask")
-            masks[idx] = rle_decode(det.mask)
+        if any(det.mask is None for det in dets):
+            raise ValueError("use_mask_iou requires every detection to carry a mask")
+        boxes = [rle_bbox(det.mask) for det in dets]
 
-    def overlap(a_idx: int, a: Detection, b_idx: int, b: Detection) -> float:
-        if cfg.use_mask_iou:
-            return mask_iou(masks[a_idx], masks[b_idx])
-        return box_iou(a.bbox, b.bbox)
+    def overlap(i: int, j: int) -> float:
+        if not cfg.use_mask_iou:
+            return box_iou(dets[i].bbox, dets[j].bbox)
+        if not boxes[i].overlaps(boxes[j]):
+            return 0.0
+        return rle_iou(dets[i].mask, dets[j].mask)
 
-    # (score, det, source key, input index); ties go to the lexically first
-    # source model, then the earliest input position.
-    live = [[det.score, det, det.source_model or "", idx] for det, idx in group]
+    # (score, det, source key, input index, group position); ties go to the
+    # lexically first source model, then the earliest input position.
+    live = [
+        [det.score, det, det.source_model or "", idx, pos]
+        for pos, (det, idx) in enumerate(group)
+    ]
     kept: list[Detection] = []
     while live:
         best_at = min(range(len(live)), key=lambda i: (-live[i][0], live[i][2], live[i][3]))
-        score, det, _, det_idx = live.pop(best_at)
+        score, det, _, _, det_pos = live.pop(best_at)
         kept.append(det if det.score == score else replace(det, score=score))
         survivors = []
         for rec in live:
-            rec[0] *= _decay_factor(overlap(det_idx, det, rec[3], rec[1]), cfg)
+            rec[0] *= _decay_factor(overlap(det_pos, rec[4]), cfg)
             if rec[0] >= cfg.score_floor:
                 survivors.append(rec)
         live = survivors
@@ -257,18 +265,7 @@ def cluster_merge_masks(dets: list[Detection], cluster_iou: float = 0.5) -> list
         if len(members) == 1:
             merged.append(rep)
             continue
-        votes = None
-        total = 0.0
-        for det in members:
-            if (det.mask.width, det.mask.height) != (rep.mask.width, rep.mask.height):
-                raise ValueError(
-                    f"mask dimensions differ within image {rep.image_id}: "
-                    f"{det.mask.width}x{det.mask.height} vs {rep.mask.width}x{rep.mask.height}"
-                )
-            bits = rle_decode(det.mask)
-            votes = det.score * bits if votes is None else votes + det.score * bits
-            total += det.score
-        fused = rle_encode(votes > 0.5 * total)
+        fused = rle_merge([det.mask for det in members], [det.score for det in members])
         merged.append(replace(rep, mask=fused))
     return merged
 

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from maskpost import (
+    BBox,
+    Detection,
     FieldInstance,
     ScoreField,
     binarize,
     load_results,
     plain_upsample,
     rle_decode,
+    rle_encode,
     rle_string_encode,
     write_field_archive,
     write_results,
@@ -253,6 +256,51 @@ class TestEvalCommand:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("iou_on", ["mask", "bbox"])
+    def test_result_mask_size_mismatch_exits_2(self, tmp_path, capsys, iou_on):
+        bits = np.zeros((8, 8), dtype=bool)
+        bits[2:5, 2:5] = True
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(
+            json.dumps(
+                {
+                    "images": [{"id": 1, "width": 8, "height": 8}],
+                    "annotations": [
+                        {
+                            "id": 1,
+                            "image_id": 1,
+                            "category_id": 1,
+                            "segmentation": {
+                                "size": [8, 8],
+                                "counts": rle_string_encode(rle_encode(bits)),
+                            },
+                        }
+                    ],
+                    "categories": [{"id": 1}],
+                }
+            )
+        )
+        results = tmp_path / "results.json"
+        write_results(
+            results,
+            [
+                Detection(1, 1, 0.9, BBox(2, 2, 3, 3), rle_encode(bits)),
+                Detection(1, 1, 0.8, BBox(2, 2, 3, 3), rle_encode(bits[:6])),
+            ],
+        )
+        code, _, err = run_cli(
+            capsys,
+            "eval",
+            "--gt", str(gt_path),
+            "--results", str(results),
+            "--iou-on", iou_on,
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "results[1]" in err
+        assert "8x6" in err and "8x8" in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestStatsCommand:

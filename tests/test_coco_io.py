@@ -194,6 +194,15 @@ class TestDatasetIo:
         with pytest.warns(UserWarning):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bbox", [[1, 1, float("nan"), 3], [1, 1, 3, -1]])
+    def test_malformed_bbox_rejected(self, tmp_path, bbox):
+        data = self._dataset_dict()
+        data["annotations"][1]["bbox"] = bbox
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=r"annotations\[1\]\.bbox"):
+            load_dataset(path)
+
     def test_missing_file(self):
         with pytest.raises(SchemaError):
             load_dataset("/nonexistent/gt.json")
@@ -251,6 +260,21 @@ class TestResultsIo:
         path = tmp_path / "results.json"
         path.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 1.5, "bbox": [0, 0, 1, 1]}]))
         with pytest.raises(SchemaError, match="score"):
+            load_results(path)
+
+    @pytest.mark.parametrize(
+        "bbox, fault",
+        [
+            ([0, 0, float("nan"), 1], "non-finite"),
+            ([0, float("inf"), 1, 1], "non-finite"),
+            ([0, 0, -1, 1], "negative side"),
+        ],
+    )
+    def test_malformed_bbox_rejected(self, tmp_path, bbox, fault):
+        path = tmp_path / "results.json"
+        ok = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}
+        path.write_text(json.dumps([ok, dict(ok, bbox=bbox)]))
+        with pytest.raises(SchemaError, match=rf"results\[1\]\.bbox: {fault}"):
             load_results(path)
 
     def test_bbox_derived_from_mask(self, tmp_path):

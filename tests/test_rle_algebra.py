@@ -1,0 +1,128 @@
+"""Properties of the run-length mask algebra against dense and set references."""
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from maskpost import (
+    RleMask,
+    mask_bbox,
+    mask_iou,
+    rle_bbox,
+    rle_decode,
+    rle_encode,
+    rle_iou,
+    rle_merge,
+)
+from oracles import rle_pixel_set, set_iou
+
+shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def masks_of(draw, shape):
+    """Empty, full, random-pixel or run-built masks; runs built in column-major
+    order often cross column breaks."""
+    h, w = shape
+    kind = draw(st.sampled_from(["empty", "full", "pixels", "runs"]))
+    if kind == "empty":
+        return rle_encode(np.zeros((h, w), dtype=bool))
+    if kind == "full":
+        return rle_encode(np.ones((h, w), dtype=bool))
+    if kind == "pixels":
+        bits = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        return rle_encode(np.array(bits).reshape((h, w), order="F"))
+    flat = np.zeros(h * w, dtype=bool)
+    pos, fg = 0, draw(st.booleans())
+    while pos < flat.size:
+        run = draw(st.integers(1, 2 * h))
+        flat[pos : pos + run] = fg
+        pos, fg = pos + run, not fg
+    return rle_encode(flat.reshape((h, w), order="F"))
+
+
+@st.composite
+def mask_pairs(draw):
+    shape = draw(shapes)
+    return draw(masks_of(shape)), draw(masks_of(shape))
+
+
+@st.composite
+def weighted_masks(draw):
+    shape = draw(shapes)
+    n = draw(st.integers(1, 5))
+    masks = [draw(masks_of(shape)) for _ in range(n)]
+    # quarter steps make a vote of exactly half the total likely
+    weight = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    weights = [draw(weight) for _ in range(n)]
+    return masks, weights
+
+
+def dense_vote(masks, weights):
+    """Score-weighted vote on decoded masks, summed in member order."""
+    votes = None
+    total = 0.0
+    for rle, weight in zip(masks, weights):
+        bits = rle_decode(rle)
+        votes = weight * bits if votes is None else votes + weight * bits
+        total += weight
+    return rle_encode(votes > 0.5 * total)
+
+
+@given(mask_pairs())
+def test_iou_equals_dense_and_set_references(pair):
+    a, b = pair
+    iou = rle_iou(a, b)
+    assert iou == mask_iou(rle_decode(a), rle_decode(b))
+    assert iou == set_iou(rle_pixel_set(a), rle_pixel_set(b))
+
+
+@given(mask_pairs())
+def test_iou_symmetric_and_bounded(pair):
+    a, b = pair
+    iou = rle_iou(a, b)
+    assert iou == rle_iou(b, a)
+    assert 0.0 <= iou <= 1.0
+
+
+@given(shapes.flatmap(masks_of))
+def test_bbox_equals_dense(rle):
+    assert rle_bbox(rle) == mask_bbox(rle_decode(rle))
+
+
+@given(weighted_masks())
+def test_merge_equals_dense_vote(case):
+    masks, weights = case
+    assert rle_merge(masks, weights) == dense_vote(masks, weights)
+
+
+@given(mask_pairs())
+def test_disjoint_boxes_mean_no_intersection(pair):
+    a, b = pair
+    if not rle_bbox(a).overlaps(rle_bbox(b)):
+        assert not (rle_decode(a) & rle_decode(b)).any()
+        assert rle_iou(a, b) == 0.0
+
+
+def test_column_spanning_run_reaches_both_edges():
+    # rows 2..3 of column 0, then rows 0..0 of column 1 (height 4)
+    rle = RleMask(3, 4, [2, 3, 7])
+    assert rle_bbox(rle) == mask_bbox(rle_decode(rle))
+    assert rle_bbox(rle).to_list() == [0.0, 0.0, 2.0, 4.0]
+
+
+def test_size_mismatch_rejected():
+    a = RleMask(4, 3, [12])
+    b = RleMask(3, 4, [12])
+    with pytest.raises(ValueError, match="mask shapes differ"):
+        rle_iou(a, b)
+    with pytest.raises(ValueError, match="mask shapes differ"):
+        rle_merge([a, b], [0.5, 0.5])
+
+
+def test_merge_rejects_bad_arguments():
+    a = RleMask(2, 2, [4])
+    with pytest.raises(ValueError):
+        rle_merge([], [])
+    with pytest.raises(ValueError):
+        rle_merge([a, a], [1.0])
