@@ -52,6 +52,7 @@ from .fusion import (
     ensemble,
     linear_interpolation_weights,
     linear_reweight_weights,
+    model_weights,
     soft_nms,
 )
 from .evaluation import (

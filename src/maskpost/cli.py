@@ -29,7 +29,7 @@ from .coco_io import (
     write_results,
 )
 from .evaluation import EvalConfig, evaluate
-from .fusion import Detection, EnsembleConfig, ModelCandidate, SoftNmsConfig, ensemble
+from .fusion import Detection, EnsembleConfig, ModelCandidate, SoftNmsConfig, ensemble, model_weights
 from .refine import IdentityPredictor, OracleFieldPredictor, SubdivisionConfig, subdivision_render
 from .synthetic import parse_corpus_spec, shape_field, shape_mask
 
@@ -111,7 +111,8 @@ def _write_sidecar(out_path: str, command: str, resolved: dict, inputs: dict) ->
 
 
 def _worker_count(opts: dict) -> int:
-    """0 (the default) means one worker per available core."""
+    """Render workers for ``refine``; 0 (the default) means one per core.
+    The other subcommands record ``--threads`` but run serially."""
     threads = int(opts["threads"])
     return threads if threads > 0 else (os.cpu_count() or 1)
 
@@ -246,6 +247,24 @@ def _parse_model_arg(spec: str) -> tuple[str, float]:
         raise InputError(f"--model {spec!r}: score {score!r} is not a number")
 
 
+def _check_masks(models: list[ModelCandidate], flag: str) -> None:
+    """Mask soft-NMS and the vote merge need a mask on every record and one
+    mask size per image across all model files."""
+    first: dict[int, tuple[int, int, str]] = {}
+    for model in models:
+        for i, det in enumerate(model.detections):
+            where = f"{model.model_id}: results[{i}]"
+            if det.mask is None:
+                raise InputError(f"{where} has no segmentation, which {flag} needs")
+            w, h = det.mask.width, det.mask.height
+            w0, h0, where0 = first.setdefault(det.image_id, (w, h, where))
+            if (w, h) != (w0, h0):
+                raise InputError(
+                    f"{where}.segmentation: mask is {w}x{h} but {where0} gives "
+                    f"image {det.image_id} a {w0}x{h0} mask"
+                )
+
+
 def cmd_ensemble(args: argparse.Namespace) -> None:
     opts = _resolve(args, "ensemble")
     if not args.model:
@@ -279,17 +298,12 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
         merge_masks=bool(opts["merge_masks"]),
         cluster_iou=float(opts["cluster_iou"]),
     )
-    from .fusion import linear_interpolation_weights, linear_reweight_weights
-
-    scores = [m.validation_score for m in models]
-    if cfg.strategy == "linear_interpolation":
-        weights = linear_interpolation_weights(scores, cfg.theta_min, cfg.theta_max)
-    else:
-        weights = linear_reweight_weights(scores, cfg.theta_min, cfg.theta_max)
-    for model, w in zip(models, weights):
+    if cfg.nms.use_mask_iou or cfg.merge_masks:
+        _check_masks(models, "--mask-iou-nms" if cfg.nms.use_mask_iou else "--merge-masks")
+    for model, w in zip(models, model_weights(models, cfg)):
         print(f"weight {model.model_id} {w:.6f}")
 
-    fused = ensemble(models, cfg, workers=_worker_count(opts))
+    fused = ensemble(models, cfg)
     write_results(args.out, fused)
     print(f"fused {len(fused)} detections -> {args.out}")
     _write_sidecar(args.out, "ensemble", opts, {"models": list(args.model)})
@@ -312,9 +326,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
     images = ds.image_by_id()
     for i, det in enumerate(dets):
         img = images.get(det.image_id)
-        if det.mask is None or img is None:
-            continue
-        if (det.mask.width, det.mask.height) != (img.width, img.height):
+        if img is None:
+            raise InputError(f"results[{i}].image_id: image {det.image_id} is not in {gt_path}")
+        if det.mask is not None and (det.mask.width, det.mask.height) != (img.width, img.height):
             raise InputError(
                 f"results[{i}].segmentation: mask is {det.mask.width}x{det.mask.height} "
                 f"but image {img.id} is {img.width}x{img.height}"
@@ -323,7 +337,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
         max_detections_per_image=int(opts["max_dets"]),
         iou_on=str(opts["iou_on"]),
     )
-    report = evaluate(gts, dets, cfg, workers=_worker_count(opts))
+    report = evaluate(gts, dets, cfg)
     out = Path(args.out)
     out.write_text(report.to_json())
     out.with_suffix(".txt").write_text(report.to_text())

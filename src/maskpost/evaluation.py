@@ -201,7 +201,6 @@ def evaluate(
     gts: list[GroundTruthInstance],
     dets: list[Detection],
     cfg: EvalConfig | None = None,
-    workers: int = 1,
 ) -> MetricReport:
     """Score detections against ground truth.
 
@@ -210,7 +209,8 @@ def evaluate(
     report aggregates means over categories and thresholds. Categories with
     no ground truth are excluded from every mean and listed in the report.
     Deterministic: detections are ordered internally by score (ties by input
-    position), so the result does not depend on input order or ``workers``.
+    position), so with distinct scores the result does not depend on input
+    order.
     """
     cfg = cfg or EvalConfig()
     if len({id(d) for d in dets}) != len(dets):
@@ -223,90 +223,71 @@ def evaluate(
     if cfg.iou_on == "mask" and any(det.mask is None for det in dets):
         raise ValueError("mask IoU requested but a detection has no mask")
 
+    buckets = (SizeBucket.SMALL, SizeBucket.MEDIUM, SizeBucket.LARGE)
+
+    def code(area) -> int:
+        return buckets.index(size_bucket(area, cfg.bucket_thresholds))
+
     gt_groups: dict[tuple[int, int], list[GroundTruthInstance]] = {}
     for gt in gts:
         gt_groups.setdefault((gt.image_id, gt.category_id), []).append(gt)
-    det_groups: dict[tuple[int, int], list[tuple[float, int, Detection]]] = {}
+    gt_codes = {
+        key: np.array([code(gt.area) for gt in group], dtype=np.int64)
+        for key, group in gt_groups.items()
+    }
+    n_gt = {c: np.zeros(len(buckets), dtype=np.int64) for c in cats}
+    for (_, cat), codes in gt_codes.items():
+        n_gt[cat] += np.bincount(codes, minlength=len(buckets))
+
+    score = np.array([d.score for d in dets], dtype=np.float64)
+    cat_pos = {c: i for i, c in enumerate(cats)}
+    cat_of = np.array([cat_pos.get(d.category_id, -1) for d in dets], dtype=np.int64)
+    det_code = np.array([code(_detection_area(d)) for d in dets], dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+
+    # input positions per (image, category): score descending, ties by position
+    det_groups: dict[tuple[int, int], list[int]] = {}
     for idx, det in enumerate(dets):
-        if det.category_id not in cat_set:
-            continue
-        det_groups.setdefault((det.image_id, det.category_id), []).append(
-            (det.score, idx, det)
-        )
-    for key, recs in det_groups.items():
-        recs.sort(key=lambda r: (-r[0], r[1]))
-        del recs[cfg.max_detections_per_image :]
-
-    pair_keys = sorted(set(gt_groups) | set(det_groups))
-
-    def _matrix(key):
-        group_gts = gt_groups.get(key, [])
-        group_dets = [r[2] for r in det_groups.get(key, [])]
-        return _pairwise_ious(group_gts, group_dets, cfg.iou_on)
-
-    if workers > 1 and len(pair_keys) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            matrices = dict(zip(pair_keys, pool.map(_matrix, pair_keys)))
-    else:
-        matrices = {key: _matrix(key) for key in pair_keys}
-
-    gt_bucket = {
-        id(gt): size_bucket(gt.area, cfg.bucket_thresholds) for gt in gts
+        if det.category_id in cat_set:
+            det_groups.setdefault((det.image_id, det.category_id), []).append(idx)
+    top = cfg.max_detections_per_image
+    ranked = {
+        key: np.array(idxs)[np.argsort(-score[idxs], kind="stable")][:top]
+        for key, idxs in sorted(det_groups.items())
     }
-    det_bucket = {
-        id(det): size_bucket(_detection_area(det), cfg.bucket_thresholds)
-        for det in dets
+    matrices = {
+        key: _pairwise_ious(gt_groups.get(key, []), [dets[i] for i in idx], cfg.iou_on)
+        for key, idx in ranked.items()
     }
 
-    buckets = (SizeBucket.SMALL, SizeBucket.MEDIUM, SizeBucket.LARGE)
-    n_gt_all = {c: 0 for c in cats}
-    n_gt_bucket = {(c, b): 0 for c in cats for b in buckets}
-    for gt in gts:
-        n_gt_all[gt.category_id] += 1
-        n_gt_bucket[(gt.category_id, gt_bucket[id(gt)])] += 1
+    # pooled order per category: score descending, ties by image (the key
+    # order of ``ranked``) then input position
+    kept = np.concatenate([empty, *ranked.values()])
+    order = kept[np.argsort(-score[kept], kind="stable")]
+    cat_order = {c: order[cat_of[order] == i] for i, c in enumerate(cats)}
 
     # AP per (category, threshold, restriction); restriction None == all sizes
     ap: dict[tuple[int, int, SizeBucket | None], float] = {}
-    for cat in cats:
-        keys = [k for k in pair_keys if k[1] == cat]
-        # pooled detection order: score descending, ties by image then input position
-        pooled: list[tuple[float, int, int, Detection, int]] = []
-        for key in keys:
-            for rank, (score, idx, det) in enumerate(det_groups.get(key, [])):
-                pooled.append((score, key[0], idx, det, rank))
-        pooled.sort(key=lambda r: (-r[0], r[1], r[2]))
-        for t_idx, thr in enumerate(cfg.iou_thresholds):
-            matched_gt: dict[int, GroundTruthInstance | None] = {}
-            for key in keys:
-                group_gts = gt_groups.get(key, [])
-                group = det_groups.get(key, [])
-                matches = match_detections(matrices[key], thr)
-                for rank, (_, idx, _) in enumerate(group):
-                    g = matches[rank] if rank < matches.shape[0] else -1
-                    matched_gt[idx] = group_gts[g] if g >= 0 else None
-            scores = np.array([r[0] for r in pooled])
-            flags = np.array([matched_gt[r[2]] is not None for r in pooled], dtype=bool)
+    for t_idx, thr in enumerate(cfg.iou_thresholds):
+        # a matched detection is a TP in its ground truth's bucket, an
+        # unmatched one an FP in its own
+        tp = np.zeros(len(dets), dtype=bool)
+        bucket_of = det_code.copy()
+        for key, idx in ranked.items():
+            g = match_detections(matrices[key], thr)
+            hit = g >= 0
+            tp[idx[hit]] = True
+            bucket_of[idx[hit]] = gt_codes.get(key, empty)[g[hit]]
+        for cat in cats:
+            pooled = cat_order[cat]
+            scores, flags, codes = score[pooled], tp[pooled], bucket_of[pooled]
             ap[(cat, t_idx, None)] = average_precision(
-                scores, flags, n_gt_all[cat], cfg.recall_points
+                scores, flags, int(n_gt[cat].sum()), cfg.recall_points
             )
-            for bucket in buckets:
-                sel_scores, sel_flags = [], []
-                for score, _, idx, det, _ in pooled:
-                    gt = matched_gt[idx]
-                    if gt is not None:
-                        if gt_bucket[id(gt)] is bucket:
-                            sel_scores.append(score)
-                            sel_flags.append(True)
-                    elif det_bucket[id(det)] is bucket:
-                        sel_scores.append(score)
-                        sel_flags.append(False)
+            for b, bucket in enumerate(buckets):
+                sel = codes == b
                 ap[(cat, t_idx, bucket)] = average_precision(
-                    np.array(sel_scores),
-                    np.array(sel_flags, dtype=bool),
-                    n_gt_bucket[(cat, bucket)],
-                    cfg.recall_points,
+                    scores[sel], flags[sel], int(n_gt[cat][b]), cfg.recall_points
                 )
 
     n_thr = len(cfg.iou_thresholds)
@@ -326,13 +307,8 @@ def evaluate(
         else UNDEFINED
     )
     by_bucket = {}
-    for bucket in buckets:
-        cells = [
-            ap[(c, t, bucket)]
-            for c in cats
-            for t in range(n_thr)
-            if n_gt_bucket[(c, bucket)] > 0
-        ]
+    for b, bucket in enumerate(buckets):
+        cells = [ap[(c, t, bucket)] for c in cats for t in range(n_thr) if n_gt[c][b] > 0]
         by_bucket[bucket] = _mean(cells)
     per_category = {
         c: _mean([ap[(c, t, None)] for t in range(n_thr)]) for c in cats

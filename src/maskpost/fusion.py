@@ -20,6 +20,7 @@ __all__ = [
     "EnsembleConfig",
     "linear_interpolation_weights",
     "linear_reweight_weights",
+    "model_weights",
     "apply_weights",
     "soft_nms",
     "cluster_merge_masks",
@@ -142,6 +143,14 @@ def linear_reweight_weights(
         if np.count_nonzero(tied) > 1:
             ranks[tied] = ranks[tied].mean()
     return theta_min + (theta_max - theta_min) * ranks / (n - 1)
+
+
+def model_weights(models: list[ModelCandidate], cfg: EnsembleConfig) -> np.ndarray:
+    """Per-model weights from the validation scores, by ``cfg.strategy``."""
+    scores = [m.validation_score for m in models]
+    if cfg.strategy == "linear_interpolation":
+        return linear_interpolation_weights(scores, cfg.theta_min, cfg.theta_max)
+    return linear_reweight_weights(scores, cfg.theta_min, cfg.theta_max)
 
 
 def apply_weights(models: list[ModelCandidate], weights) -> list[Detection]:
@@ -270,48 +279,19 @@ def cluster_merge_masks(dets: list[Detection], cluster_iou: float = 0.5) -> list
     return merged
 
 
-def ensemble(
-    models: list[ModelCandidate],
-    cfg: EnsembleConfig | None = None,
-    workers: int = 1,
-) -> list[Detection]:
+def ensemble(models: list[ModelCandidate], cfg: EnsembleConfig | None = None) -> list[Detection]:
     """Run the full fusion pipeline over a set of model candidates.
 
     Weights are derived from the validation scores per the configured
     strategy, detections are pooled with scaled confidences, soft-NMS
     resolves overlaps per image, and (optionally) surviving near-duplicates
-    have their masks merged. Deterministic for fixed inputs regardless of
-    ``workers``; output is ordered by image, then score descending.
+    have their masks merged. Deterministic for fixed inputs; output is
+    ordered by image, then score descending.
     """
     cfg = cfg or EnsembleConfig()
     if not models:
         raise ValueError("ensemble requires at least one model")
-    scores = [m.validation_score for m in models]
-    if cfg.strategy == "linear_interpolation":
-        weights = linear_interpolation_weights(scores, cfg.theta_min, cfg.theta_max)
-    else:
-        weights = linear_reweight_weights(scores, cfg.theta_min, cfg.theta_max)
-    pooled = apply_weights(models, weights)
-
-    groups: dict[tuple, list[tuple[Detection, int]]] = {}
-    for idx, det in enumerate(pooled):
-        key = (
-            (det.image_id, det.category_id)
-            if cfg.nms.per_category
-            else (det.image_id,)
-        )
-        groups.setdefault(key, []).append((det, idx))
-
-    keys = sorted(groups)
-    if workers > 1 and len(keys) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda k: _suppress_group(groups[k], cfg.nms), keys))
-    else:
-        results = [_suppress_group(groups[k], cfg.nms) for k in keys]
-    survivors = [det for chunk in results for det in chunk]
-
+    survivors = soft_nms(apply_weights(models, model_weights(models, cfg)), cfg.nms)
     if cfg.merge_masks:
         survivors = cluster_merge_masks(survivors, cfg.cluster_iou)
     survivors.sort(

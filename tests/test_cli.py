@@ -186,6 +186,54 @@ class TestEnsembleCommand:
         assert code == 0
         assert "different image id" in err
 
+    @pytest.mark.parametrize("flag", ["--mask-iou-nms", "--merge-masks"])
+    def test_record_without_mask_exits_2(self, tmp_path, capsys, flag):
+        _, model_paths = write_scenario_files(tmp_path)
+        boxes_only = tmp_path / "boxes.json"
+        records = json.loads(Path(model_paths[1][0]).read_text())
+        del records[2]["segmentation"]
+        boxes_only.write_text(json.dumps(records))
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(
+            capsys,
+            "ensemble",
+            "--model", f"{model_paths[0][0]}:77.0",
+            "--model", f"{boxes_only}:76.0",
+            flag,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"{boxes_only}: results[2]" in err
+        assert "segmentation" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--mask-iou-nms", "--merge-masks"])
+    def test_mask_sizes_differ_per_image_exits_2(self, tmp_path, capsys, flag):
+        bits = np.zeros((8, 8), dtype=bool)
+        bits[2:5, 2:5] = True
+        square, short = tmp_path / "square.json", tmp_path / "short.json"
+        write_results(square, [Detection(1, 1, 0.9, BBox(2, 2, 3, 3), rle_encode(bits))])
+        write_results(
+            short,
+            [
+                Detection(2, 1, 0.9, BBox(2, 2, 3, 3), rle_encode(bits)),
+                Detection(1, 1, 0.8, BBox(2, 2, 3, 3), rle_encode(bits[:6])),
+            ],
+        )
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(
+            capsys,
+            "ensemble",
+            "--model", f"{square}:77.0",
+            "--model", f"{short}:76.0",
+            flag,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"{short}: results[1]" in err and f"{square}: results[0]" in err
+        assert "8x6" in err and "8x8" in err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_perfect_results(self, tmp_path, capsys):
@@ -301,6 +349,25 @@ class TestEvalCommand:
         assert "results[1]" in err
         assert "8x6" in err and "8x8" in err
         assert not (tmp_path / "r.json").exists()
+
+
+    def test_result_on_unknown_image_exits_2(self, tmp_path, capsys):
+        gt_path, _ = write_scenario_files(tmp_path)
+        gts = build_ground_truth()
+        stray = max(g.image_id for g in gts) + 90
+        results = tmp_path / "results.json"
+        write_results(
+            results,
+            [Detection(g.image_id, g.category_id, 0.9, g.bbox, g.mask) for g in gts[:1]]
+            + [Detection(stray, gts[0].category_id, 0.8, gts[0].bbox, gts[0].mask)],
+        )
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(out)
+        )
+        assert code == 2
+        assert "results[1]" in err and f"image {stray}" in err
+        assert not out.exists()
 
 
 class TestStatsCommand:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maskpost import (
     BBox,
@@ -68,6 +70,19 @@ class TestRleStrings:
             # and the transliterated reference agrees byte for byte
             assert rle_counts_to_string(rle.counts.tolist()) == s
             assert rle_string_to_counts(s) == rle.counts.tolist()
+
+    @given(
+        st.integers(0, 2**40),
+        st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**40)), max_size=30),
+    )
+    def test_roundtrip_arbitrary_counts(self, lead, runs):
+        # large runs next to small ones make the two-back deltas negative
+        counts = [lead, *runs] if lead or runs else [1]
+        rle = RleMask(1, sum(counts), counts)
+        s = rle_string_encode(rle)
+        assert rle_string_decode(s, 1, sum(counts)) == rle
+        assert s == rle_counts_to_string(counts)
+        assert rle_string_to_counts(s) == counts
 
     def test_malformed_string_rejected(self):
         with pytest.raises(SchemaError):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maskpost import (
     Detection,
@@ -166,10 +170,22 @@ class TestEvaluate:
         assert report_a.map == report_b.map
         assert report_a.per_category == report_b.per_category
 
-    def test_workers_equivalent(self):
-        rng = np.random.default_rng(13)
+    @given(st.data())
+    def test_permutation_invariance(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         gts, dets, cfg = random_micro_case(rng)
-        assert evaluate(gts, dets, cfg, workers=1) == evaluate(gts, dets, cfg, workers=4)
+        # scores from a coarse grid: ties across images and categories, none
+        # within one (image, category) group, where input order breaks them
+        groups = {}
+        for i, det in enumerate(dets):
+            groups.setdefault((det.image_id, det.category_id), []).append(i)
+        grid = st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0])
+        for members in groups.values():
+            scores = data.draw(st.lists(grid, min_size=len(members), max_size=len(members), unique=True))
+            for i, score in zip(members, scores):
+                dets[i] = replace(dets[i], score=score)
+        shuffled = data.draw(st.permutations(dets))
+        assert evaluate(gts, shuffled, cfg) == evaluate(gts, dets, cfg)
 
     def test_low_score_zero_iou_fp_never_raises_ap(self):
         gts = [_gt(image_id=1), _gt(image_id=2)]

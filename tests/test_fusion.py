@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maskpost import (
     BBox,
@@ -14,6 +16,7 @@ from maskpost import (
     ensemble,
     linear_interpolation_weights,
     linear_reweight_weights,
+    model_weights,
     rle_decode,
     rle_encode,
     soft_nms,
@@ -183,6 +186,25 @@ class TestSoftNms:
             ref = classic_nms(dets, 0.4)
             assert [(d.score, d.bbox) for d in ours] == [(d.score, d.bbox) for d in ref]
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.1, 0.4, 0.7, 1.0]),
+                st.sampled_from(["a", "b", None]),
+                st.tuples(*[st.integers(0, 6)] * 2, *[st.integers(1, 6)] * 2),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(0.0, 1.0),
+    )
+    def test_hard_mode_is_classic_nms(self, specs, threshold):
+        # integer boxes and a coarse score grid make IoU == threshold and
+        # tied scores likely
+        dets = [_det(score=score, box=box, source=source) for score, source, box in specs]
+        cfg = SoftNmsConfig(method="hard", iou_threshold=threshold)
+        assert soft_nms(dets, cfg) == classic_nms(dets, threshold)
+
     def test_linear_mode_decay(self):
         dets = [_det(score=0.9, box=(0, 0, 10, 10)), _det(score=0.8, box=(5, 0, 10, 10))]
         out = soft_nms(dets, SoftNmsConfig(method="linear", iou_threshold=0.3))
@@ -292,24 +314,41 @@ class TestEnsemble:
         key = lambda d: (d.image_id, round(d.score, 12), d.bbox.to_list(), d.source_model)
         assert sorted(map(key, fused_fwd)) == sorted(map(key, fused_rev))
 
-    def test_workers_do_not_change_output(self):
-        models = []
+    @pytest.mark.parametrize("merge_masks", [False, True])
+    def test_is_soft_nms_of_weighted_pool(self, merge_masks):
         rng = np.random.default_rng(29)
-        for m in range(2):
-            dets = [
-                _det(
-                    image_id=int(img),
-                    score=float(rng.uniform(0.3, 0.99)),
-                    box=(float(rng.uniform(0, 10)), 0, 5, 5),
+        models = []
+        for m in range(3):
+            dets = []
+            for img in range(1, 6):
+                bits = np.zeros((16, 16), dtype=bool)
+                x = int(rng.integers(0, 8))
+                bits[2:9, x : x + 6] = True
+                dets.append(
+                    _det(
+                        image_id=img,
+                        category_id=int(rng.integers(1, 3)),
+                        score=float(rng.choice([0.5, 0.7, 0.9])),
+                        box=(float(x), 2, 6, 7),
+                        mask=rle_encode(bits),
+                    )
                 )
-                for img in range(1, 6)
-            ]
-            models.append(ModelCandidate(f"m{m}", 70.0 + m, dets))
-        a = ensemble(models, EnsembleConfig(), workers=1)
-        b = ensemble(models, EnsembleConfig(), workers=4)
-        assert [(d.image_id, d.score, d.bbox) for d in a] == [
-            (d.image_id, d.score, d.bbox) for d in b
-        ]
+            models.append(ModelCandidate(f"m{m}", 70.0 + m % 2, dets))
+        cfg = EnsembleConfig(merge_masks=merge_masks)
+        expected = soft_nms(apply_weights(models, model_weights(models, cfg)), cfg.nms)
+        if merge_masks:
+            expected = cluster_merge_masks(expected, cfg.cluster_iou)
+        expected.sort(key=lambda d: (d.image_id, -d.score, d.category_id, d.source_model))
+        assert ensemble(models, cfg) == expected
+
+    def test_model_weights_follow_strategy(self):
+        models = [ModelCandidate(f"m{i}", s, []) for i, s in enumerate([71.0, 70.0, 73.0])]
+        for strategy, weigh in [
+            ("linear_interpolation", linear_interpolation_weights),
+            ("linear_reweight", linear_reweight_weights),
+        ]:
+            cfg = EnsembleConfig(strategy=strategy, theta_min=0.5)
+            assert model_weights(models, cfg).tolist() == weigh([71.0, 70.0, 73.0], 0.5).tolist()
 
     def test_empty_models_rejected(self):
         with pytest.raises(ValueError):
