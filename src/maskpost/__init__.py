@@ -16,6 +16,7 @@ from .core import (
     bilinear_sample,
     binarize,
     box_iou,
+    box_iou_matrix,
     mask_bbox,
     mask_iou,
     resample,
@@ -23,6 +24,7 @@ from .core import (
     rle_decode,
     rle_encode,
     rle_iou,
+    rle_iou_matrix,
     rle_merge,
     sample_points,
     size_bucket,

@@ -278,26 +278,32 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
             dets = load_results(path)
         except SchemaError as exc:
             raise InputError(str(exc))
-        models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
+        try:
+            models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
+        except ValueError as exc:
+            raise InputError(f"--model {spec!r}: {exc}")
         image_sets.append({d.image_id for d in dets})
     if len(set(map(frozenset, image_sets))) > 1:
         print("warning: model files cover different image id sets", file=sys.stderr)
 
-    cfg = EnsembleConfig(
-        theta_min=float(opts["theta_min"]),
-        theta_max=float(opts["theta_max"]),
-        strategy=str(opts["strategy"]),
-        nms=SoftNmsConfig(
-            method=str(opts["nms_method"]),
-            sigma=float(opts["sigma"]),
-            iou_threshold=float(opts["iou_threshold"]),
-            score_floor=float(opts["score_floor"]),
-            per_category=not opts["class_agnostic"],
-            use_mask_iou=bool(opts["mask_iou_nms"]),
-        ),
-        merge_masks=bool(opts["merge_masks"]),
-        cluster_iou=float(opts["cluster_iou"]),
-    )
+    try:
+        cfg = EnsembleConfig(
+            theta_min=float(opts["theta_min"]),
+            theta_max=float(opts["theta_max"]),
+            strategy=str(opts["strategy"]),
+            nms=SoftNmsConfig(
+                method=str(opts["nms_method"]),
+                sigma=float(opts["sigma"]),
+                iou_threshold=float(opts["iou_threshold"]),
+                score_floor=float(opts["score_floor"]),
+                per_category=not opts["class_agnostic"],
+                use_mask_iou=bool(opts["mask_iou_nms"]),
+            ),
+            merge_masks=bool(opts["merge_masks"]),
+            cluster_iou=float(opts["cluster_iou"]),
+        )
+    except ValueError as exc:
+        raise InputError(f"invalid option: {exc}")
     if cfg.nms.use_mask_iou or cfg.merge_masks:
         _check_masks(models, "--mask-iou-nms" if cfg.nms.use_mask_iou else "--merge-masks")
     for model, w in zip(models, model_weights(models, cfg)):
@@ -333,10 +339,13 @@ def cmd_eval(args: argparse.Namespace) -> None:
                 f"results[{i}].segmentation: mask is {det.mask.width}x{det.mask.height} "
                 f"but image {img.id} is {img.width}x{img.height}"
             )
-    cfg = EvalConfig(
-        max_detections_per_image=int(opts["max_dets"]),
-        iou_on=str(opts["iou_on"]),
-    )
+    try:
+        cfg = EvalConfig(
+            max_detections_per_image=int(opts["max_dets"]),
+            iou_on=str(opts["iou_on"]),
+        )
+    except ValueError as exc:
+        raise InputError(f"invalid option: {exc}")
     report = evaluate(gts, dets, cfg)
     out = Path(args.out)
     out.write_text(report.to_json())
@@ -356,10 +365,14 @@ def cmd_stats(args: argparse.Namespace) -> None:
         ds = load_dataset(gt_path)
     except SchemaError as exc:
         raise InputError(str(exc))
-    sample_n = int(opts["sample_n"])
+    sample_n, seed = int(opts["sample_n"]), int(opts["seed"])
+    if sample_n < 0:
+        raise InputError(f"invalid option: sample_n must be non-negative, got {sample_n}")
+    if seed < 0:
+        raise InputError(f"invalid option: seed must be non-negative, got {seed}")
     image_ids = [img.id for img in ds.images]
     if 0 < sample_n < len(image_ids):
-        rng = np.random.default_rng(int(opts["seed"]))
+        rng = np.random.default_rng(seed)
         chosen = set(rng.choice(np.array(image_ids), size=sample_n, replace=False).tolist())
     else:
         chosen = set(image_ids)
@@ -370,7 +383,10 @@ def cmd_stats(args: argparse.Namespace) -> None:
     ]
     if not boxes:
         raise InputError("no boxes found in the selected images")
-    hist = size_histogram(boxes, float(opts["bin_width"]))
+    try:
+        hist = size_histogram(boxes, float(opts["bin_width"]))
+    except ValueError as exc:
+        raise InputError(f"invalid option: {exc}")
     Path(args.out).write_text(hist.to_csv())
     print(f"median_sqrt_area {median_sqrt_area(boxes):.6f}")
     print(f"boxes {hist.total} -> {args.out}")

@@ -452,8 +452,8 @@ class Histogram:
 
 def size_histogram(boxes: list[BBox], bin_width: float) -> Histogram:
     """Histogram box sqrt-areas: bin index is ``floor(sqrt(w*h) / bin_width)``."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     if not boxes:
         return Histogram(bin_width=bin_width, counts=())
     idx = np.floor(

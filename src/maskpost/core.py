@@ -31,9 +31,11 @@ __all__ = [
     "rle_decode",
     "rle_bbox",
     "rle_iou",
+    "rle_iou_matrix",
     "rle_merge",
     "mask_iou",
     "box_iou",
+    "box_iou_matrix",
     "mask_bbox",
     "size_bucket",
 ]
@@ -70,13 +72,6 @@ class BBox:
 
     def to_list(self) -> list[float]:
         return [float(self.x), float(self.y), float(self.w), float(self.h)]
-
-    def overlaps(self, other: "BBox") -> bool:
-        """Whether the two boxes share a region of positive area."""
-        return (
-            min(self.x + self.w, other.x + other.w) > max(self.x, other.x)
-            and min(self.y + self.h, other.y + other.h) > max(self.y, other.y)
-        )
 
 
 class SizeBucket(Enum):
@@ -344,6 +339,20 @@ def rle_iou(a: RleMask, b: RleMask) -> float:
     return inter / union
 
 
+def rle_iou_matrix(a, b, near=None) -> np.ndarray:
+    """IoU of every mask in ``a`` (rows) with every mask in ``b`` (columns).
+
+    Only the pairs set in the boolean ``near`` matrix are read, by
+    :func:`rle_iou`; the rest are 0. ``near`` defaults to tight-box IoU > 0:
+    masks whose tight boxes share no pixel cannot intersect."""
+    if near is None:
+        near = box_iou_matrix([rle_bbox(m) for m in a], [rle_bbox(m) for m in b]) > 0
+    ious = np.zeros((len(a), len(b)))
+    for i, j in zip(*np.nonzero(near)):
+        ious[i, j] = rle_iou(a[i], b[j])
+    return ious
+
+
 def rle_merge(masks, weights) -> RleMask:
     """Weighted per-pixel vote of equally sized run-length masks.
 
@@ -392,15 +401,24 @@ def mask_iou(a, b) -> float:
     return np.count_nonzero(a & b) / union
 
 
+def box_iou_matrix(a, b) -> np.ndarray:
+    """IoU of every box in ``a`` (rows) with every box in ``b`` (columns);
+    0 where the union is degenerate."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = (
+        np.array([(q.x, q.y, q.w, q.h) for q in boxes], dtype=np.float64).reshape(-1, 4).T
+        for boxes in (a, b)
+    )
+    ix = np.minimum.outer(ax + aw, bx + bw) - np.maximum.outer(ax, bx)
+    iy = np.minimum.outer(ay + ah, by + bh) - np.maximum.outer(ay, by)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    union = np.add.outer(aw * ah, bw * bh) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union <= 0.0, 0.0, inter / union)
+
+
 def box_iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0 when the union is degenerate."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return float(box_iou_matrix([a], [b])[0, 0])
 
 
 def mask_bbox(mask) -> BBox:

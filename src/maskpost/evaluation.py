@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BBox, RleMask, SizeBucket, box_iou, rle_bbox, rle_iou, size_bucket
+from .core import BBox, RleMask, SizeBucket, box_iou_matrix, rle_iou_matrix, size_bucket
 from .fusion import Detection
 
 __all__ = [
@@ -69,6 +69,10 @@ class EvalConfig:
             raise ValueError("iou_thresholds must be strictly increasing")
         if self.iou_on not in ("mask", "bbox"):
             raise ValueError(f"iou_on must be 'mask' or 'bbox', got {self.iou_on!r}")
+        if self.max_detections_per_image < 1:
+            raise ValueError(
+                f"max_detections_per_image must be at least 1, got {self.max_detections_per_image}"
+            )
 
 
 @dataclass
@@ -172,24 +176,6 @@ def average_precision(scores, tp_flags, n_gt: int, recall_points=DEFAULT_RECALL_
     return float(sampled.mean())
 
 
-def _pairwise_ious(gts, dets, iou_on):
-    """IoU matrix of one image group; mask pairs whose tight boxes share no
-    pixel are 0 without touching the runs."""
-    ious = np.zeros((len(dets), len(gts)))
-    if iou_on == "mask":
-        gt_boxes = [rle_bbox(gt.mask) for gt in gts]
-        for d, det in enumerate(dets):
-            det_box = rle_bbox(det.mask)
-            for g, gt in enumerate(gts):
-                if det_box.overlaps(gt_boxes[g]):
-                    ious[d, g] = rle_iou(det.mask, gt.mask)
-    else:
-        for d, det in enumerate(dets):
-            for g, gt in enumerate(gts):
-                ious[d, g] = box_iou(det.bbox, gt.bbox)
-    return ious
-
-
 def _detection_area(det: Detection) -> float:
     """Bucket area of a detection: mask pixels when available, box area otherwise."""
     if det.mask is not None:
@@ -255,8 +241,13 @@ def evaluate(
         key: np.array(idxs)[np.argsort(-score[idxs], kind="stable")][:top]
         for key, idxs in sorted(det_groups.items())
     }
+    # ``iou_on`` names the compared attribute, "mask" or "bbox"
+    overlap = rle_iou_matrix if cfg.iou_on == "mask" else box_iou_matrix
     matrices = {
-        key: _pairwise_ious(gt_groups.get(key, []), [dets[i] for i in idx], cfg.iou_on)
+        key: overlap(
+            [getattr(dets[i], cfg.iou_on) for i in idx],
+            [getattr(gt, cfg.iou_on) for gt in gt_groups.get(key, [])],
+        )
         for key, idx in ranked.items()
     }
 

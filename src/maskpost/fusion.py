@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BBox, RleMask, box_iou, rle_bbox, rle_iou, rle_merge
+from .core import BBox, RleMask, box_iou_matrix, rle_bbox, rle_iou_matrix, rle_merge
 
 __all__ = [
     "Detection",
@@ -78,10 +78,12 @@ class SoftNmsConfig:
     def __post_init__(self) -> None:
         if self.method not in ("gaussian", "linear", "hard"):
             raise ValueError(f"unknown soft-NMS method: {self.method!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must lie in [0, 1]")
+            raise ValueError(f"iou_threshold must lie in [0, 1], got {self.iou_threshold}")
+        if np.isnan(self.score_floor):
+            raise ValueError("score_floor must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,18 @@ class EnsembleConfig:
     cluster_iou: float = 0.5
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.theta_min, self.theta_max]).all():
+            raise ValueError(
+                f"theta_min and theta_max must be finite, got {self.theta_min}, {self.theta_max}"
+            )
         if self.theta_min > self.theta_max:
-            raise ValueError("theta_min must not exceed theta_max")
+            raise ValueError(
+                f"theta_min ({self.theta_min}) must not exceed theta_max ({self.theta_max})"
+            )
         if self.strategy not in ("linear_interpolation", "linear_reweight"):
             raise ValueError(f"unknown ensemble strategy: {self.strategy!r}")
+        if not 0.0 <= self.cluster_iou <= 1.0:
+            raise ValueError(f"cluster_iou must lie in [0, 1], got {self.cluster_iou}")
 
 
 def linear_interpolation_weights(
@@ -170,50 +180,41 @@ def apply_weights(models: list[ModelCandidate], weights) -> list[Detection]:
     return pooled
 
 
-def _decay_factor(iou: float, cfg: SoftNmsConfig) -> float:
+def _decay(ious: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     if cfg.method == "gaussian":
-        return float(np.exp(-(iou * iou) / cfg.sigma))
+        return np.exp(-(ious * ious) / cfg.sigma)
     if cfg.method == "linear":
-        return 1.0 - iou if iou > cfg.iou_threshold else 1.0
-    return 0.0 if iou > cfg.iou_threshold else 1.0
+        return np.where(ious > cfg.iou_threshold, 1.0 - ious, 1.0)
+    return np.where(ious > cfg.iou_threshold, 0.0, 1.0)
 
 
 def _suppress_group(group: list[tuple[Detection, int]], cfg: SoftNmsConfig) -> list[Detection]:
     """Soft-NMS over one image (and category) worth of detections.
 
-    Mask overlap is computed on the runs. Each mask's tight box is found
-    once; a pair whose boxes share no pixel has IoU 0 without further work.
+    The group's box IoU matrix is built once, from the declared boxes or,
+    under mask overlap, from the masks' tight boxes: then only the live
+    pairs whose tight boxes overlap have their runs read.
     """
-    dets = [det for det, _ in group]
-    if cfg.use_mask_iou:
-        if any(det.mask is None for det in dets):
-            raise ValueError("use_mask_iou requires every detection to carry a mask")
-        boxes = [rle_bbox(det.mask) for det in dets]
-
-    def overlap(i: int, j: int) -> float:
-        if not cfg.use_mask_iou:
-            return box_iou(dets[i].bbox, dets[j].bbox)
-        if not boxes[i].overlaps(boxes[j]):
-            return 0.0
-        return rle_iou(dets[i].mask, dets[j].mask)
-
-    # (score, det, source key, input index, group position); ties go to the
-    # lexically first source model, then the earliest input position.
-    live = [
-        [det.score, det, det.source_model or "", idx, pos]
-        for pos, (det, idx) in enumerate(group)
-    ]
+    # tie order: source model, then input position; argmax keeps the first
+    dets = [det for det, _ in sorted(group, key=lambda g: (g[0].source_model or "", g[1]))]
+    masks = [det.mask for det in dets]
+    if cfg.use_mask_iou and any(mask is None for mask in masks):
+        raise ValueError("use_mask_iou requires every detection to carry a mask")
+    boxes = [rle_bbox(mask) for mask in masks] if cfg.use_mask_iou else [det.bbox for det in dets]
+    ious = box_iou_matrix(boxes, boxes)
+    scores = np.array([det.score for det in dets], dtype=np.float64)
+    live = np.arange(len(dets))
     kept: list[Detection] = []
-    while live:
-        best_at = min(range(len(live)), key=lambda i: (-live[i][0], live[i][2], live[i][3]))
-        score, det, _, _, det_pos = live.pop(best_at)
+    while live.size:
+        best = live[np.argmax(scores[live])]
+        live = live[live != best]
+        det, score = dets[best], float(scores[best])
         kept.append(det if det.score == score else replace(det, score=score))
-        survivors = []
-        for rec in live:
-            rec[0] *= _decay_factor(overlap(det_pos, rec[4]), cfg)
-            if rec[0] >= cfg.score_floor:
-                survivors.append(rec)
-        live = survivors
+        row = ious[best, live]
+        if cfg.use_mask_iou:
+            row = rle_iou_matrix([masks[best]], [masks[j] for j in live], row[None] > 0)[0]
+        scores[live] *= _decay(row, cfg)
+        live = live[scores[live] >= cfg.score_floor]
     return kept
 
 
@@ -256,26 +257,28 @@ def cluster_merge_masks(dets: list[Detection], cluster_iou: float = 0.5) -> list
         range(len(dets)),
         key=lambda i: (-dets[i].score, dets[i].source_model or "", i),
     )
-    clusters: list[list[Detection]] = []
+    groups: dict[tuple[int, int], list[int]] = {}
     for i in order:
-        det = dets[i]
-        for members in clusters:
-            rep = members[0]
-            if rep.image_id != det.image_id or rep.category_id != det.category_id:
-                continue
-            if box_iou(rep.bbox, det.bbox) >= cluster_iou:
-                members.append(det)
-                break
-        else:
-            clusters.append([det])
+        groups.setdefault((dets[i].image_id, dets[i].category_id), []).append(i)
+    clusters: dict[int, list[Detection]] = {}  # representative index -> members
+    for idxs in groups.values():
+        boxes = [dets[i].bbox for i in idxs]
+        ious = box_iou_matrix(boxes, boxes)
+        reps: list[int] = []  # group positions of the representatives
+        for pos, i in enumerate(idxs):
+            joined = np.flatnonzero(ious[reps, pos] >= cluster_iou)
+            if joined.size:
+                clusters[idxs[reps[joined[0]]]].append(dets[i])
+            else:
+                reps.append(pos)
+                clusters[i] = [dets[i]]
     merged: list[Detection] = []
-    for members in clusters:
+    for members in (clusters[i] for i in order if i in clusters):
         rep = members[0]
-        if len(members) == 1:
-            merged.append(rep)
-            continue
-        fused = rle_merge([det.mask for det in members], [det.score for det in members])
-        merged.append(replace(rep, mask=fused))
+        if len(members) > 1:
+            fused = rle_merge([det.mask for det in members], [det.score for det in members])
+            rep = replace(rep, mask=fused)
+        merged.append(rep)
     return merged
 
 

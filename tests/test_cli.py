@@ -170,6 +170,37 @@ class TestEnsembleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--theta-min", "1.0", "--theta-max", "0.5"], "theta_min"),
+            (["--theta-max", "nan"], "theta_max"),
+            (["--sigma", "0"], "sigma"),
+            (["--sigma", "nan"], "sigma"),
+            (["--iou-threshold", "2"], "iou_threshold"),
+            (["--score-floor", "nan"], "score_floor"),
+            (["--merge-masks", "--cluster-iou", "-1"], "cluster_iou"),
+        ],
+    )
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, named):
+        _, model_paths = write_scenario_files(tmp_path)
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(
+            capsys, "ensemble", "--model", f"{model_paths[0][0]}:77.0", *flags, "--out", str(out)
+        )
+        assert code == 2
+        assert named in err
+        assert not out.exists()
+
+    def test_non_finite_model_score_exits_2(self, tmp_path, capsys):
+        _, model_paths = write_scenario_files(tmp_path)
+        out = tmp_path / "fused.json"
+        spec = f"{model_paths[0][0]}:nan"
+        code, _, err = run_cli(capsys, "ensemble", "--model", spec, "--out", str(out))
+        assert code == 2
+        assert "--model" in err and spec in err
+        assert not out.exists()
+
     def test_mismatched_image_ids_warn(self, tmp_path, capsys):
         _, model_paths = write_scenario_files(tmp_path)
         sliced = load_results(model_paths[0][0])[:3]
@@ -370,6 +401,23 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("max_dets", ["-1", "0"])
+    def test_bad_max_dets_exits_2(self, tmp_path, capsys, max_dets):
+        gt_path, model_paths = write_scenario_files(tmp_path)
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys,
+            "eval",
+            "--gt", str(gt_path),
+            "--results", model_paths[0][0],
+            "--max-dets", max_dets,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "max_detections_per_image" in err
+        assert not out.exists()
+
+
 class TestStatsCommand:
     @staticmethod
     def _stats_dataset(tmp_path, sides):
@@ -418,6 +466,24 @@ class TestStatsCommand:
         run_cli(capsys, "stats", "--gt", str(path), "--sample-n", "5", "--seed", "9", "--out", str(out_a))
         run_cli(capsys, "stats", "--gt", str(path), "--sample-n", "5", "--seed", "9", "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--bin-width", "0"], "bin_width"),
+            (["--bin-width", "nan"], "bin_width"),
+            (["--sample-n", "-5"], "sample_n"),
+            (["--sample-n", "2", "--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, named):
+        path = self._stats_dataset(tmp_path, [100, 200, 300])
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(capsys, "stats", "--gt", str(path), *flags, "--out", str(out))
+        assert code == 2
+        assert named in err
+        assert not out.exists()
 
 
 class TestConfigPrecedence:

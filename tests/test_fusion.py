@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskpost import (
@@ -17,13 +18,85 @@ from maskpost import (
     linear_interpolation_weights,
     linear_reweight_weights,
     model_weights,
+    rle_bbox,
     rle_decode,
     rle_encode,
+    rle_iou,
     soft_nms,
 )
-from oracles import classic_nms
+from oracles import classic_nms, rect_iou
 
 CANDIDATE_SCORES = [76.95, 77.21, 77.32, 77.37, 77.38]
+
+
+def reference_soft_nms(dets, cfg):
+    """Soft-NMS as one Python loop over (kept, live) pairs: scalar IoU, scalar
+    decay, ties to the lexically first source model, then input position."""
+
+    def decay(iou):
+        if cfg.method == "gaussian":
+            return float(np.exp(-(iou * iou) / cfg.sigma))
+        if cfg.method == "linear":
+            return 1.0 - iou if iou > cfg.iou_threshold else 1.0
+        return 0.0 if iou > cfg.iou_threshold else 1.0
+
+    def overlap(a, b):
+        if not cfg.use_mask_iou:
+            return rect_iou(a.bbox, b.bbox)
+        if rect_iou(rle_bbox(a.mask), rle_bbox(b.mask)) == 0.0:
+            return 0.0
+        return rle_iou(a.mask, b.mask)
+
+    groups = {}
+    for idx, det in enumerate(dets):
+        key = (det.image_id, det.category_id) if cfg.per_category else (det.image_id,)
+        groups.setdefault(key, []).append([det.score, det, det.source_model or "", idx])
+    out = []
+    for key in sorted(groups):
+        live = groups[key]
+        while live:
+            best = min(live, key=lambda rec: (-rec[0], rec[2], rec[3]))
+            live.remove(best)
+            score, det = best[0], best[1]
+            out.append(det if det.score == score else replace(det, score=score))
+            for rec in live:
+                rec[0] *= decay(overlap(det, rec[1]))
+            live = [rec for rec in live if rec[0] >= cfg.score_floor]
+    out.sort(key=lambda d: (-d.score, d.image_id, d.category_id, d.source_model or ""))
+    return out
+
+
+@st.composite
+def nms_cases(draw):
+    """Small groups on a 10x10 image: integer boxes, masks drawn apart from
+    the boxes (so box and mask overlap disagree), a coarse score grid so
+    ties are likely, and every method on boxes and on masks."""
+    coord, side = st.integers(0, 4), st.integers(1, 4)
+    dets = []
+    for _ in range(draw(st.integers(1, 10))):
+        bits = np.zeros((10, 10), dtype=bool)
+        for _ in range(draw(st.integers(0, 2))):
+            y, x, h, w = draw(coord), draw(coord), draw(side), draw(side)
+            bits[y : y + h, x : x + w] = True
+        dets.append(
+            _det(
+                image_id=draw(st.integers(1, 2)),
+                category_id=draw(st.integers(1, 2)),
+                score=draw(st.sampled_from([0.1, 0.4, 0.7, 1.0])),
+                box=(draw(coord), draw(coord), draw(side), draw(side)),
+                mask=rle_encode(bits),
+                source=draw(st.sampled_from(["a", "b", None])),
+            )
+        )
+    cfg = SoftNmsConfig(
+        method=draw(st.sampled_from(["gaussian", "linear", "hard"])),
+        sigma=draw(st.sampled_from([0.1, 0.5, 2.0])),
+        iou_threshold=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        score_floor=draw(st.sampled_from([-math.inf, 0.0, 0.001, 0.1, 0.3])),
+        per_category=draw(st.booleans()),
+        use_mask_iou=draw(st.booleans()),
+    )
+    return dets, cfg
 
 
 def _det(image_id=1, category_id=1, score=0.9, box=(0, 0, 10, 10), mask=None, source=None):
@@ -204,6 +277,12 @@ class TestSoftNms:
         dets = [_det(score=score, box=box, source=source) for score, source, box in specs]
         cfg = SoftNmsConfig(method="hard", iou_threshold=threshold)
         assert soft_nms(dets, cfg) == classic_nms(dets, threshold)
+
+    @settings(max_examples=400)
+    @given(nms_cases())
+    def test_equals_reference_loop(self, case):
+        dets, cfg = case
+        assert soft_nms(dets, cfg) == reference_soft_nms(dets, cfg)
 
     def test_linear_mode_decay(self):
         dets = [_det(score=0.9, box=(0, 0, 10, 10)), _det(score=0.8, box=(5, 0, 10, 10))]

@@ -5,16 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maskpost import (
+    BBox,
     RleMask,
+    box_iou_matrix,
     mask_bbox,
     mask_iou,
     rle_bbox,
     rle_decode,
     rle_encode,
     rle_iou,
+    rle_iou_matrix,
     rle_merge,
 )
-from oracles import rle_pixel_set, set_iou
+from oracles import rect_iou, rle_pixel_set, set_iou
 
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
 
@@ -98,10 +101,56 @@ def test_merge_equals_dense_vote(case):
 
 @given(mask_pairs())
 def test_disjoint_boxes_mean_no_intersection(pair):
+    # the prefilter of rle_iou_matrix: tight-box IoU 0 means no shared pixel
     a, b = pair
-    if not rle_bbox(a).overlaps(rle_bbox(b)):
+    if box_iou_matrix([rle_bbox(a)], [rle_bbox(b)])[0, 0] == 0.0:
         assert not (rle_decode(a) & rle_decode(b)).any()
         assert rle_iou(a, b) == 0.0
+
+
+# integer corners make touching and nested boxes likely; the float draws
+# cover fractional sides, and zero sides give empty boxes
+coords = st.one_of(st.integers(0, 8), st.floats(0.0, 8.0))
+boxes = st.builds(
+    BBox,
+    coords,
+    coords,
+    st.one_of(st.integers(0, 6), st.floats(0.0, 6.0)),
+    st.one_of(st.integers(0, 6), st.floats(0.0, 6.0)),
+)
+
+
+@given(st.lists(boxes, max_size=6), st.lists(boxes, max_size=6))
+def test_box_iou_matrix_equals_scalar_oracle(a, b):
+    ious = box_iou_matrix(a, b)
+    assert ious.shape == (len(a), len(b))
+    for i, j in np.ndindex(ious.shape):
+        assert ious[i, j] == rect_iou(a[i], b[j])
+
+
+@st.composite
+def mask_sets(draw):
+    shape = draw(shapes)
+    sizes = st.integers(0, 4)
+    return (
+        [draw(masks_of(shape)) for _ in range(draw(sizes))],
+        [draw(masks_of(shape)) for _ in range(draw(sizes))],
+    )
+
+
+@given(mask_sets())
+def test_rle_iou_matrix_equals_pairwise(sets):
+    a, b = sets
+    ious = rle_iou_matrix(a, b)
+    assert ious.shape == (len(a), len(b))
+    for i, j in np.ndindex(ious.shape):
+        assert ious[i, j] == rle_iou(a[i], b[j])
+
+
+def test_rle_iou_matrix_reads_only_near_pairs():
+    full = RleMask(2, 2, [0, 4])
+    near = np.array([[True, False]])
+    assert rle_iou_matrix([full], [full, full], near).tolist() == [[1.0, 0.0]]
 
 
 def test_column_spanning_run_reaches_both_edges():
