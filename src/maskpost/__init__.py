@@ -80,6 +80,8 @@ from .coco_io import (
     rasterize_polygons,
     rle_string_decode,
     rle_string_encode,
+    rle_strings_decode,
+    rle_strings_encode,
     size_histogram,
     write_field_archive,
     write_results,

@@ -32,6 +32,8 @@ __all__ = [
     "write_results",
     "rle_string_encode",
     "rle_string_decode",
+    "rle_strings_encode",
+    "rle_strings_decode",
     "rasterize_polygon",
     "rasterize_polygons",
     "annotation_mask",
@@ -194,6 +196,15 @@ def annotation_mask(segmentation, width: int, height: int, context: str = "segme
     Accepts polygon lists (unioned), RLE dicts with a compressed counts
     string, and RLE dicts with a plain counts list.
     """
+    mask = _segmentation_mask(segmentation, width, height, context)
+    if isinstance(mask, str):
+        mask = rle_strings_decode([mask], [(width, height)], [f"{context}.counts"])[0]
+    return mask
+
+
+def _segmentation_mask(segmentation, width: int, height: int, context: str) -> RleMask | str:
+    """Check a ``segmentation`` payload; a compressed counts string comes back
+    as is, for :func:`_decode_strings`, and any other payload as its mask."""
     if isinstance(segmentation, dict):
         size = _require(segmentation, "size", context)
         if not isinstance(size, (list, tuple)) or len(size) != 2:
@@ -205,7 +216,7 @@ def annotation_mask(segmentation, width: int, height: int, context: str = "segme
             )
         counts = _require(segmentation, "counts", context)
         if isinstance(counts, str):
-            return rle_string_decode(counts, width, height)
+            return counts
         if isinstance(counts, (list, tuple)):
             try:
                 return RleMask(width, height, counts)
@@ -223,6 +234,18 @@ def annotation_mask(segmentation, width: int, height: int, context: str = "segme
     raise SchemaError(f"{context}: expected a polygon list or RLE object")
 
 
+def _decode_strings(masks: list, sizes: list, context) -> None:
+    """Replace each counts string left in ``masks`` by its mask, decoded in
+    one batched call; entry ``i`` has size ``sizes[i]`` and is named
+    ``context(i)`` in errors."""
+    todo = [i for i, mask in enumerate(masks) if isinstance(mask, str)]
+    decoded = rle_strings_decode(
+        [masks[i] for i in todo], [sizes[i] for i in todo], [context(i) for i in todo]
+    )
+    for i, mask in zip(todo, decoded):
+        masks[i] = mask
+
+
 def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
     """Turn dataset annotations into evaluable ground-truth instances.
 
@@ -231,24 +254,24 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
     file's ``area`` field.
     """
     by_id = ds.image_by_id()
-    out = []
+    masks, sizes = [], []
     for i, ann in enumerate(ds.annotations):
         img = by_id[ann.image_id]
         if ann.segmentation is None:
             raise SchemaError(f"annotations[{i}].segmentation: missing (annotation {ann.id})")
-        mask = annotation_mask(
-            ann.segmentation, img.width, img.height, f"annotations[{i}].segmentation"
+        ctx = f"annotations[{i}].segmentation"
+        masks.append(_segmentation_mask(ann.segmentation, img.width, img.height, ctx))
+        sizes.append((img.width, img.height))
+    _decode_strings(masks, sizes, lambda i: f"annotations[{i}].segmentation.counts")
+    return [
+        GroundTruthInstance(
+            image_id=ann.image_id,
+            category_id=ann.category_id,
+            mask=mask,
+            bbox=BBox(*ann.bbox) if ann.bbox is not None else rle_bbox(mask),
         )
-        bbox = BBox(*ann.bbox) if ann.bbox is not None else rle_bbox(mask)
-        out.append(
-            GroundTruthInstance(
-                image_id=ann.image_id,
-                category_id=ann.category_id,
-                mask=mask,
-                bbox=bbox,
-            )
-        )
-    return out
+        for ann, mask in zip(ds.annotations, masks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +283,7 @@ def load_results(path) -> list[Detection]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: results file must be a JSON array")
-    dets = []
+    fields, masks, sizes = [], [], []
     for i, rec in enumerate(data):
         ctx = f"results[{i}]"
         if not isinstance(rec, dict):
@@ -268,7 +291,7 @@ def load_results(path) -> list[Detection]:
         score = _as_number(_require(rec, "score", ctx), f"{ctx}.score")
         if not 0.0 <= score <= 1.0:
             raise SchemaError(f"{ctx}.score: {score} outside [0, 1]")
-        mask = None
+        mask = size = None
         if "segmentation" in rec:
             seg = rec["segmentation"]
             if not isinstance(seg, dict):
@@ -277,28 +300,33 @@ def load_results(path) -> list[Detection]:
             if not isinstance(size, (list, tuple)) or len(size) != 2:
                 raise SchemaError(f"{ctx}.segmentation.size: expected [height, width]")
             h, w = (_as_int(v, f"{ctx}.segmentation.size") for v in size)
-            mask = annotation_mask(seg, w, h, f"{ctx}.segmentation")
+            mask, size = _segmentation_mask(seg, w, h, f"{ctx}.segmentation"), (w, h)
         bbox = rec.get("bbox")
         if bbox is not None:
             bbox = BBox(*_as_box(bbox, f"{ctx}.bbox"))
-        elif mask is not None:
-            bbox = rle_bbox(mask)
-        else:
+        elif mask is None:
             raise SchemaError(f"{ctx}: needs a bbox or a segmentation")
-        dets.append(
-            Detection(
-                image_id=_as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id"),
-                category_id=_as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id"),
-                score=score,
-                bbox=bbox,
-                mask=mask,
-            )
+        image_id = _as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id")
+        category_id = _as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id")
+        fields.append((image_id, category_id, score, bbox))
+        masks.append(mask)
+        sizes.append(size)
+    _decode_strings(masks, sizes, lambda i: f"results[{i}].segmentation.counts")
+    return [
+        Detection(
+            image_id=image_id,
+            category_id=category_id,
+            score=score,
+            bbox=rle_bbox(mask) if bbox is None else bbox,
+            mask=mask,
         )
-    return dets
+        for (image_id, category_id, score, bbox), mask in zip(fields, masks)
+    ]
 
 
 def write_results(path, dets: list[Detection]) -> None:
     """Write detections as COCO results JSON, in the given order."""
+    strings = iter(rle_strings_encode(det.mask for det in dets if det.mask is not None))
     records = []
     for det in dets:
         rec = {
@@ -310,64 +338,175 @@ def write_results(path, dets: list[Detection]) -> None:
         if det.mask is not None:
             rec["segmentation"] = {
                 "size": [det.mask.height, det.mask.width],
-                "counts": rle_string_encode(det.mask),
+                "counts": next(strings),
             }
         records.append(rec)
-    with open(path, "w") as fh:
-        json.dump(records, fh, sort_keys=True)
-        fh.write("\n")
+    # the same bytes as json.dump(records, sort_keys=True), but through the C
+    # encoder (dump runs the pure-Python one) one record at a time, so no
+    # fragment list of the whole file is held
+    encode = json.JSONEncoder(sort_keys=True).encode
+    Path(path).write_text("[" + ", ".join(map(encode, records)) + "]\n")
 
 
 # ---------------------------------------------------------------------------
 # Compressed RLE strings (the de-facto COCO wire format: 5-bit chunks with a
-# continuation flag, offset by char 48, counts delta-coded from two back)
+# continuation flag, offset by char 48, counts delta-coded from two back).
+# Both directions work on a slice of strings at a time in numpy array passes.
 # ---------------------------------------------------------------------------
 
+# Strings are decoded (encoded) in slices of about this many characters
+# (counts), which bounds the scratch arrays to a few MB at any file size.
+_SLICE_SIZE = 1 << 13
+# Twelve 5-bit chunks make 60 bits; a longer value cannot fit an int64.
+_MAX_VALUE_CHARS = 12
+# A value v needs k + 1 chunks when 16 * 32**(k-1) <= (v or ~v) < 16 * 32**k.
+_CHUNK_LIMITS = 16 * 32 ** np.arange(_MAX_VALUE_CHARS, dtype=np.int64)
+
+
+def _slices(lengths):
+    """``(start, stop)`` ranges of consecutive items that together reach
+    ``_SLICE_SIZE`` in length (the last range may be shorter)."""
+    start = total = 0
+    for i, n in enumerate(lengths):
+        total += n
+        if total >= _SLICE_SIZE:
+            yield start, i + 1
+            start, total = i + 1, 0
+    if start < len(lengths):
+        yield start, len(lengths)
+
+
+def rle_strings_encode(masks) -> list[str]:
+    """Compressed counts string of each mask, byte for byte as ``maskApi.c``."""
+    masks = list(masks)
+    out: list[str] = []
+    for a, b in _slices([m.counts.size for m in masks]):
+        out += _encode_slice(masks[a:b])
+    return out
+
+
+def _encode_slice(masks) -> list[str]:
+    sizes = np.array([m.counts.size for m in masks])
+    counts = np.concatenate([m.counts for m in masks])
+    firsts = np.cumsum(sizes) - sizes
+    rank = np.arange(counts.size) - np.repeat(firsts, sizes)
+    values = counts.copy()
+    far = np.flatnonzero(rank > 2)
+    values[far] -= counts[far - 2]
+    chunks = np.searchsorted(_CHUNK_LIMITS, np.where(values < 0, ~values, values), "right") + 1
+    ends = np.cumsum(chunks)
+    step = np.arange(ends[-1]) - np.repeat(ends - chunks, chunks)
+    chars = ((np.repeat(values, chunks) >> (5 * step)) & 0x1F) | 0x20
+    chars[ends - 1] &= 0x1F
+    text = (chars + 48).astype(np.uint8).tobytes().decode("ascii")
+    stops = np.cumsum(np.add.reduceat(chunks, firsts)).tolist()
+    return [text[a:b] for a, b in zip([0, *stops], stops)]
+
+
+def rle_strings_decode(strings, sizes, contexts=None) -> list[RleMask]:
+    """Decode compressed counts strings; ``sizes`` holds each mask's
+    ``(width, height)``.
+
+    A fault raises :class:`SchemaError` for the first string at fault, named
+    by its entry in ``contexts`` (default ``strings[k]``): a character outside
+    ``'0'..'o'``, a truncated string, a value longer than 12 characters, a
+    value larger in magnitude than the mask's pixel count, or counts that do
+    not make a valid mask.
+    """
+    strings, sizes = list(strings), list(sizes)
+    if contexts is None:
+        contexts = [f"strings[{k}]" for k in range(len(strings))]
+    masks: list[RleMask] = []
+    for a, b in _slices([len(s) for s in strings]):
+        masks += _decode_slice(strings[a:b], sizes[a:b], contexts[a:b])
+    return masks
+
+
+def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
+    """Decode one slice: every check runs over all of its strings, and the
+    first string at fault is reported."""
+    n = len(strings)
+    joined = "".join(strings)
+    if joined.isascii():
+        chunks = np.frombuffer(joined.encode("ascii"), np.uint8) - 48
+    else:  # code points, so that the invalid character can be named
+        chunks = np.frombuffer(joined.encode("utf-32-le"), np.uint32) - 48
+    lengths = np.array([len(s) for s in strings])
+    char_owner = np.repeat(np.arange(n), lengths)
+    pixels = np.array([min(w * h, 1 << 60) if w > 0 and h > 0 else 0 for w, h in sizes])
+    faults = []  # (first string at fault, message), most important first
+
+    def check(at_fault, message):
+        if at_fault.size:
+            faults.append((int(at_fault[0]), message(int(at_fault[0]))))
+
+    invalid = np.flatnonzero(chunks > 63)  # a character below '0' wraps around
+    check(char_owner[invalid[:1]], lambda k: f"invalid RLE character {joined[invalid[0]]!r}")
+    stop = chunks & 0x20 == 0  # the last chunk of a value
+    last = np.cumsum(lengths)[lengths > 0] - 1
+    check(char_owner[last[~stop[last]]], lambda k: "truncated RLE string")
+
+    stops = np.flatnonzero(stop)
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    span = stops - starts + 1
+    owner = char_owner[stops]
+    long = np.flatnonzero(span > _MAX_VALUE_CHARS)
+    check(owner[long], lambda k: f"RLE value of {span[long[0]]} characters, more than 12")
+    # value = sum of chunk << 5 * step; clipping the step keeps a faulty
+    # string's garbage inside int64, and the wrapped cumsum stays exact
+    head = stop[: stops[-1] + 1 if stops.size else 0]
+    step = np.arange(head.size) - starts[np.cumsum(head) - head]
+    bits = (chunks[: head.size] & 0x1F).astype(np.int64)
+    bits <<= 5 * np.minimum(step, _MAX_VALUE_CHARS - 1)
+    values = np.diff(np.cumsum(bits)[stops], prepend=0)
+    negative = chunks[stops] & 0x10 != 0
+    values[negative] -= np.int64(1) << 5 * np.minimum(span[negative], _MAX_VALUE_CHARS)
+    bad = "RLE string decodes to invalid counts: "
+    check(np.flatnonzero(pixels == 0), lambda k: bad + "mask dimensions must be positive")
+    over = np.flatnonzero(np.abs(values) > pixels[owner])
+    check(owner[over], lambda k: (
+        f"RLE value {values[over[0]]} is larger in magnitude than the mask's {pixels[k]} pixels"
+    ))
+
+    # undo the two-back deltas: count t (position 3 or later in its string)
+    # is value t plus count t - 2, a running sum along every other value
+    per_string = np.bincount(owner, minlength=n)
+    bounds = np.concatenate(([0], np.cumsum(per_string)))
+    first = bounds[owner]
+    rank = np.arange(values.size) - first
+    chain = np.zeros(values.size + 1, np.int64)  # chain[t + 1] = values t + chain[t - 1]
+    chain[1::2] = np.cumsum(values[0::2])
+    chain[2::2] = np.cumsum(values[1::2])
+    start = np.where(rank & 1, chain[first], chain[first + 1])  # before position 1 or 2
+    counts = np.where(rank > 0, chain[1:] - start, values)
+
+    empty = np.flatnonzero(per_string == 0)
+    check(empty, lambda k: bad + "counts must be a non-empty 1-D sequence")
+    check(owner[counts < 0], lambda k: bad + "counts must be non-negative")
+    zero = owner[(counts == 0) & (rank > 0)]
+    check(zero, lambda k: bad + "zero-length run beyond the leading position")
+    sums = np.diff(np.concatenate(([0], np.cumsum(counts)))[bounds])
+    wrong = np.flatnonzero(sums != pixels)
+    check(wrong, lambda k: bad + f"counts sum to {sums[k]}, expected {pixels[k]}")
+    if faults:
+        k, message = min(faults, key=lambda f: f[0])
+        raise SchemaError(f"{contexts[k]}: {message}")
+    counts.setflags(write=False)
+    bounds = bounds.tolist()
+    return [
+        RleMask._from_checked(w, h, counts[a:b])
+        for (w, h), a, b in zip(sizes, bounds, bounds[1:])
+    ]
+
+
 def rle_string_encode(rle: RleMask) -> str:
-    counts = rle.counts
-    chars = []
-    for i in range(counts.size):
-        x = int(counts[i])
-        if i > 2:
-            x -= int(counts[i - 2])
-        while True:
-            chunk = x & 0x1F
-            x >>= 5
-            more = (x != -1) if (chunk & 0x10) else (x != 0)
-            if more:
-                chunk |= 0x20
-            chars.append(chr(48 + chunk))
-            if not more:
-                break
-    return "".join(chars)
+    """Compressed counts string of one mask; see :func:`rle_strings_encode`."""
+    return rle_strings_encode([rle])[0]
 
 
 def rle_string_decode(s: str, width: int, height: int) -> RleMask:
-    counts: list[int] = []
-    pos = 0
-    while pos < len(s):
-        x = 0
-        shift = 0
-        while True:
-            if pos >= len(s):
-                raise SchemaError("truncated RLE string")
-            chunk = ord(s[pos]) - 48
-            if not 0 <= chunk <= 63:
-                raise SchemaError(f"invalid RLE character {s[pos]!r}")
-            pos += 1
-            x |= (chunk & 0x1F) << shift
-            shift += 5
-            if not chunk & 0x20:
-                if chunk & 0x10:
-                    x -= 1 << shift
-                break
-        if len(counts) > 2:
-            x += counts[-2]
-        counts.append(x)
-    try:
-        return RleMask(width, height, counts)
-    except ValueError as exc:
-        raise SchemaError(f"RLE string decodes to invalid counts: {exc}") from exc
+    """Decode one compressed counts string; see :func:`rle_strings_decode`."""
+    return rle_strings_decode([s], [(width, height)], ["counts"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +589,28 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
 
+# More bins than this means a bin width far below the box sizes: an input
+# error that would otherwise allocate (or overflow) a huge bin array.
+_MAX_BINS = 1_000_000
+
+
 def size_histogram(boxes: list[BBox], bin_width: float) -> Histogram:
-    """Histogram box sqrt-areas: bin index is ``floor(sqrt(w*h) / bin_width)``."""
+    """Histogram box sqrt-areas: bin index is ``floor(sqrt(w*h) / bin_width)``.
+
+    Raises ``ValueError`` when that takes more than ``_MAX_BINS`` bins.
+    """
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     if not boxes:
         return Histogram(bin_width=bin_width, counts=())
-    idx = np.floor(
-        np.array([b.sqrt_area for b in boxes]) / bin_width
-    ).astype(np.int64)
+    with np.errstate(over="ignore"):  # a tiny width may scale a box to inf
+        scaled = np.array([b.sqrt_area for b in boxes]) / bin_width
+    bins = np.floor(scaled.max()) + 1  # in float, before any int cast
+    if bins > _MAX_BINS:
+        raise ValueError(
+            f"bin_width {bin_width:g} needs {bins:.7g} bins, more than {_MAX_BINS}"
+        )
+    idx = np.floor(scaled).astype(np.int64)
     counts = np.bincount(idx)
     return Histogram(bin_width=bin_width, counts=tuple(int(c) for c in counts))
 

@@ -235,6 +235,16 @@ class RleMask:
         object.__setattr__(self, "height", int(height))
         object.__setattr__(self, "counts", arr)
 
+    @classmethod
+    def _from_checked(cls, width: int, height: int, counts: np.ndarray) -> RleMask:
+        """Wrap read-only int64 ``counts`` that already pass the checks of
+        ``__init__``, without copying or checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "width", int(width))
+        object.__setattr__(self, "height", int(height))
+        object.__setattr__(self, "counts", counts)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("RleMask is immutable")
 

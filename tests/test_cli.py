@@ -19,6 +19,7 @@ from maskpost import (
     write_results,
 )
 from maskpost.cli import main
+from oracles import rle_counts_to_string
 from scenario import build_ground_truth, build_models
 
 
@@ -26,6 +27,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# malformed compressed counts strings for a 4x4 mask, with the text each
+# error names
+BAD_COUNTS = [
+    ("0P", "truncated RLE string"),
+    ("oooooooooooooooo?", "more than 12"),
+    ("0\u00e9", "invalid RLE character"),
+    (rle_counts_to_string([0, 17]), "larger in magnitude"),
+]
 
 
 def write_scenario_files(tmp_path):
@@ -199,6 +210,18 @@ class TestEnsembleCommand:
         code, _, err = run_cli(capsys, "ensemble", "--model", spec, "--out", str(out))
         assert code == 2
         assert "--model" in err and spec in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts, fault", BAD_COUNTS)
+    def test_bad_counts_string_exits_2(self, tmp_path, capsys, counts, fault):
+        ok = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 2, 2]}
+        bad = dict(ok, segmentation={"size": [4, 4], "counts": counts})
+        model = tmp_path / "f.json"
+        model.write_text(json.dumps([ok, bad]))
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(capsys, "ensemble", "--model", f"{model}:0.5", "--out", str(out))
+        assert code == 2
+        assert "error: results[1].segmentation.counts: " in err and fault in err
         assert not out.exists()
 
     def test_mismatched_image_ids_warn(self, tmp_path, capsys):
@@ -382,6 +405,30 @@ class TestEvalCommand:
         assert not (tmp_path / "r.json").exists()
 
 
+    @pytest.mark.parametrize("counts, fault", BAD_COUNTS)
+    def test_bad_gt_counts_string_exits_2(self, tmp_path, capsys, counts, fault):
+        ann = {"image_id": 1, "category_id": 1, "segmentation": {"size": [4, 4], "counts": "`0"}}
+        bad = dict(ann, segmentation={"size": [4, 4], "counts": counts})
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(
+            json.dumps(
+                {
+                    "images": [{"id": 1, "width": 4, "height": 4}],
+                    "annotations": [ann, ann, bad],
+                    "categories": [{"id": 1}],
+                }
+            )
+        )
+        results = tmp_path / "results.json"
+        write_results(results, [Detection(1, 1, 0.9, BBox(0, 0, 4, 4))])
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(out)
+        )
+        assert code == 2
+        assert "error: annotations[2].segmentation.counts: " in err and fault in err
+        assert not out.exists()
+
     def test_result_on_unknown_image_exits_2(self, tmp_path, capsys):
         gt_path, _ = write_scenario_files(tmp_path)
         gts = build_ground_truth()
@@ -475,6 +522,8 @@ class TestStatsCommand:
             (["--bin-width", "nan"], "bin_width"),
             (["--sample-n", "-5"], "sample_n"),
             (["--sample-n", "2", "--seed", "-1"], "seed"),
+            (["--bin-width", "1e-300"], "bin_width 1e-300 needs 3e+302 bins"),
+            (["--bin-width", "1e-6"], "bin_width 1e-06 needs 3e+08 bins"),
         ],
     )
     def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, named):

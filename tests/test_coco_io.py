@@ -1,5 +1,7 @@
 import json
+import random
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,10 +28,13 @@ from maskpost import (
     rle_encode,
     rle_string_decode,
     rle_string_encode,
+    rle_strings_decode,
+    rle_strings_encode,
     size_histogram,
     write_field_archive,
     write_results,
 )
+from maskpost import coco_io
 from oracles import rle_counts_to_string, rle_string_to_counts, shoelace_area
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "rle_golden.json").read_text())
@@ -91,6 +96,81 @@ class TestRleStrings:
     def test_wrong_size_rejected(self):
         with pytest.raises(SchemaError):
             rle_string_decode("4", 3, 3)  # decodes to [4], sum != 9
+
+
+# one mask's counts: a leading run that may be 0, then runs up to 2**40, so
+# that the two-back deltas are large and of both signs; ``[n]`` included
+_mask_counts = st.tuples(
+    st.integers(0, 2**40),
+    st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**40)), max_size=12),
+).map(lambda lr: [lr[0], *lr[1]] if lr[0] or lr[1] else [1])
+
+
+class TestBatchedRleStrings:
+    @given(
+        st.lists(st.tuples(_mask_counts, st.booleans()), max_size=20),
+        st.sampled_from([1, 5, 64, coco_io._SLICE_SIZE]),
+    )
+    def test_equals_oracle_and_inverts(self, drawn, slice_size):
+        sizes = [(1, sum(c)) if tall else (sum(c), 1) for c, tall in drawn]
+        masks = [RleMask(w, h, c) for (w, h), (c, _) in zip(sizes, drawn)]
+        with patch.object(coco_io, "_SLICE_SIZE", slice_size):  # many slices per call
+            strings = rle_strings_encode(masks)
+            assert strings == [rle_counts_to_string(c) for c, _ in drawn]
+            assert rle_strings_decode(strings, sizes) == masks
+
+    def test_batch_equals_scalar(self):
+        rng = np.random.default_rng(53)
+        masks = []
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            masks.append(rle_encode(rng.random((h, w)) < rng.uniform(0, 1)))
+        strings = rle_strings_encode(masks)
+        assert strings == [rle_string_encode(m) for m in masks]
+        sizes = [(m.width, m.height) for m in masks]
+        decoded = rle_strings_decode(strings, sizes)
+        assert decoded == [rle_string_decode(s, w, h) for s, (w, h) in zip(strings, sizes)]
+        assert decoded == masks
+
+    def test_empty_batch(self):
+        assert rle_strings_encode([]) == []
+        assert rle_strings_decode([], []) == []
+
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            ("0P", "truncated RLE string"),
+            ("0\u00e9", "invalid RLE character '\u00e9'"),
+            ("0/", "invalid RLE character '/'"),
+            ("oooooooooooooooo?", "RLE value of 17 characters, more than 12"),
+            (
+                rle_counts_to_string([0, 17]),
+                "RLE value 17 is larger in magnitude than the mask's 16 pixels",
+            ),
+            (rle_counts_to_string([2**40]), "larger in magnitude"),
+            ("", "non-empty"),
+            ("4", "counts sum to 4, expected 16"),
+            ("0000", "zero-length run"),
+        ],
+    )
+    def test_fault_names_the_string(self, bad, fault):
+        good = rle_string_encode(RleMask(4, 4, [3, 13]))
+        with pytest.raises(SchemaError) as info:
+            rle_strings_decode([good, bad, good], [(4, 4)] * 3, ["a", "b", "c"])
+        assert str(info.value).startswith("b: ")
+        assert fault in str(info.value)
+
+    def test_first_string_at_fault_is_named(self):
+        # "b" sums wrong, "c" holds a bad character: the earlier string wins
+        # even though its fault is found in a later pass
+        with pytest.raises(SchemaError, match=r"^b: .*counts sum to 4"):
+            rle_strings_decode(["`0", "4", "\x01"], [(4, 4)] * 3, ["a", "b", "c"])
+
+    def test_fault_in_a_later_slice(self):
+        strings = [rle_string_encode(RleMask(4, 4, [16]))] * 50 + ["0P"]
+        with patch.object(coco_io, "_SLICE_SIZE", 8):
+            with pytest.raises(SchemaError, match=r"^strings\[50\]: truncated"):
+                rle_strings_decode(strings, [(4, 4)] * 51)
 
 
 class TestRasterizePolygon:
@@ -311,6 +391,38 @@ class TestResultsIo:
         )
         assert load_results(path)[0].bbox == mask_bbox(bits)
 
+    def test_write_matches_json_dump_reference(self, tmp_path):
+        rng = random.Random(57)
+        dets = []
+        for _ in range(200):
+            w, h = rng.randint(1, 30), rng.randint(1, 30)
+            bits = np.array([rng.random() < 0.4 for _ in range(w * h)]).reshape(h, w)
+            box = BBox(*(rng.uniform(0, 20) for _ in range(4)))
+            mask = rle_encode(bits) if rng.random() < 0.8 else None
+            dets.append(Detection(rng.randint(1, 9), rng.randint(1, 90), rng.random(), box, mask))
+        records = []
+        for det in dets:
+            rec = {
+                "image_id": det.image_id,
+                "category_id": det.category_id,
+                "score": det.score,
+                "bbox": det.bbox.to_list(),
+            }
+            if det.mask is not None:
+                rec["segmentation"] = {
+                    "size": [det.mask.height, det.mask.width],
+                    "counts": rle_counts_to_string(det.mask.counts.tolist()),
+                }
+            records.append(rec)
+        for n in (0, 1, len(dets)):
+            reference = tmp_path / "reference.json"
+            with open(reference, "w") as fh:
+                json.dump(records[:n], fh, sort_keys=True)
+                fh.write("\n")
+            written = tmp_path / "written.json"
+            write_results(written, dets[:n])
+            assert written.read_bytes() == reference.read_bytes()
+
     def test_needs_bbox_or_mask(self, tmp_path):
         path = tmp_path / "results.json"
         path.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5}]))
@@ -363,6 +475,12 @@ class TestSizeStats:
     def test_median_empty(self):
         with pytest.raises(ValueError, match="empty input"):
             median_sqrt_area([])
+
+    def test_bin_count_bounded(self):
+        boxes = self._boxes([10, 250])
+        assert len(size_histogram(boxes, 250 / 999_999.5).counts) == 1_000_000
+        with pytest.raises(ValueError, match=r"bin_width 0.00025 needs 1000001 bins"):
+            size_histogram(boxes, 2.5e-4)
 
     def test_csv_shape(self):
         csv = size_histogram(self._boxes([10, 60]), 50).to_csv()
