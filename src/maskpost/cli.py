@@ -81,6 +81,34 @@ _DEFAULTS = {
 }
 
 
+# allowed values of the options whose flag takes a fixed set
+_CHOICES = {
+    "predictor": ("oracle", "identity"),
+    "strategy": ("linear_interpolation", "linear_reweight"),
+    "nms_method": ("gaussian", "linear", "hard"),
+    "iou_on": ("mask", "bbox"),
+}
+
+
+def _config_value_error(value, default, key: str) -> str | None:
+    """Why a config-file ``value`` cannot stand in for ``default``, or None.
+    A value has its default's JSON type (an int passes for a float, a bool
+    for nothing but a bool) and, for a fixed-choice option, is one of them."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        return f"expected {want}, got {json.dumps(value)}"
+    if key in _CHOICES and value not in _CHOICES[key]:
+        return f"{json.dumps(value)} is not one of {', '.join(_CHOICES[key])}"
+    return None
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge built-in defaults, --config file values and explicit flags."""
     resolved = dict(_DEFAULTS[command])
@@ -96,6 +124,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise InputError(f"config file {path}: expected a JSON object")
         for key, value in loaded.items():
             if key in resolved:
+                problem = _config_value_error(value, resolved[key], key)
+                if problem:
+                    raise InputError(f"config file {path}: {key}: {problem}")
                 resolved[key] = value
     for key in resolved:
         value = getattr(args, key, None)
@@ -157,20 +188,14 @@ def _render_units(args, opts):
             )
         return cfg, units
     coarse_path = _require_path(args.coarse, "--coarse input (or use --synthetic)")
-    try:
-        instances = load_field_archive(coarse_path)
-    except SchemaError as exc:
-        raise InputError(str(exc))
+    instances = load_field_archive(coarse_path)
     oracle_fields = {}
     if opts["predictor"] == "oracle":
         oracle_path = _require_path(
             args.oracle, "--oracle archive (required with the oracle predictor)"
         )
-        try:
-            for inst in load_field_archive(oracle_path):
-                oracle_fields[inst.instance_id] = inst.field
-        except SchemaError as exc:
-            raise InputError(str(exc))
+        for inst in load_field_archive(oracle_path):
+            oracle_fields[inst.instance_id] = inst.field
     for inst in instances:
         if opts["predictor"] == "identity":
             predictor, gt_mask = IdentityPredictor(), None
@@ -274,10 +299,7 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
     for spec in args.model:
         path, score = _parse_model_arg(spec)
         _require_path(path, "model results file")
-        try:
-            dets = load_results(path)
-        except SchemaError as exc:
-            raise InputError(str(exc))
+        dets = load_results(path)
         try:
             models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
         except ValueError as exc:
@@ -323,12 +345,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
     opts = _resolve(args, "eval")
     gt_path = _require_path(args.gt, "--gt dataset file")
     results_path = _require_path(args.results, "--results file")
-    try:
-        ds = load_dataset(gt_path)
-        gts = dataset_ground_truth(ds)
-        dets = load_results(results_path)
-    except SchemaError as exc:
-        raise InputError(str(exc))
+    ds = load_dataset(gt_path)
+    gts = dataset_ground_truth(ds)
+    dets = load_results(results_path)
     images = ds.image_by_id()
     for i, det in enumerate(dets):
         img = images.get(det.image_id)
@@ -361,10 +380,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
 def cmd_stats(args: argparse.Namespace) -> None:
     opts = _resolve(args, "stats")
     gt_path = _require_path(args.gt, "--gt dataset file")
-    try:
-        ds = load_dataset(gt_path)
-    except SchemaError as exc:
-        raise InputError(str(exc))
+    ds = load_dataset(gt_path)
     sample_n, seed = int(opts["sample_n"]), int(opts["seed"])
     if sample_n < 0:
         raise InputError(f"invalid option: sample_n must be non-negative, got {sample_n}")
@@ -414,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse", help="field archive (.npz) of coarse per-instance logits")
     p.add_argument("--oracle", help="field archive of reference logits for the oracle predictor")
     p.add_argument("--synthetic", help="shape corpus spec, e.g. 'default' or 'disk:10,rect:5'")
-    p.add_argument("--predictor", choices=["oracle", "identity"], help="point predictor")
+    p.add_argument("--predictor", choices=_CHOICES["predictor"], help="point predictor")
     p.add_argument("--subdivision-k", dest="subdivision_k", type=int,
                    help="points re-predicted per step = k^2")
     p.add_argument("--target-side", dest="target_side", type=int, help="output resolution")
@@ -425,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="fuse detection files from several models")
     p.add_argument("--model", action="append", metavar="PATH:SCORE",
                    help="results file and its validation score; repeatable")
-    p.add_argument("--strategy", choices=["linear_interpolation", "linear_reweight"])
+    p.add_argument("--strategy", choices=_CHOICES["strategy"])
     p.add_argument("--theta-min", dest="theta_min", type=float)
     p.add_argument("--theta-max", dest="theta_max", type=float)
-    p.add_argument("--nms-method", dest="nms_method", choices=["gaussian", "linear", "hard"])
+    p.add_argument("--nms-method", dest="nms_method", choices=_CHOICES["nms_method"])
     p.add_argument("--sigma", type=float, help="gaussian decay width")
     p.add_argument("--iou-threshold", dest="iou_threshold", type=float)
     p.add_argument("--score-floor", dest="score_floor", type=float)
@@ -445,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="COCO-style mask AP report")
     p.add_argument("--gt", help="dataset JSON with ground-truth annotations")
     p.add_argument("--results", help="detection results JSON")
-    p.add_argument("--iou-on", dest="iou_on", choices=["mask", "bbox"])
+    p.add_argument("--iou-on", dest="iou_on", choices=_CHOICES["iou_on"])
     p.add_argument("--max-dets", dest="max_dets", type=int,
                    help="detections kept per image and category")
     common(p)
@@ -469,10 +485,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
+    except (InputError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - report and exit nonzero

@@ -130,18 +130,31 @@ class DatasetFile:
         return {img.id: img for img in self.images}
 
 
+def _records(data: dict, section: str):
+    """``(context, record)`` for each entry of a dataset section, which must
+    be a list of objects; an absent section is empty."""
+    records = data.get(section, [])
+    if not isinstance(records, list):
+        raise SchemaError(f"{section}: expected a list, got {type(records).__name__}")
+    for i, rec in enumerate(records):
+        ctx = f"{section}[{i}]"
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{ctx}: expected an object, got {type(rec).__name__}")
+        yield ctx, rec
+
+
 def load_dataset(path) -> DatasetFile:
     """Parse a COCO dataset JSON file.
 
-    Unknown fields are ignored. Annotations referencing a missing image are
-    a schema error; boxes poking outside their image only warn.
+    Unknown fields are ignored. Annotations referencing a missing image, and
+    crowd annotations (``iscrowd`` other than 0), are a schema error; boxes
+    poking outside their image only warn.
     """
     data = _read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
     images = []
-    for i, rec in enumerate(data.get("images", [])):
-        ctx = f"images[{i}]"
+    for ctx, rec in _records(data, "images"):
         images.append(
             ImageInfo(
                 id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
@@ -151,8 +164,7 @@ def load_dataset(path) -> DatasetFile:
             )
         )
     categories = []
-    for i, rec in enumerate(data.get("categories", [])):
-        ctx = f"categories[{i}]"
+    for ctx, rec in _records(data, "categories"):
         categories.append(
             CategoryInfo(
                 id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
@@ -162,14 +174,17 @@ def load_dataset(path) -> DatasetFile:
     by_id = {img.id: img for img in images}
     cat_ids = {cat.id for cat in categories}
     annotations = []
-    for i, rec in enumerate(data.get("annotations", [])):
-        ctx = f"annotations[{i}]"
+    for i, (ctx, rec) in enumerate(_records(data, "annotations")):
         image_id = _as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id")
         if image_id not in by_id:
             raise SchemaError(f"{ctx}.image_id: references missing image {image_id}")
         category_id = _as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id")
         if category_id not in cat_ids:
             raise SchemaError(f"{ctx}.category_id: references missing category {category_id}")
+        if rec.get("iscrowd", 0) != 0:
+            raise SchemaError(
+                f"{ctx}.iscrowd: crowd regions are not supported, got {json.dumps(rec['iscrowd'])}"
+            )
         bbox = rec.get("bbox")
         if bbox is not None:
             bbox = _as_box(bbox, f"{ctx}.bbox")

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
+from .core import MEDIUM_LARGE_SIDE, SMALL_MEDIUM_SIDE
 from .core import BBox, RleMask, SizeBucket, box_iou_matrix, rle_iou_matrix, size_bucket
 from .fusion import Detection
 
@@ -27,9 +29,6 @@ __all__ = [
 ]
 
 UNDEFINED = -1.0  # sentinel for metrics with no ground truth to measure against
-
-DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
-DEFAULT_RECALL_POINTS = tuple(i / 100 for i in range(101))
 
 
 @dataclass(frozen=True)
@@ -55,18 +54,18 @@ class GroundTruthInstance:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
-    recall_points: tuple[float, ...] = DEFAULT_RECALL_POINTS
-    bucket_thresholds: tuple[float, float] = (113, 256)
+    """Evaluation settings. The COCO grid is fixed: ten IoU thresholds
+    0.50:0.05:0.95 (AP50 and AP75 are entries 0 and 5) and 101 recall points."""
+
+    iou_thresholds: ClassVar[tuple[float, ...]] = (
+        0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95
+    )
+    recall_points: ClassVar[tuple[float, ...]] = tuple(i / 100 for i in range(101))
+    bucket_thresholds: tuple[float, float] = (SMALL_MEDIUM_SIDE, MEDIUM_LARGE_SIDE)
     max_detections_per_image: int = 100
     iou_on: str = "mask"
 
     def __post_init__(self) -> None:
-        thr = self.iou_thresholds
-        if not thr or any(t <= 0 or t > 1 for t in thr):
-            raise ValueError("iou_thresholds must lie in (0, 1]")
-        if any(b >= a for a, b in zip(thr[1:], thr)):
-            raise ValueError("iou_thresholds must be strictly increasing")
         if self.iou_on not in ("mask", "bbox"):
             raise ValueError(f"iou_on must be 'mask' or 'bbox', got {self.iou_on!r}")
         if self.max_detections_per_image < 1:
@@ -147,7 +146,7 @@ def match_detections(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
     return matches
 
 
-def average_precision(scores, tp_flags, n_gt: int, recall_points=DEFAULT_RECALL_POINTS) -> float:
+def average_precision(scores, tp_flags, n_gt: int, recall_points=EvalConfig.recall_points) -> float:
     """Interpolated AP from per-detection labels.
 
     Detections are ranked by descending score (stable on ties); interpolated
@@ -201,32 +200,27 @@ def evaluate(
     cfg = cfg or EvalConfig()
     if len({id(d) for d in dets}) != len(dets):
         raise ValueError("duplicate detection objects in input")
-
-    cats = sorted({g.category_id for g in gts})
-    cat_set = set(cats)
-    skipped = tuple(sorted({d.category_id for d in dets} - cat_set))
-
     if cfg.iou_on == "mask" and any(det.mask is None for det in dets):
         raise ValueError("mask IoU requested but a detection has no mask")
 
+    cats = sorted({g.category_id for g in gts})
+    cat_pos = {c: i for i, c in enumerate(cats)}
+    skipped = tuple(sorted({d.category_id for d in dets if d.category_id not in cat_pos}))
     buckets = (SizeBucket.SMALL, SizeBucket.MEDIUM, SizeBucket.LARGE)
 
     def code(area) -> int:
         return buckets.index(size_bucket(area, cfg.bucket_thresholds))
 
-    gt_groups: dict[tuple[int, int], list[GroundTruthInstance]] = {}
-    for gt in gts:
-        gt_groups.setdefault((gt.image_id, gt.category_id), []).append(gt)
-    gt_codes = {
-        key: np.array([code(gt.area) for gt in group], dtype=np.int64)
-        for key, group in gt_groups.items()
-    }
-    n_gt = {c: np.zeros(len(buckets), dtype=np.int64) for c in cats}
-    for (_, cat), codes in gt_codes.items():
-        n_gt[cat] += np.bincount(codes, minlength=len(buckets))
+    # ground-truth positions per (image, category), and counts per (category, bucket)
+    gt_groups: dict[tuple[int, int], list[int]] = {}
+    for j, gt in enumerate(gts):
+        gt_groups.setdefault((gt.image_id, gt.category_id), []).append(j)
+    gt_code = np.array([code(gt.area) for gt in gts], dtype=np.int64)
+    gt_cat = np.array([cat_pos[gt.category_id] for gt in gts], dtype=np.int64)
+    n_gt = np.zeros((len(cats), len(buckets)), dtype=np.int64)
+    np.add.at(n_gt, (gt_cat, gt_code), 1)
 
     score = np.array([d.score for d in dets], dtype=np.float64)
-    cat_pos = {c: i for i, c in enumerate(cats)}
     cat_of = np.array([cat_pos.get(d.category_id, -1) for d in dets], dtype=np.int64)
     det_code = np.array([code(_detection_area(d)) for d in dets], dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
@@ -234,7 +228,7 @@ def evaluate(
     # input positions per (image, category): score descending, ties by position
     det_groups: dict[tuple[int, int], list[int]] = {}
     for idx, det in enumerate(dets):
-        if det.category_id in cat_set:
+        if cat_of[idx] >= 0:
             det_groups.setdefault((det.image_id, det.category_id), []).append(idx)
     top = cfg.max_detections_per_image
     ranked = {
@@ -246,7 +240,7 @@ def evaluate(
     matrices = {
         key: overlap(
             [getattr(dets[i], cfg.iou_on) for i in idx],
-            [getattr(gt, cfg.iou_on) for gt in gt_groups.get(key, [])],
+            [getattr(gts[j], cfg.iou_on) for j in gt_groups.get(key, [])],
         )
         for key, idx in ranked.items()
     }
@@ -255,11 +249,12 @@ def evaluate(
     # order of ``ranked``) then input position
     kept = np.concatenate([empty, *ranked.values()])
     order = kept[np.argsort(-score[kept], kind="stable")]
-    cat_order = {c: order[cat_of[order] == i] for i, c in enumerate(cats)}
+    pooled_by_cat = [order[cat_of[order] == c] for c in range(len(cats))]
 
-    # AP per (category, threshold, restriction); restriction None == all sizes
-    ap: dict[tuple[int, int, SizeBucket | None], float] = {}
-    for t_idx, thr in enumerate(cfg.iou_thresholds):
+    # AP per (category, threshold, restriction): restriction 0 is all sizes,
+    # 1 + b the size bucket b
+    ap = np.zeros((len(cats), len(cfg.iou_thresholds), 1 + len(buckets)))
+    for t, thr in enumerate(cfg.iou_thresholds):
         # a matched detection is a TP in its ground truth's bucket, an
         # unmatched one an FP in its own
         tp = np.zeros(len(dets), dtype=bool)
@@ -268,49 +263,30 @@ def evaluate(
             g = match_detections(matrices[key], thr)
             hit = g >= 0
             tp[idx[hit]] = True
-            bucket_of[idx[hit]] = gt_codes.get(key, empty)[g[hit]]
-        for cat in cats:
-            pooled = cat_order[cat]
+            bucket_of[idx[hit]] = gt_code[gt_groups.get(key, empty)][g[hit]]
+        for c, pooled in enumerate(pooled_by_cat):
             scores, flags, codes = score[pooled], tp[pooled], bucket_of[pooled]
-            ap[(cat, t_idx, None)] = average_precision(
-                scores, flags, int(n_gt[cat].sum()), cfg.recall_points
+            ap[c, t, 0] = average_precision(
+                scores, flags, int(n_gt[c].sum()), cfg.recall_points
             )
-            for b, bucket in enumerate(buckets):
+            for b in range(len(buckets)):
                 sel = codes == b
-                ap[(cat, t_idx, bucket)] = average_precision(
-                    scores[sel], flags[sel], int(n_gt[cat][b]), cfg.recall_points
+                ap[c, t, 1 + b] = average_precision(
+                    scores[sel], flags[sel], int(n_gt[c, b]), cfg.recall_points
                 )
 
-    n_thr = len(cfg.iou_thresholds)
+    def _mean(cells: np.ndarray) -> float:
+        # C-order flattening keeps the summation order category-major
+        return float(np.mean(cells.ravel())) if cells.size else UNDEFINED
 
-    def _mean(values):
-        return float(np.mean(values)) if values else UNDEFINED
-
-    map_all = _mean([ap[(c, t, None)] for c in cats for t in range(n_thr)])
-    ap50 = (
-        _mean([ap[(c, cfg.iou_thresholds.index(0.50), None)] for c in cats])
-        if 0.50 in cfg.iou_thresholds
-        else UNDEFINED
-    )
-    ap75 = (
-        _mean([ap[(c, cfg.iou_thresholds.index(0.75), None)] for c in cats])
-        if 0.75 in cfg.iou_thresholds
-        else UNDEFINED
-    )
-    by_bucket = {}
-    for b, bucket in enumerate(buckets):
-        cells = [ap[(c, t, bucket)] for c in cats for t in range(n_thr) if n_gt[c][b] > 0]
-        by_bucket[bucket] = _mean(cells)
-    per_category = {
-        c: _mean([ap[(c, t, None)] for t in range(n_thr)]) for c in cats
-    }
+    has_gt = n_gt > 0
     return MetricReport(
-        map=map_all,
-        ap50=ap50,
-        ap75=ap75,
-        ap_small=by_bucket[SizeBucket.SMALL],
-        ap_medium=by_bucket[SizeBucket.MEDIUM],
-        ap_large=by_bucket[SizeBucket.LARGE],
-        per_category=per_category,
+        map=_mean(ap[:, :, 0]),
+        ap50=_mean(ap[:, 0, 0]),
+        ap75=_mean(ap[:, 5, 0]),
+        ap_small=_mean(ap[has_gt[:, 0], :, 1]),
+        ap_medium=_mean(ap[has_gt[:, 1], :, 2]),
+        ap_large=_mean(ap[has_gt[:, 2], :, 3]),
+        per_category={c: _mean(ap[i, :, 0]) for i, c in enumerate(cats)},
         skipped_categories=skipped,
     )

@@ -448,6 +448,29 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "spoil, named",
+        [
+            (lambda d: d.update(images=[1]), "images[0]: expected an object, got int"),
+            (
+                lambda d: d["annotations"][1].update(iscrowd=1),
+                "annotations[1].iscrowd: crowd regions are not supported, got 1",
+            ),
+        ],
+    )
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, spoil, named):
+        gt_path, model_paths = write_scenario_files(tmp_path)
+        data = json.loads(gt_path.read_text())
+        spoil(data)
+        gt_path.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", model_paths[0][0], "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: {named}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_dets", ["-1", "0"])
     def test_bad_max_dets_exits_2(self, tmp_path, capsys, max_dets):
         gt_path, model_paths = write_scenario_files(tmp_path)
@@ -556,6 +579,48 @@ class TestConfigPrecedence:
         assert sidecar["options"]["sigma"] == 0.9      # config wins over default
         weights = [float(line.split()[-1]) for line in stdout.splitlines() if line.startswith("weight ")]
         assert weights[0] == 0.7
+
+    @pytest.mark.parametrize(
+        "command, key, value, fault",
+        [
+            ("ensemble", "mask_iou_nms", "false", 'expected a boolean, got "false"'),
+            ("refine", "subdivision_k", 27.9, "expected an integer, got 27.9"),
+            ("ensemble", "sigma", True, "expected a number, got true"),
+            ("refine", "predictor", "idenity", '"idenity" is not one of oracle, identity'),
+            ("refine", "threads", "many", 'expected an integer, got "many"'),
+            ("stats", "seed", "x", 'expected an integer, got "x"'),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, key, value, fault):
+        gt_path, model_paths = write_scenario_files(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out.json"
+        inputs = {
+            "refine": ["--synthetic", "disk:2"],
+            "ensemble": ["--model", f"{model_paths[0][0]}:70.0"],
+            "stats": ["--gt", str(gt_path)],
+        }[command]
+        code, _, err = run_cli(
+            capsys, command, *inputs, "--config", str(cfg_path), "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: config file {cfg_path}: {key}: {fault}" in err
+        assert not out.exists()
+
+    def test_config_int_accepted_for_float_option(self, tmp_path, capsys):
+        gt_path, model_paths = write_scenario_files(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"sigma": 1, "nms_method": "linear"}))
+        out = tmp_path / "fused.json"
+        code, _, _ = run_cli(
+            capsys, "ensemble", "--model", f"{model_paths[0][0]}:70.0",
+            "--config", str(cfg_path), "--out", str(out),
+        )
+        assert code == 0
+        sidecar = json.loads((tmp_path / "fused.json.config.json").read_text())
+        assert sidecar["options"]["sigma"] == 1
+        assert sidecar["options"]["nms_method"] == "linear"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

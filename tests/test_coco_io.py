@@ -298,6 +298,40 @@ class TestDatasetIo:
         with pytest.raises(SchemaError, match=r"annotations\[1\]\.bbox"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "section, value, fault",
+        [
+            ("images", [1], r"images\[0\]: expected an object"),
+            ("annotations", ["x"], r"annotations\[0\]: expected an object"),
+            ("categories", "chair", r"categories: expected a list"),
+            ("images", {"id": 1}, r"images: expected a list"),
+        ],
+    )
+    def test_malformed_section_rejected(self, tmp_path, section, value, fault):
+        data = self._dataset_dict()
+        data[section] = value
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=fault):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("iscrowd", [1, True, "0"])
+    def test_crowd_annotation_rejected(self, tmp_path, iscrowd):
+        data = self._dataset_dict()
+        data["annotations"][1]["iscrowd"] = iscrowd
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=r"annotations\[1\]\.iscrowd: crowd regions"):
+            load_dataset(path)
+
+    def test_non_crowd_annotation_accepted(self, tmp_path):
+        data = self._dataset_dict()
+        for ann in data["annotations"]:
+            ann["iscrowd"] = 0
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(data))
+        assert len(dataset_ground_truth(load_dataset(path))) == 2
+
     def test_missing_file(self):
         with pytest.raises(SchemaError):
             load_dataset("/nonexistent/gt.json")

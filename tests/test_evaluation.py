@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,6 +92,23 @@ def assert_matches_oracle(gts, dets, cfg, tol=1e-10):
     assert set(report.per_category) == set(ref["per_category"])
     for cat, value in ref["per_category"].items():
         assert report.per_category[cat] == pytest.approx(value, abs=tol)
+
+
+class TestEvalConfig:
+    def test_coco_grid_is_fixed(self):
+        cfg = EvalConfig()
+        assert [f.name for f in fields(EvalConfig)] == [
+            "bucket_thresholds",
+            "max_detections_per_image",
+            "iou_on",
+        ]
+        assert cfg.iou_thresholds == tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+        assert cfg.recall_points == tuple(i / 100 for i in range(101))
+        assert cfg.bucket_thresholds == (113, 256)
+        with pytest.raises(TypeError):
+            EvalConfig(iou_thresholds=(0.5,))
+        with pytest.raises(TypeError):
+            EvalConfig(recall_points=(0.0, 1.0))
 
 
 class TestMatchDetections:
