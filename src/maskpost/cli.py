@@ -42,76 +42,73 @@ class InputError(Exception):
     """User-facing input problem; reported on stderr with exit code 2."""
 
 
-_DEFAULTS = {
+# The tunable options of each subcommand: key -> (default, help). Each key is
+# a --config key and the flag --key-with-dashes; a bool default makes the
+# flag a switch. Defaults the library owns are read from its config classes.
+_OPTIONS = {
     "refine": {
-        "subdivision_k": 28,
-        "target_side": 224,
-        "start_side": 7,
-        "predictor": "oracle",
-        "threads": 0,
-        "seed": 0,
+        "predictor": ("oracle", "point predictor"),
+        "subdivision_k": (SubdivisionConfig.subdivision_k, "points re-predicted per step = k^2"),
+        "target_side": (SubdivisionConfig.target_side, "output resolution"),
+        "start_side": (SubdivisionConfig.start_side, "coarse resolution"),
     },
     "ensemble": {
-        "strategy": "linear_interpolation",
-        "theta_min": 0.6,
-        "theta_max": 1.0,
-        "nms_method": "gaussian",
-        "sigma": 0.5,
-        "iou_threshold": 0.5,
-        "score_floor": 0.001,
-        "class_agnostic": False,
-        "mask_iou_nms": False,
-        "merge_masks": False,
-        "cluster_iou": 0.5,
-        "threads": 0,
-        "seed": 0,
+        "strategy": (EnsembleConfig.strategy, None),
+        "theta_min": (EnsembleConfig.theta_min, None),
+        "theta_max": (EnsembleConfig.theta_max, None),
+        "nms_method": (SoftNmsConfig.method, None),
+        "sigma": (SoftNmsConfig.sigma, "gaussian decay width"),
+        "iou_threshold": (SoftNmsConfig.iou_threshold, None),
+        "score_floor": (SoftNmsConfig.score_floor, None),
+        "class_agnostic": (not SoftNmsConfig.per_category, "suppress across categories"),
+        "mask_iou_nms": (SoftNmsConfig.use_mask_iou, "overlap on masks instead of boxes"),
+        "merge_masks": (EnsembleConfig.merge_masks, "vote-merge masks of near-duplicate survivors"),
+        "cluster_iou": (EnsembleConfig.cluster_iou, None),
     },
     "eval": {
-        "iou_on": "mask",
-        "max_dets": 100,
-        "threads": 0,
-        "seed": 0,
+        "iou_on": (EvalConfig.iou_on, None),
+        "max_dets": (EvalConfig.max_detections_per_image, "detections kept per image and category"),
     },
     "stats": {
-        "bin_width": 25.0,
-        "sample_n": 10000,
-        "seed": 0,
-        "threads": 0,
+        "bin_width": (25.0, "sqrt-area bin width"),
+        "sample_n": (10000, "images sampled before counting (0 = all)"),
     },
 }
+for _options in _OPTIONS.values():
+    _options["seed"] = (0, "random seed where sampling applies")
+    _options["threads"] = (0, "worker threads (0 = all cores, default)")
 
 
 # allowed values of the options whose flag takes a fixed set
 _CHOICES = {
     "predictor": ("oracle", "identity"),
-    "strategy": ("linear_interpolation", "linear_reweight"),
-    "nms_method": ("gaussian", "linear", "hard"),
-    "iou_on": ("mask", "bbox"),
+    "strategy": EnsembleConfig.STRATEGIES,
+    "nms_method": SoftNmsConfig.METHODS,
+    "iou_on": EvalConfig.IOU_ON,
 }
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 def _config_value_error(value, default, key: str) -> str | None:
     """Why a config-file ``value`` cannot stand in for ``default``, or None.
     A value has its default's JSON type (an int passes for a float, a bool
     for nothing but a bool) and, for a fixed-choice option, is one of them."""
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "a boolean"
-    elif isinstance(default, int):
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    else:
-        ok, want = isinstance(value, str), "a string"
-    if not ok:
-        return f"expected {want}, got {json.dumps(value)}"
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        return f"expected {_JSON_TYPES[kind]}, got {json.dumps(value)}"
     if key in _CHOICES and value not in _CHOICES[key]:
         return f"{json.dumps(value)} is not one of {', '.join(_CHOICES[key])}"
     return None
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge built-in defaults, --config file values and explicit flags."""
-    resolved = dict(_DEFAULTS[command])
+    """Merge built-in defaults, --config file values and explicit flags. A
+    config key of another subcommand is skipped, so one file can serve all
+    of them; a key no subcommand has is an error."""
+    resolved = {key: default for key, (default, _) in _OPTIONS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -125,9 +122,13 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         for key, value in loaded.items():
             if key in resolved:
                 problem = _config_value_error(value, resolved[key], key)
-                if problem:
-                    raise InputError(f"config file {path}: {key}: {problem}")
-                resolved[key] = value
+            elif any(key in options for options in _OPTIONS.values()):
+                continue
+            else:
+                problem = "not an option of any subcommand"
+            if problem:
+                raise InputError(f"config file {path}: {key}: {problem}")
+            resolved[key] = value
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -170,11 +171,7 @@ def _render_units(args, opts):
     )
     units = []
     if args.synthetic:
-        try:
-            shapes = parse_corpus_spec(args.synthetic)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        for i, shape in enumerate(shapes):
+        for i, shape in enumerate(parse_corpus_spec(args.synthetic)):
             gt_field = shape_field(shape, cfg.target_side)
             coarse = resample(gt_field, cfg.start_side, cfg.start_side)
             predictor = (
@@ -196,7 +193,13 @@ def _render_units(args, opts):
         )
         for inst in load_field_archive(oracle_path):
             oracle_fields[inst.instance_id] = inst.field
+    side = cfg.start_side
     for inst in instances:
+        if (inst.field.width, inst.field.height) != (side, side):
+            raise InputError(
+                f"{coarse_path}: instance {inst.instance_id}: coarse field is "
+                f"{inst.field.width}x{inst.field.height}, expected {side}x{side} (--start-side)"
+            )
         if opts["predictor"] == "identity":
             predictor, gt_mask = IdentityPredictor(), None
         else:
@@ -348,23 +351,23 @@ def cmd_eval(args: argparse.Namespace) -> None:
     ds = load_dataset(gt_path)
     gts = dataset_ground_truth(ds)
     dets = load_results(results_path)
+    try:
+        cfg = EvalConfig(max_detections_per_image=int(opts["max_dets"]), iou_on=str(opts["iou_on"]))
+    except ValueError as exc:
+        raise InputError(f"invalid option: {exc}")
     images = ds.image_by_id()
     for i, det in enumerate(dets):
         img = images.get(det.image_id)
         if img is None:
             raise InputError(f"results[{i}].image_id: image {det.image_id} is not in {gt_path}")
-        if det.mask is not None and (det.mask.width, det.mask.height) != (img.width, img.height):
+        if det.mask is None:
+            if cfg.iou_on == "mask":
+                raise InputError(f"results[{i}] has no segmentation, which --iou-on mask needs")
+        elif (det.mask.width, det.mask.height) != (img.width, img.height):
             raise InputError(
                 f"results[{i}].segmentation: mask is {det.mask.width}x{det.mask.height} "
                 f"but image {img.id} is {img.width}x{img.height}"
             )
-    try:
-        cfg = EvalConfig(
-            max_detections_per_image=int(opts["max_dets"]),
-            iou_on=str(opts["iou_on"]),
-        )
-    except ValueError as exc:
-        raise InputError(f"invalid option: {exc}")
     report = evaluate(gts, dets, cfg)
     out = Path(args.out)
     out.write_text(report.to_json())
@@ -420,60 +423,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--config", help="JSON file of option defaults")
-        p.add_argument("--seed", type=int, help="random seed where sampling applies")
-        p.add_argument("--threads", type=int, help="worker threads (0 = all cores, default)")
-        p.add_argument("--out", required=True, help="output file path")
-
     p = sub.add_parser("refine", help="render coarse score fields to full resolution")
     p.add_argument("--coarse", help="field archive (.npz) of coarse per-instance logits")
     p.add_argument("--oracle", help="field archive of reference logits for the oracle predictor")
     p.add_argument("--synthetic", help="shape corpus spec, e.g. 'default' or 'disk:10,rect:5'")
-    p.add_argument("--predictor", choices=_CHOICES["predictor"], help="point predictor")
-    p.add_argument("--subdivision-k", dest="subdivision_k", type=int,
-                   help="points re-predicted per step = k^2")
-    p.add_argument("--target-side", dest="target_side", type=int, help="output resolution")
-    p.add_argument("--start-side", dest="start_side", type=int, help="coarse resolution")
-    common(p)
     p.set_defaults(handler=cmd_refine)
 
     p = sub.add_parser("ensemble", help="fuse detection files from several models")
     p.add_argument("--model", action="append", metavar="PATH:SCORE",
                    help="results file and its validation score; repeatable")
-    p.add_argument("--strategy", choices=_CHOICES["strategy"])
-    p.add_argument("--theta-min", dest="theta_min", type=float)
-    p.add_argument("--theta-max", dest="theta_max", type=float)
-    p.add_argument("--nms-method", dest="nms_method", choices=_CHOICES["nms_method"])
-    p.add_argument("--sigma", type=float, help="gaussian decay width")
-    p.add_argument("--iou-threshold", dest="iou_threshold", type=float)
-    p.add_argument("--score-floor", dest="score_floor", type=float)
-    p.add_argument("--class-agnostic", dest="class_agnostic", action="store_const", const=True,
-                   help="suppress across categories")
-    p.add_argument("--mask-iou-nms", dest="mask_iou_nms", action="store_const", const=True,
-                   help="overlap on masks instead of boxes")
-    p.add_argument("--merge-masks", dest="merge_masks", action="store_const", const=True,
-                   help="vote-merge masks of near-duplicate survivors")
-    p.add_argument("--cluster-iou", dest="cluster_iou", type=float)
-    common(p)
     p.set_defaults(handler=cmd_ensemble)
 
     p = sub.add_parser("eval", help="COCO-style mask AP report")
     p.add_argument("--gt", help="dataset JSON with ground-truth annotations")
     p.add_argument("--results", help="detection results JSON")
-    p.add_argument("--iou-on", dest="iou_on", choices=_CHOICES["iou_on"])
-    p.add_argument("--max-dets", dest="max_dets", type=int,
-                   help="detections kept per image and category")
-    common(p)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("stats", help="box size histogram and median")
     p.add_argument("--gt", help="dataset JSON")
-    p.add_argument("--bin-width", dest="bin_width", type=float, help="sqrt-area bin width")
-    p.add_argument("--sample-n", dest="sample_n", type=int,
-                   help="images sampled before counting (0 = all)")
-    common(p)
     p.set_defaults(handler=cmd_stats)
+
+    for command, p in sub.choices.items():
+        for key, (default, text) in _OPTIONS[command].items():
+            if isinstance(default, bool):
+                kind = dict(action="store_const", const=True)
+            elif key in _CHOICES:
+                kind = dict(choices=_CHOICES[key])
+            else:
+                kind = dict(type=type(default))
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kind)
+        p.add_argument("--config", help="JSON file of option defaults")
+        p.add_argument("--out", required=True, help="output file path")
     return parser
 
 

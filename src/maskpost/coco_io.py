@@ -69,6 +69,20 @@ def _as_int(value, context: str) -> int:
     return value
 
 
+def _as_score(record: dict, context: str) -> float:
+    score = _as_number(_require(record, "score", context), f"{context}.score")
+    if not 0.0 <= score <= 1.0:
+        raise SchemaError(f"{context}.score: {score} outside [0, 1]")
+    return score
+
+
+def _as_side(value, context: str) -> int:
+    side = _as_int(value, context)
+    if side < 1:
+        raise SchemaError(f"{context}: expected a positive integer, got {side}")
+    return side
+
+
 def _as_box(value, context: str) -> list[float]:
     """``[x, y, w, h]``: four finite numbers with non-negative sides."""
     if not isinstance(value, (list, tuple)) or len(value) != 4:
@@ -130,14 +144,15 @@ class DatasetFile:
         return {img.id: img for img in self.images}
 
 
-def _records(data: dict, section: str):
-    """``(context, record)`` for each entry of a dataset section, which must
-    be a list of objects; an absent section is empty."""
+def _records(data: dict, section: str, where: str = ""):
+    """``(context, record)`` for each entry of a section, which must be a
+    list of objects; an absent section is empty. Contexts start with
+    ``where``."""
     records = data.get(section, [])
     if not isinstance(records, list):
-        raise SchemaError(f"{section}: expected a list, got {type(records).__name__}")
+        raise SchemaError(f"{where}{section}: expected a list, got {type(records).__name__}")
     for i, rec in enumerate(records):
-        ctx = f"{section}[{i}]"
+        ctx = f"{where}{section}[{i}]"
         if not isinstance(rec, dict):
             raise SchemaError(f"{ctx}: expected an object, got {type(rec).__name__}")
         yield ctx, rec
@@ -146,23 +161,26 @@ def _records(data: dict, section: str):
 def load_dataset(path) -> DatasetFile:
     """Parse a COCO dataset JSON file.
 
-    Unknown fields are ignored. Annotations referencing a missing image, and
-    crowd annotations (``iscrowd`` other than 0), are a schema error; boxes
-    poking outside their image only warn.
+    Unknown fields are ignored. A repeated image id, an image side below 1,
+    annotations referencing a missing image, and crowd annotations
+    (``iscrowd`` other than 0), are a schema error; boxes poking outside
+    their image only warn.
     """
     data = _read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
-    images = []
+    images, first = [], {}
     for ctx, rec in _records(data, "images"):
-        images.append(
-            ImageInfo(
-                id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
-                width=_as_int(_require(rec, "width", ctx), f"{ctx}.width"),
-                height=_as_int(_require(rec, "height", ctx), f"{ctx}.height"),
-                file_name=str(rec.get("file_name", "")),
-            )
+        img = ImageInfo(
+            id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
+            width=_as_side(_require(rec, "width", ctx), f"{ctx}.width"),
+            height=_as_side(_require(rec, "height", ctx), f"{ctx}.height"),
+            file_name=str(rec.get("file_name", "")),
         )
+        where = first.setdefault(img.id, ctx)
+        if where != ctx:
+            raise SchemaError(f"{ctx}.id: image {img.id} already appears at {where}")
+        images.append(img)
     categories = []
     for ctx, rec in _records(data, "categories"):
         categories.append(
@@ -211,51 +229,56 @@ def annotation_mask(segmentation, width: int, height: int, context: str = "segme
     Accepts polygon lists (unioned), RLE dicts with a compressed counts
     string, and RLE dicts with a plain counts list.
     """
-    mask = _segmentation_mask(segmentation, width, height, context)
-    if isinstance(mask, str):
-        mask = rle_strings_decode([mask], [(width, height)], [f"{context}.counts"])[0]
+    mask = _segmentation_mask(segmentation, context, (width, height))
+    if isinstance(mask, tuple):
+        mask = rle_strings_decode([mask[0]], [mask[1:]], [f"{context}.counts"])[0]
     return mask
 
 
-def _segmentation_mask(segmentation, width: int, height: int, context: str) -> RleMask | str:
-    """Check a ``segmentation`` payload; a compressed counts string comes back
-    as is, for :func:`_decode_strings`, and any other payload as its mask."""
+def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tuple[str, int, int]:
+    """Check a ``segmentation`` payload. ``image`` is the ``(width, height)``
+    it must match; without one, as in a results file, only an RLE object,
+    which carries its size, is accepted. A compressed counts string comes
+    back as ``(counts, width, height)``, for :func:`_decode_strings`, and
+    any other payload as its mask."""
     if isinstance(segmentation, dict):
         size = _require(segmentation, "size", context)
         if not isinstance(size, (list, tuple)) or len(size) != 2:
             raise SchemaError(f"{context}.size: expected [height, width]")
-        h, w = size
-        if (h, w) != (height, width):
+        h, w = (_as_int(v, f"{context}.size") for v in size)
+        if image is not None and (w, h) != image:
             raise SchemaError(
-                f"{context}.size: mask is {w}x{h} but the image is {width}x{height}"
+                f"{context}.size: mask is {w}x{h} but the image is {image[0]}x{image[1]}"
             )
         counts = _require(segmentation, "counts", context)
         if isinstance(counts, str):
-            return counts
+            return counts, w, h
         if isinstance(counts, (list, tuple)):
             try:
-                return RleMask(width, height, counts)
+                return RleMask(w, h, counts)
             except ValueError as exc:
                 raise SchemaError(f"{context}.counts: {exc}") from exc
         raise SchemaError(f"{context}.counts: expected a string or list")
+    if image is None:
+        raise SchemaError(f"{context}: expected an RLE object")
     if isinstance(segmentation, (list, tuple)):
         polys = segmentation
         if polys and isinstance(polys[0], (int, float)):
             polys = [polys]
         try:
-            return rle_encode(rasterize_polygons(polys, width, height))
+            return rle_encode(rasterize_polygons(polys, *image))
         except ValueError as exc:
             raise SchemaError(f"{context}: {exc}") from exc
     raise SchemaError(f"{context}: expected a polygon list or RLE object")
 
 
-def _decode_strings(masks: list, sizes: list, context) -> None:
-    """Replace each counts string left in ``masks`` by its mask, decoded in
-    one batched call; entry ``i`` has size ``sizes[i]`` and is named
-    ``context(i)`` in errors."""
-    todo = [i for i, mask in enumerate(masks) if isinstance(mask, str)]
+def _decode_strings(masks: list, context) -> None:
+    """Replace each ``(counts, width, height)`` left in ``masks`` by its mask,
+    decoded in one batched call; entry ``i`` is named ``context(i)`` in
+    errors."""
+    todo = [i for i, mask in enumerate(masks) if isinstance(mask, tuple)]
     decoded = rle_strings_decode(
-        [masks[i] for i in todo], [sizes[i] for i in todo], [context(i) for i in todo]
+        [masks[i][0] for i in todo], [masks[i][1:] for i in todo], [context(i) for i in todo]
     )
     for i, mask in zip(todo, decoded):
         masks[i] = mask
@@ -269,15 +292,14 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
     file's ``area`` field.
     """
     by_id = ds.image_by_id()
-    masks, sizes = [], []
+    masks = []
     for i, ann in enumerate(ds.annotations):
         img = by_id[ann.image_id]
         if ann.segmentation is None:
             raise SchemaError(f"annotations[{i}].segmentation: missing (annotation {ann.id})")
         ctx = f"annotations[{i}].segmentation"
-        masks.append(_segmentation_mask(ann.segmentation, img.width, img.height, ctx))
-        sizes.append((img.width, img.height))
-    _decode_strings(masks, sizes, lambda i: f"annotations[{i}].segmentation.counts")
+        masks.append(_segmentation_mask(ann.segmentation, ctx, (img.width, img.height)))
+    _decode_strings(masks, lambda i: f"annotations[{i}].segmentation.counts")
     return [
         GroundTruthInstance(
             image_id=ann.image_id,
@@ -298,24 +320,15 @@ def load_results(path) -> list[Detection]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: results file must be a JSON array")
-    fields, masks, sizes = [], [], []
+    fields, masks = [], []
     for i, rec in enumerate(data):
         ctx = f"results[{i}]"
         if not isinstance(rec, dict):
             raise SchemaError(f"{ctx}: expected an object")
-        score = _as_number(_require(rec, "score", ctx), f"{ctx}.score")
-        if not 0.0 <= score <= 1.0:
-            raise SchemaError(f"{ctx}.score: {score} outside [0, 1]")
-        mask = size = None
+        score = _as_score(rec, ctx)
+        mask = None
         if "segmentation" in rec:
-            seg = rec["segmentation"]
-            if not isinstance(seg, dict):
-                raise SchemaError(f"{ctx}.segmentation: expected an RLE object")
-            size = _require(seg, "size", f"{ctx}.segmentation")
-            if not isinstance(size, (list, tuple)) or len(size) != 2:
-                raise SchemaError(f"{ctx}.segmentation.size: expected [height, width]")
-            h, w = (_as_int(v, f"{ctx}.segmentation.size") for v in size)
-            mask, size = _segmentation_mask(seg, w, h, f"{ctx}.segmentation"), (w, h)
+            mask = _segmentation_mask(rec["segmentation"], f"{ctx}.segmentation")
         bbox = rec.get("bbox")
         if bbox is not None:
             bbox = BBox(*_as_box(bbox, f"{ctx}.bbox"))
@@ -325,8 +338,7 @@ def load_results(path) -> list[Detection]:
         category_id = _as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id")
         fields.append((image_id, category_id, score, bbox))
         masks.append(mask)
-        sizes.append(size)
-    _decode_strings(masks, sizes, lambda i: f"results[{i}].segmentation.counts")
+    _decode_strings(masks, lambda i: f"results[{i}].segmentation.counts")
     return [
         Detection(
             image_id=image_id,
@@ -682,20 +694,27 @@ def load_field_archive(path) -> list[FieldInstance]:
         if "meta" not in data:
             raise SchemaError(f"{path}: not a field archive (no manifest)")
         meta = json.loads(str(data["meta"][()]))
+        if not isinstance(meta, dict) or "instances" not in meta:
+            raise SchemaError(f"{path}: instances: missing from the manifest")
         instances = []
-        for rec in meta["instances"]:
-            key = f"logits:{rec['id']}"
+        for ctx, rec in _records(meta, "instances", f"{path}: "):
+            instance_id = _require(rec, "id", ctx)
+            key = f"logits:{instance_id}"
             if key not in data:
-                raise SchemaError(f"{path}: missing logits for instance {rec['id']}")
+                raise SchemaError(f"{path}: missing logits for instance {instance_id}")
+            try:
+                field = ScoreField(data[key])
+            except ValueError as exc:
+                raise SchemaError(f"{path}: instance {instance_id}: {exc}") from exc
             bbox = rec.get("bbox")
             instances.append(
                 FieldInstance(
-                    instance_id=rec["id"],
-                    image_id=int(rec["image_id"]),
-                    category_id=int(rec["category_id"]),
-                    score=float(rec["score"]),
-                    field=ScoreField(data[key]),
-                    bbox=None if bbox is None else BBox(*bbox),
+                    instance_id=instance_id,
+                    image_id=_as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id"),
+                    category_id=_as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id"),
+                    score=_as_score(rec, ctx),
+                    field=field,
+                    bbox=None if bbox is None else BBox(*_as_box(bbox, f"{ctx}.bbox")),
                 )
             )
     return instances

@@ -61,13 +61,15 @@ class EvalConfig:
         0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95
     )
     recall_points: ClassVar[tuple[float, ...]] = tuple(i / 100 for i in range(101))
+    IOU_ON: ClassVar[tuple[str, ...]] = ("mask", "bbox")
     bucket_thresholds: tuple[float, float] = (SMALL_MEDIUM_SIDE, MEDIUM_LARGE_SIDE)
     max_detections_per_image: int = 100
     iou_on: str = "mask"
 
     def __post_init__(self) -> None:
-        if self.iou_on not in ("mask", "bbox"):
-            raise ValueError(f"iou_on must be 'mask' or 'bbox', got {self.iou_on!r}")
+        if self.iou_on not in self.IOU_ON:
+            allowed = " or ".join(map(repr, self.IOU_ON))
+            raise ValueError(f"iou_on must be {allowed}, got {self.iou_on!r}")
         if self.max_detections_per_image < 1:
             raise ValueError(
                 f"max_detections_per_image must be at least 1, got {self.max_detections_per_image}"

@@ -8,6 +8,7 @@ merging of near-duplicate detections is available behind a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class SoftNmsConfig:
     boxes unless ``use_mask_iou`` is set.
     """
 
+    METHODS: ClassVar[tuple[str, ...]] = ("gaussian", "linear", "hard")
     method: str = "gaussian"
     sigma: float = 0.5
     iou_threshold: float = 0.5
@@ -76,7 +78,7 @@ class SoftNmsConfig:
     use_mask_iou: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in ("gaussian", "linear", "hard"):
+        if self.method not in self.METHODS:
             raise ValueError(f"unknown soft-NMS method: {self.method!r}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
@@ -88,6 +90,7 @@ class SoftNmsConfig:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    STRATEGIES: ClassVar[tuple[str, ...]] = ("linear_interpolation", "linear_reweight")
     theta_min: float = 0.6
     theta_max: float = 1.0
     strategy: str = "linear_interpolation"
@@ -104,7 +107,7 @@ class EnsembleConfig:
             raise ValueError(
                 f"theta_min ({self.theta_min}) must not exceed theta_max ({self.theta_max})"
             )
-        if self.strategy not in ("linear_interpolation", "linear_reweight"):
+        if self.strategy not in self.STRATEGIES:
             raise ValueError(f"unknown ensemble strategy: {self.strategy!r}")
         if not 0.0 <= self.cluster_iou <= 1.0:
             raise ValueError(f"cluster_iou must lie in [0, 1], got {self.cluster_iou}")

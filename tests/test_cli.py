@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -18,9 +19,9 @@ from maskpost import (
     write_field_archive,
     write_results,
 )
-from maskpost.cli import main
+from maskpost.cli import build_parser, main
 from oracles import rle_counts_to_string
-from scenario import build_ground_truth, build_models
+from scenario import N_IMAGES, build_ground_truth, build_models
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +68,84 @@ def write_scenario_files(tmp_path):
         write_results(path, model.detections)
         model_paths.append((str(path), model.validation_score))
     return gt_path, model_paths
+
+
+# (flag, dest, type, choices, action, help) of every option of each
+# subcommand: the parser generated from the option table must keep them all
+_CONFIG = ("--config", "config", None, None, "_StoreAction", "JSON file of option defaults")
+_OUT = ("--out", "out", None, None, "_StoreAction", "output file path")
+_SEED = ("--seed", "seed", "int", None, "_StoreAction", "random seed where sampling applies")
+_THREADS = ("--threads", "threads", "int", None, "_StoreAction", "worker threads (0 = all cores, default)")
+PARSER_OPTIONS = {
+    "refine": [
+        ("--coarse", "coarse", None, None, "_StoreAction", "field archive (.npz) of coarse per-instance logits"),
+        ("--oracle", "oracle", None, None, "_StoreAction", "field archive of reference logits for the oracle predictor"),
+        ("--predictor", "predictor", None, ("oracle", "identity"), "_StoreAction", "point predictor"),
+        ("--start-side", "start_side", "int", None, "_StoreAction", "coarse resolution"),
+        ("--subdivision-k", "subdivision_k", "int", None, "_StoreAction", "points re-predicted per step = k^2"),
+        ("--synthetic", "synthetic", None, None, "_StoreAction", "shape corpus spec, e.g. 'default' or 'disk:10,rect:5'"),
+        ("--target-side", "target_side", "int", None, "_StoreAction", "output resolution"),
+        _CONFIG, _OUT, _SEED, _THREADS,
+    ],
+    "ensemble": [
+        ("--class-agnostic", "class_agnostic", None, None, "_StoreConstAction", "suppress across categories"),
+        ("--cluster-iou", "cluster_iou", "float", None, "_StoreAction", None),
+        ("--iou-threshold", "iou_threshold", "float", None, "_StoreAction", None),
+        ("--mask-iou-nms", "mask_iou_nms", None, None, "_StoreConstAction", "overlap on masks instead of boxes"),
+        ("--merge-masks", "merge_masks", None, None, "_StoreConstAction", "vote-merge masks of near-duplicate survivors"),
+        ("--model", "model", None, None, "_AppendAction", "results file and its validation score; repeatable"),
+        ("--nms-method", "nms_method", None, ("gaussian", "linear", "hard"), "_StoreAction", None),
+        ("--score-floor", "score_floor", "float", None, "_StoreAction", None),
+        ("--sigma", "sigma", "float", None, "_StoreAction", "gaussian decay width"),
+        ("--strategy", "strategy", None, ("linear_interpolation", "linear_reweight"), "_StoreAction", None),
+        ("--theta-max", "theta_max", "float", None, "_StoreAction", None),
+        ("--theta-min", "theta_min", "float", None, "_StoreAction", None),
+        _CONFIG, _OUT, _SEED, _THREADS,
+    ],
+    "eval": [
+        ("--gt", "gt", None, None, "_StoreAction", "dataset JSON with ground-truth annotations"),
+        ("--iou-on", "iou_on", None, ("mask", "bbox"), "_StoreAction", None),
+        ("--max-dets", "max_dets", "int", None, "_StoreAction", "detections kept per image and category"),
+        ("--results", "results", None, None, "_StoreAction", "detection results JSON"),
+        _CONFIG, _OUT, _SEED, _THREADS,
+    ],
+    "stats": [
+        ("--bin-width", "bin_width", "float", None, "_StoreAction", "sqrt-area bin width"),
+        ("--gt", "gt", None, None, "_StoreAction", "dataset JSON"),
+        ("--sample-n", "sample_n", "int", None, "_StoreAction", "images sampled before counting (0 = all)"),
+        _CONFIG, _OUT, _SEED, _THREADS,
+    ],
+}
+
+
+class TestParser:
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_every_flag_keeps_its_dest_type_choices_action_and_help(self):
+        subparsers = self._subparsers()
+        assert sorted(subparsers) == sorted(PARSER_OPTIONS)
+        for command, expected in PARSER_OPTIONS.items():
+            actual = [
+                (a.option_strings[0], a.dest, a.type and a.type.__name__,
+                 a.choices and tuple(a.choices), type(a).__name__, a.help)
+                for a in subparsers[command]._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            assert sorted(actual, key=str) == sorted(expected, key=str), command
+
+    def test_unset_flags_leave_none_so_config_and_defaults_apply(self):
+        for command, p in self._subparsers().items():
+            for a in p._actions:
+                if isinstance(a, argparse._HelpAction):
+                    continue
+                assert a.default is None, (command, a.dest)
+                assert a.required == (a.dest == "out"), (command, a.dest)
+                if isinstance(a, argparse._StoreConstAction):
+                    assert a.const is True, (command, a.dest)
 
 
 class TestRefineCommand:
@@ -120,6 +199,47 @@ class TestRefineCommand:
         )
         assert code == 2
         assert "absent.npz" in err
+
+    @pytest.mark.parametrize(
+        "spoil, named",
+        [
+            (
+                lambda meta, arrays: arrays.update({"logits:i1": np.ones((8, 8))}),
+                "instance i1: coarse field is 8x8, expected 7x7",
+            ),
+            (lambda meta, arrays: meta.pop("instances"), "instances: missing"),
+            (
+                lambda meta, arrays: meta["instances"][1].pop("image_id"),
+                "instances[1].image_id: missing",
+            ),
+            (
+                lambda meta, arrays: meta["instances"][0].update(score=1.5),
+                "instances[0].score: 1.5 outside [0, 1]",
+            ),
+            (
+                lambda meta, arrays: arrays["logits:i1"].__setitem__((2, 3), np.nan),
+                "instance i1: logits must be finite",
+            ),
+        ],
+    )
+    def test_bad_coarse_archive_exits_2(self, tmp_path, capsys, spoil, named):
+        meta = {
+            "instances": [
+                {"id": f"i{k}", "image_id": k + 1, "category_id": 1, "score": 0.9}
+                for k in range(2)
+            ]
+        }
+        arrays = {f"logits:i{k}": np.ones((7, 7)) for k in range(2)}
+        spoil(meta, arrays)
+        coarse = tmp_path / "coarse.npz"
+        np.savez(coarse, meta=np.array(json.dumps(meta)), **arrays)
+        out = tmp_path / "out.json"
+        code, _, err = run_cli(
+            capsys, "refine", "--coarse", str(coarse), "--predictor", "identity", "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: {coarse}: " in err and named in err
+        assert not out.exists()
 
     def test_more_points_non_decreasing_mean_iou(self, tmp_path, capsys):
         means = {}
@@ -429,6 +549,28 @@ class TestEvalCommand:
         assert "error: annotations[2].segmentation.counts: " in err and fault in err
         assert not out.exists()
 
+    def test_result_without_mask_exits_2_under_mask_iou(self, tmp_path, capsys):
+        gt_path, _ = write_scenario_files(tmp_path)
+        g = build_ground_truth()[0]
+        results = tmp_path / "results.json"
+        write_results(
+            results,
+            [Detection(g.image_id, g.category_id, 0.9, g.bbox, g.mask),
+             Detection(g.image_id, g.category_id, 0.8, g.bbox)],
+        )
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(out)
+        )
+        assert code == 2
+        assert "error: results[1] has no segmentation, which --iou-on mask needs" in err
+        assert not out.exists()
+        code, _, _ = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results),
+            "--iou-on", "bbox", "--out", str(out),
+        )
+        assert code == 0
+
     def test_result_on_unknown_image_exits_2(self, tmp_path, capsys):
         gt_path, _ = write_scenario_files(tmp_path)
         gts = build_ground_truth()
@@ -455,6 +597,14 @@ class TestEvalCommand:
             (
                 lambda d: d["annotations"][1].update(iscrowd=1),
                 "annotations[1].iscrowd: crowd regions are not supported, got 1",
+            ),
+            (
+                lambda d: d["images"].insert(0, dict(d["images"][0], width=8, height=8)),
+                "images[1].id: image 1 already appears at images[0]",
+            ),
+            (
+                lambda d: d["images"].append({"id": 99, "width": -4, "height": 8}),
+                f"images[{N_IMAGES}].width: expected a positive integer, got -4",
             ),
         ],
     )
@@ -587,8 +737,11 @@ class TestConfigPrecedence:
             ("refine", "subdivision_k", 27.9, "expected an integer, got 27.9"),
             ("ensemble", "sigma", True, "expected a number, got true"),
             ("refine", "predictor", "idenity", '"idenity" is not one of oracle, identity'),
+            ("refine", "predictor", 1, "expected a string, got 1"),
             ("refine", "threads", "many", 'expected an integer, got "many"'),
             ("stats", "seed", "x", 'expected an integer, got "x"'),
+            ("refine", "predictr", "identity", "not an option of any subcommand"),
+            ("ensemble", "sigm", 0.9, "not an option of any subcommand"),
         ],
     )
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, key, value, fault):
@@ -607,6 +760,18 @@ class TestConfigPrecedence:
         assert code == 2
         assert f"error: config file {cfg_path}: {key}: {fault}" in err
         assert not out.exists()
+
+    def test_config_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"sigma": 0.9, "predictor": "identity"}))
+        out = tmp_path / "out.json"
+        code, _, _ = run_cli(
+            capsys, "refine", "--synthetic", "disk:1", "--config", str(cfg_path), "--out", str(out)
+        )
+        assert code == 0
+        options = json.loads((tmp_path / "out.json.config.json").read_text())["options"]
+        assert options["predictor"] == "identity"
+        assert "sigma" not in options
 
     def test_config_int_accepted_for_float_option(self, tmp_path, capsys):
         gt_path, model_paths = write_scenario_files(tmp_path)

@@ -406,6 +406,23 @@ class TestResultsIo:
         with pytest.raises(SchemaError, match=rf"results\[1\]\.bbox: {fault}"):
             load_results(path)
 
+    @pytest.mark.parametrize(
+        "segmentation, fault",
+        [
+            ({"counts": "0"}, r"\.size: missing"),
+            ({"size": [4], "counts": "0"}, r"\.size: expected \[height, width\]"),
+            ({"size": [4, 4.5], "counts": "0"}, r"\.size: expected an integer, got float"),
+            ({"size": [4, 4]}, r"\.counts: missing"),
+            ({"size": [4, 4], "counts": 7}, r"\.counts: expected a string or list"),
+        ],
+    )
+    def test_malformed_segmentation_rejected(self, tmp_path, segmentation, fault):
+        path = tmp_path / "results.json"
+        ok = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}
+        path.write_text(json.dumps([ok, dict(ok, segmentation=segmentation)]))
+        with pytest.raises(SchemaError, match=r"results\[1\]\.segmentation" + fault):
+            load_results(path)
+
     def test_bbox_derived_from_mask(self, tmp_path):
         bits = np.zeros((5, 5), dtype=bool)
         bits[1:3, 2:4] = True
