@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import BBox, binarize, mask_bbox, mask_iou, rle_encode, resample
 from .coco_io import (
+    FieldInstance,
     SchemaError,
     dataset_ground_truth,
     load_dataset,
@@ -31,7 +32,7 @@ from .coco_io import (
 from .evaluation import EvalConfig, evaluate
 from .fusion import Detection, EnsembleConfig, ModelCandidate, SoftNmsConfig, ensemble, model_weights
 from .refine import IdentityPredictor, OracleFieldPredictor, SubdivisionConfig, subdivision_render
-from .synthetic import parse_corpus_spec, shape_field, shape_mask
+from .synthetic import parse_corpus_spec, shape_field
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -107,7 +108,8 @@ def _config_value_error(value, default, key: str) -> str | None:
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge built-in defaults, --config file values and explicit flags. A
     config key of another subcommand is skipped, so one file can serve all
-    of them; a key no subcommand has is an error."""
+    of them; a key no subcommand has is an error, and so is a negative
+    ``threads``, which every subcommand takes."""
     resolved = {key: default for key, (default, _) in _OPTIONS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -133,6 +135,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+    if resolved["threads"] < 0:
+        raise InputError(f"invalid option: threads must be non-negative, got {resolved['threads']}")
     return resolved
 
 
@@ -163,55 +167,41 @@ def _require_path(path: str | None, what: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _render_units(args, opts):
-    """Assemble (sort_key, image_id, category_id, score, bbox, coarse, predictor, gt_mask)."""
+    """The render config and one ``(instance, reference field or None)``
+    pair per instance, sorted by instance id. A synthetic shape's coarse
+    field is its reference field resampled to ``start_side``; an archive
+    instance's reference is its oracle field, or None under ``identity``."""
     cfg = SubdivisionConfig(
         subdivision_k=int(opts["subdivision_k"]),
         target_side=int(opts["target_side"]),
         start_side=int(opts["start_side"]),
     )
+    side = cfg.start_side
     units = []
     if args.synthetic:
         for i, shape in enumerate(parse_corpus_spec(args.synthetic)):
-            gt_field = shape_field(shape, cfg.target_side)
-            coarse = resample(gt_field, cfg.start_side, cfg.start_side)
-            predictor = (
-                IdentityPredictor()
-                if opts["predictor"] == "identity"
-                else OracleFieldPredictor(gt_field)
+            ref = shape_field(shape, cfg.target_side)
+            coarse = resample(ref, side, side)
+            units.append((FieldInstance(f"shape{i:04d}", i + 1, 1, 1.0, coarse), ref))
+    else:
+        coarse_path = _require_path(args.coarse, "--coarse input (or use --synthetic)")
+        instances = load_field_archive(coarse_path)
+        refs = {}
+        if opts["predictor"] == "oracle":
+            oracle_path = _require_path(
+                args.oracle, "--oracle archive (required with the oracle predictor)"
             )
-            units.append(
-                (f"shape{i:04d}", i + 1, 1, 1.0, None, coarse, predictor,
-                 shape_mask(shape, cfg.target_side))
-            )
-        return cfg, units
-    coarse_path = _require_path(args.coarse, "--coarse input (or use --synthetic)")
-    instances = load_field_archive(coarse_path)
-    oracle_fields = {}
-    if opts["predictor"] == "oracle":
-        oracle_path = _require_path(
-            args.oracle, "--oracle archive (required with the oracle predictor)"
-        )
-        for inst in load_field_archive(oracle_path):
-            oracle_fields[inst.instance_id] = inst.field
-    side = cfg.start_side
-    for inst in instances:
-        if (inst.field.width, inst.field.height) != (side, side):
-            raise InputError(
-                f"{coarse_path}: instance {inst.instance_id}: coarse field is "
-                f"{inst.field.width}x{inst.field.height}, expected {side}x{side} (--start-side)"
-            )
-        if opts["predictor"] == "identity":
-            predictor, gt_mask = IdentityPredictor(), None
-        else:
-            if inst.instance_id not in oracle_fields:
+            refs = {inst.instance_id: inst.field for inst in load_field_archive(oracle_path)}
+        for inst in instances:
+            if (inst.field.width, inst.field.height) != (side, side):
+                raise InputError(
+                    f"{coarse_path}: instance {inst.instance_id}: coarse field is "
+                    f"{inst.field.width}x{inst.field.height}, expected {side}x{side} (--start-side)"
+                )
+            if opts["predictor"] == "oracle" and inst.instance_id not in refs:
                 raise InputError(f"oracle archive has no instance {inst.instance_id}")
-            ref = oracle_fields[inst.instance_id]
-            predictor = OracleFieldPredictor(ref)
-            gt_mask = binarize(resample(ref, cfg.target_side, cfg.target_side))
-        units.append(
-            (inst.instance_id, inst.image_id, inst.category_id, inst.score,
-             inst.bbox, inst.field, predictor, gt_mask)
-        )
+            units.append((inst, refs.get(inst.instance_id)))
+    units.sort(key=lambda unit: unit[0].instance_id)
     return cfg, units
 
 
@@ -223,33 +213,30 @@ def cmd_refine(args: argparse.Namespace) -> None:
         cfg, units = _render_units(args, opts)
     except ValueError as exc:
         raise InputError(str(exc))
+    side, oracle = cfg.target_side, opts["predictor"] == "oracle"
 
     def render(unit):
-        key, image_id, category_id, score, bbox, coarse, predictor, gt_mask = unit
-        field = subdivision_render(coarse, predictor, cfg)
-        mask = binarize(field)
+        """Render one instance; with a reference field, also its IoU
+        against the reference binarized at the target side."""
+        inst, ref = unit
+        predictor = OracleFieldPredictor(ref) if oracle else IdentityPredictor()
+        mask = binarize(subdivision_render(inst.field, predictor, cfg))
         det = Detection(
-            image_id=image_id,
-            category_id=category_id,
-            score=score,
-            bbox=bbox if bbox is not None else mask_bbox(mask),
+            image_id=inst.image_id,
+            category_id=inst.category_id,
+            score=inst.score,
+            bbox=inst.bbox if inst.bbox is not None else mask_bbox(mask),
             mask=rle_encode(mask),
         )
-        iou = None if gt_mask is None else mask_iou(mask, gt_mask)
-        return key, det, iou
+        return det, None if ref is None else mask_iou(mask, binarize(resample(ref, side, side)))
 
-    threads = _worker_count(opts)
-    if threads > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rendered = list(pool.map(render, units))
-    else:
-        rendered = [render(u) for u in units]
-    rendered.sort(key=lambda r: r[0])
+    with ThreadPoolExecutor(max_workers=_worker_count(opts)) as pool:
+        rendered = list(pool.map(render, units))
 
-    dets = [det for _, det, _ in rendered]
+    dets = [det for det, _ in rendered]
     dets.sort(key=lambda d: (d.image_id, d.category_id, -d.score))
     write_results(args.out, dets)
-    ious = [iou for _, _, iou in rendered if iou is not None]
+    ious = [iou for _, iou in rendered if iou is not None]
     if ious:
         print(f"mean_iou {float(np.mean(ious)):.6f}")
     print(f"rendered {len(dets)} instances -> {args.out}")

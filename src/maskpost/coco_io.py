@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -658,7 +659,7 @@ def median_sqrt_area(boxes: list[BBox]) -> float:
 class FieldInstance:
     """One instance's score field plus the metadata needed to emit a result."""
 
-    instance_id: str
+    instance_id: str | int
     image_id: int
     category_id: int
     score: float
@@ -686,25 +687,69 @@ def write_field_archive(path, instances: list[FieldInstance]) -> None:
     np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
+# what numpy raises on a file that is not a readable .npz, or on a member it
+# cannot read without unpickling
+_UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
+
+
+def _open_npz(fh, path: Path):
+    """The .npz archive in the open binary file ``fh``."""
+    try:
+        data = np.load(fh)
+    except _UNREADABLE as exc:
+        raise SchemaError(f"{path}: not a field archive ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{path}: not a field archive (a single .npy array)")
+    return data
+
+
 def load_field_archive(path) -> list[FieldInstance]:
+    """Read an archive written by :func:`write_field_archive`.
+
+    Instance ids are strings or integers, all of one type, and unique, since
+    each names the ``logits:<id>`` array holding its field. A file numpy
+    cannot read as an .npz, a manifest that is not JSON, or a bad record is
+    a schema error naming the path.
+    """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
-    with np.load(path) as data:
+    # numpy leaves a file it opened itself open when the zip is unreadable
+    with open(path, "rb") as fh, _open_npz(fh, path) as data:
         if "meta" not in data:
             raise SchemaError(f"{path}: not a field archive (no manifest)")
-        meta = json.loads(str(data["meta"][()]))
+        try:
+            meta = json.loads(str(data["meta"][()]))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: manifest: invalid JSON ({exc})") from exc
+        except _UNREADABLE as exc:
+            raise SchemaError(f"{path}: not a field archive ({exc})") from exc
         if not isinstance(meta, dict) or "instances" not in meta:
             raise SchemaError(f"{path}: instances: missing from the manifest")
-        instances = []
-        for ctx, rec in _records(meta, "instances", f"{path}: "):
+        instances, first = [], {}
+        for i, (ctx, rec) in enumerate(_records(meta, "instances", f"{path}: ")):
             instance_id = _require(rec, "id", ctx)
+            if isinstance(instance_id, bool) or not isinstance(instance_id, (str, int)):
+                raise SchemaError(
+                    f"{ctx}.id: expected a string or an integer, got {json.dumps(instance_id)}"
+                )
+            if instances and type(instance_id) is not type(instances[0].instance_id):
+                raise SchemaError(
+                    f"{ctx}.id: ids must all be strings or all integers, got "
+                    f"{json.dumps(instance_id)} after {json.dumps(instances[0].instance_id)}"
+                )
+            j = first.setdefault(instance_id, i)
+            if j != i:
+                raise SchemaError(
+                    f"{ctx}.id: instance {json.dumps(instance_id)} "
+                    f"already appears at instances[{j}]"
+                )
             key = f"logits:{instance_id}"
             if key not in data:
                 raise SchemaError(f"{path}: missing logits for instance {instance_id}")
             try:
                 field = ScoreField(data[key])
-            except ValueError as exc:
+            except _UNREADABLE as exc:
                 raise SchemaError(f"{path}: instance {instance_id}: {exc}") from exc
             bbox = rec.get("bbox")
             instances.append(

@@ -40,6 +40,17 @@ BAD_COUNTS = [
 ]
 
 
+def _archive_bytes(path):
+    """The bytes of a small valid field archive, written to ``path``."""
+    write_field_archive(path, [FieldInstance("i0", 1, 1, 0.9, ScoreField(np.ones((7, 7))))])
+    return path.read_bytes()
+
+
+def _write_npy(path):
+    with path.open("wb") as fh:
+        np.save(fh, np.ones(3))
+
+
 def write_scenario_files(tmp_path):
     """Dataset + per-model results files for the constructed 3-model case."""
     gt_path = tmp_path / "gt.json"
@@ -220,6 +231,26 @@ class TestRefineCommand:
                 lambda meta, arrays: arrays["logits:i1"].__setitem__((2, 3), np.nan),
                 "instance i1: logits must be finite",
             ),
+            (
+                lambda meta, arrays: meta["instances"][1].update(id=1),
+                'instances[1].id: ids must all be strings or all integers, got 1 after "i0"',
+            ),
+            (
+                lambda meta, arrays: meta["instances"][1].update(id="i0"),
+                'instances[1].id: instance "i0" already appears at instances[0]',
+            ),
+            (
+                lambda meta, arrays: meta["instances"][1].update(id=None),
+                "instances[1].id: expected a string or an integer, got null",
+            ),
+            (
+                lambda meta, arrays: meta["instances"][0].update(id=[1]),
+                "instances[0].id: expected a string or an integer, got [1]",
+            ),
+            (
+                lambda meta, arrays: meta["instances"][0].update(id=True),
+                "instances[0].id: expected a string or an integer, got true",
+            ),
         ],
     )
     def test_bad_coarse_archive_exits_2(self, tmp_path, capsys, spoil, named):
@@ -240,6 +271,79 @@ class TestRefineCommand:
         assert code == 2
         assert f"error: {coarse}: " in err and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "write, named",
+        [
+            (lambda p: p.write_bytes(b""), "not a field archive ("),
+            (lambda p: p.write_text("id,score\n"), "not a field archive ("),
+            (_write_npy, "not a field archive (a single .npy array)"),
+            (lambda p: p.write_bytes(_archive_bytes(p)[:200]), "not a field archive ("),
+            (
+                lambda p: np.savez(p, meta=np.array("{instances: []"), **{"logits:i0": np.ones((7, 7))}),
+                "manifest: invalid JSON (",
+            ),
+        ],
+        ids=["empty", "text", "npy", "truncated", "manifest"],
+    )
+    def test_unreadable_archive_exits_2(self, tmp_path, capsys, write, named):
+        coarse = tmp_path / "coarse.npz"
+        write(coarse)
+        out = tmp_path / "out.json"
+        code, _, err = run_cli(
+            capsys, "refine", "--coarse", str(coarse), "--predictor", "identity", "--out", str(out)
+        )
+        assert code == 2
+        assert f"error: {coarse}: {named}" in err
+        assert not out.exists()
+
+    def test_integer_ids_still_render(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        fields = {k: ScoreField(rng.normal(size=(7, 7))) for k in (3, 1, 2)}
+        coarse = tmp_path / "coarse.npz"
+        write_field_archive(coarse, [FieldInstance(k, k, 1, 0.5, f) for k, f in fields.items()])
+        out = tmp_path / "out.json"
+        code, _, _ = run_cli(
+            capsys, "refine", "--coarse", str(coarse), "--predictor", "identity",
+            "--target-side", "28", "--out", str(out),
+        )
+        assert code == 0
+        for det in load_results(out):
+            expected = binarize(plain_upsample(fields[det.image_id], 28))
+            assert np.array_equal(rle_decode(det.mask), expected)
+
+    @pytest.mark.parametrize("predictor", ["identity", "oracle"])
+    def test_threads_do_not_change_output(self, tmp_path, capsys, predictor):
+        """Ids written out of order, and one (image, category, score) for
+        all: the results order falls to the instance id, under any pool."""
+        rng = np.random.default_rng(23)
+        ids = ["d", "b", "e", "a", "c"]
+        coarse = [FieldInstance(i, 4, 2, 0.75, ScoreField(rng.normal(size=(7, 7)))) for i in ids]
+        oracle = [FieldInstance(i, 4, 2, 0.75, ScoreField(rng.normal(size=(28, 28)))) for i in ids]
+        write_field_archive(tmp_path / "coarse.npz", coarse)
+        write_field_archive(tmp_path / "oracle.npz", oracle)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}" / "out.json"
+            out.parent.mkdir()
+            code, stdout, _ = run_cli(
+                capsys, "refine", "--coarse", str(tmp_path / "coarse.npz"),
+                "--oracle", str(tmp_path / "oracle.npz"), "--predictor", predictor,
+                "--target-side", "28", "--subdivision-k", "5", "--threads", threads,
+                "--out", str(out),
+            )
+            assert code == 0
+            sidecar = json.loads(Path(str(out) + ".config.json").read_text())
+            assert sidecar["options"].pop("threads") == int(threads)
+            runs.append((out.read_bytes(), stdout.replace(str(out), "OUT"), sidecar))
+        assert runs[0] == runs[1]
+        assert ("mean_iou" in runs[0][1]) == (predictor == "oracle")
+        if predictor == "identity":
+            by_id = sorted(coarse, key=lambda inst: inst.instance_id)
+            dets = load_results(tmp_path / "t1" / "out.json")
+            for inst, det in zip(by_id, dets, strict=True):
+                expected = binarize(plain_upsample(inst.field, 28))
+                assert np.array_equal(rle_decode(det.mask), expected)
 
     def test_more_points_non_decreasing_mean_iou(self, tmp_path, capsys):
         means = {}
@@ -311,6 +415,7 @@ class TestEnsembleCommand:
             (["--iou-threshold", "2"], "iou_threshold"),
             (["--score-floor", "nan"], "score_floor"),
             (["--merge-masks", "--cluster-iou", "-1"], "cluster_iou"),
+            (["--threads", "-3"], "invalid option: threads must be non-negative, got -3"),
         ],
     )
     def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, named):
@@ -697,6 +802,7 @@ class TestStatsCommand:
             (["--sample-n", "2", "--seed", "-1"], "seed"),
             (["--bin-width", "1e-300"], "bin_width 1e-300 needs 3e+302 bins"),
             (["--bin-width", "1e-6"], "bin_width 1e-06 needs 3e+08 bins"),
+            (["--threads", "-3"], "invalid option: threads must be non-negative, got -3"),
         ],
     )
     def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, named):
@@ -759,6 +865,27 @@ class TestConfigPrecedence:
         )
         assert code == 2
         assert f"error: config file {cfg_path}: {key}: {fault}" in err
+        assert not out.exists()
+
+    # ensemble and stats take the flag case in their bad-option lists
+    @pytest.mark.parametrize("command", ["refine", "eval"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_threads_exits_2(self, tmp_path, capsys, command, from_config):
+        gt_path, model_paths = write_scenario_files(tmp_path)
+        inputs = {
+            "refine": ["--synthetic", "disk:1"],
+            "eval": ["--gt", str(gt_path), "--results", model_paths[0][0]],
+        }[command]
+        if from_config:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"threads": -3}))
+            inputs += ["--config", str(cfg_path)]
+        else:
+            inputs += ["--threads", "-3"]
+        out = tmp_path / "out.json"
+        code, _, err = run_cli(capsys, command, *inputs, "--out", str(out))
+        assert code == 2
+        assert "error: invalid option: threads must be non-negative, got -3" in err
         assert not out.exists()
 
     def test_config_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):

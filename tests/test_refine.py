@@ -9,6 +9,7 @@ from maskpost import (
     TrainSampleConfig,
     biased_point_sample,
     binarize,
+    default_corpus,
     flip_fuse,
     mask_iou,
     plain_upsample,
@@ -147,6 +148,20 @@ class TestSubdivisionRender:
         out = subdivision_render(coarse, IdentityPredictor(), cfg)
         assert out.logits.shape == (28, 28)
         assert np.isfinite(out.logits).all()
+
+
+@pytest.mark.parametrize("side", [7 * 2**k for k in range(8)])
+def test_shape_reference_binarizes_to_shape_mask(side):
+    """``refine --synthetic`` scores each render against its reference field
+    binarized at the target side; that is the shape's own mask."""
+    mismatched = [
+        i
+        for i, shape in enumerate(default_corpus())
+        if not np.array_equal(
+            binarize(resample(shape_field(shape, side), side, side)), shape_mask(shape, side)
+        )
+    ]
+    assert mismatched == []
 
 
 class TestBiasedPointSample:
