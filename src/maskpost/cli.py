@@ -109,7 +109,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge built-in defaults, --config file values and explicit flags. A
     config key of another subcommand is skipped, so one file can serve all
     of them; a key no subcommand has is an error, and so is a negative
-    ``threads``, which every subcommand takes."""
+    ``seed`` or ``threads``, which every subcommand takes."""
     resolved = {key: default for key, (default, _) in _OPTIONS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -135,8 +135,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
-    if resolved["threads"] < 0:
-        raise InputError(f"invalid option: threads must be non-negative, got {resolved['threads']}")
+    for key in ("seed", "threads"):
+        if resolved[key] < 0:
+            raise InputError(f"invalid option: {key} must be non-negative, got {resolved[key]}")
     return resolved
 
 
@@ -371,14 +372,12 @@ def cmd_stats(args: argparse.Namespace) -> None:
     opts = _resolve(args, "stats")
     gt_path = _require_path(args.gt, "--gt dataset file")
     ds = load_dataset(gt_path)
-    sample_n, seed = int(opts["sample_n"]), int(opts["seed"])
+    sample_n = int(opts["sample_n"])
     if sample_n < 0:
         raise InputError(f"invalid option: sample_n must be non-negative, got {sample_n}")
-    if seed < 0:
-        raise InputError(f"invalid option: seed must be non-negative, got {seed}")
     image_ids = [img.id for img in ds.images]
     if 0 < sample_n < len(image_ids):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(int(opts["seed"]))
         chosen = set(rng.choice(np.array(image_ids), size=sample_n, replace=False).tolist())
     else:
         chosen = set(image_ids)

@@ -159,37 +159,43 @@ def _records(data: dict, section: str, where: str = ""):
         yield ctx, rec
 
 
+def _check_new_id(first: dict, key, i: int, ctx: str, section: str, noun: str) -> None:
+    """Record that ``section[i]`` (context ``ctx``) has id ``key``; a
+    repeated id is a schema error naming where it first appeared."""
+    j = first.setdefault(key, i)
+    if j != i:
+        raise SchemaError(f"{ctx}.id: {noun} {json.dumps(key)} already appears at {section}[{j}]")
+
+
 def load_dataset(path) -> DatasetFile:
     """Parse a COCO dataset JSON file.
 
-    Unknown fields are ignored. A repeated image id, an image side below 1,
-    annotations referencing a missing image, and crowd annotations
-    (``iscrowd`` other than 0), are a schema error; boxes poking outside
-    their image only warn.
+    Unknown fields are ignored. A repeated image or category id, an image
+    side below 1, annotations referencing a missing image, and crowd
+    annotations (``iscrowd`` other than 0), are a schema error; boxes poking
+    outside their image only warn.
     """
     data = _read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
     images, first = [], {}
-    for ctx, rec in _records(data, "images"):
+    for i, (ctx, rec) in enumerate(_records(data, "images")):
         img = ImageInfo(
             id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
             width=_as_side(_require(rec, "width", ctx), f"{ctx}.width"),
             height=_as_side(_require(rec, "height", ctx), f"{ctx}.height"),
             file_name=str(rec.get("file_name", "")),
         )
-        where = first.setdefault(img.id, ctx)
-        if where != ctx:
-            raise SchemaError(f"{ctx}.id: image {img.id} already appears at {where}")
+        _check_new_id(first, img.id, i, ctx, "images", "image")
         images.append(img)
-    categories = []
-    for ctx, rec in _records(data, "categories"):
-        categories.append(
-            CategoryInfo(
-                id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
-                name=str(rec.get("name", "")),
-            )
+    categories, first = [], {}
+    for i, (ctx, rec) in enumerate(_records(data, "categories")):
+        cat = CategoryInfo(
+            id=_as_int(_require(rec, "id", ctx), f"{ctx}.id"),
+            name=str(rec.get("name", "")),
         )
+        _check_new_id(first, cat.id, i, ctx, "categories", "category")
+        categories.append(cat)
     by_id = {img.id: img for img in images}
     cat_ids = {cat.id for cat in categories}
     annotations = []
@@ -667,10 +673,44 @@ class FieldInstance:
     bbox: BBox | None = None
 
 
+def _archive_records(meta, where: str):
+    """The checked fields of each instance record of a field-archive
+    manifest, as :class:`FieldInstance` keyword arguments less the field;
+    error contexts start with ``where``. The reader and the writer both
+    apply it."""
+    if not isinstance(meta, dict) or "instances" not in meta:
+        raise SchemaError(f"{where}instances: missing from the manifest")
+    first: dict = {}
+    for i, (ctx, rec) in enumerate(_records(meta, "instances", where)):
+        instance_id = _require(rec, "id", ctx)
+        if isinstance(instance_id, bool) or not isinstance(instance_id, (str, int)):
+            raise SchemaError(
+                f"{ctx}.id: expected a string or an integer, got {json.dumps(instance_id)}"
+            )
+        first_id = next(iter(first), instance_id)
+        if type(instance_id) is not type(first_id):
+            raise SchemaError(
+                f"{ctx}.id: ids must all be strings or all integers, got "
+                f"{json.dumps(instance_id)} after {json.dumps(first_id)}"
+            )
+        _check_new_id(first, instance_id, i, ctx, "instances", "instance")
+        bbox = rec.get("bbox")
+        yield dict(
+            instance_id=instance_id,
+            image_id=_as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id"),
+            category_id=_as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id"),
+            score=_as_score(rec, ctx),
+            bbox=None if bbox is None else BBox(*_as_box(bbox, f"{ctx}.bbox")),
+        )
+
+
 def write_field_archive(path, instances: list[FieldInstance]) -> None:
-    ids = [inst.instance_id for inst in instances]
-    if len(set(ids)) != len(ids):
-        raise ValueError("instance ids must be unique")
+    """Write an archive that :func:`load_field_archive` reads back equal.
+
+    The manifest passes the reader's record checks before anything is
+    written: a record they reject is a :class:`SchemaError`, and no file is
+    created.
+    """
     meta = {
         "instances": [
             {
@@ -683,6 +723,7 @@ def write_field_archive(path, instances: list[FieldInstance]) -> None:
             for inst in instances
         ]
     }
+    list(_archive_records(meta, f"{path}: "))
     arrays = {f"logits:{inst.instance_id}": inst.field.logits for inst in instances}
     np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
@@ -724,26 +765,9 @@ def load_field_archive(path) -> list[FieldInstance]:
             raise SchemaError(f"{path}: manifest: invalid JSON ({exc})") from exc
         except _UNREADABLE as exc:
             raise SchemaError(f"{path}: not a field archive ({exc})") from exc
-        if not isinstance(meta, dict) or "instances" not in meta:
-            raise SchemaError(f"{path}: instances: missing from the manifest")
-        instances, first = [], {}
-        for i, (ctx, rec) in enumerate(_records(meta, "instances", f"{path}: ")):
-            instance_id = _require(rec, "id", ctx)
-            if isinstance(instance_id, bool) or not isinstance(instance_id, (str, int)):
-                raise SchemaError(
-                    f"{ctx}.id: expected a string or an integer, got {json.dumps(instance_id)}"
-                )
-            if instances and type(instance_id) is not type(instances[0].instance_id):
-                raise SchemaError(
-                    f"{ctx}.id: ids must all be strings or all integers, got "
-                    f"{json.dumps(instance_id)} after {json.dumps(instances[0].instance_id)}"
-                )
-            j = first.setdefault(instance_id, i)
-            if j != i:
-                raise SchemaError(
-                    f"{ctx}.id: instance {json.dumps(instance_id)} "
-                    f"already appears at instances[{j}]"
-                )
+        instances = []
+        for fields in _archive_records(meta, f"{path}: "):
+            instance_id = fields["instance_id"]
             key = f"logits:{instance_id}"
             if key not in data:
                 raise SchemaError(f"{path}: missing logits for instance {instance_id}")
@@ -751,15 +775,5 @@ def load_field_archive(path) -> list[FieldInstance]:
                 field = ScoreField(data[key])
             except _UNREADABLE as exc:
                 raise SchemaError(f"{path}: instance {instance_id}: {exc}") from exc
-            bbox = rec.get("bbox")
-            instances.append(
-                FieldInstance(
-                    instance_id=instance_id,
-                    image_id=_as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id"),
-                    category_id=_as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id"),
-                    score=_as_score(rec, ctx),
-                    field=field,
-                    bbox=None if bbox is None else BBox(*_as_box(bbox, f"{ctx}.bbox")),
-                )
-            )
+            instances.append(FieldInstance(field=field, **fields))
     return instances

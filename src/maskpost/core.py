@@ -23,6 +23,7 @@ __all__ = [
     "SizeBucket",
     "ScoreField",
     "RleMask",
+    "grid_coords",
     "bilinear_sample",
     "sample_points",
     "resample",
@@ -149,6 +150,22 @@ class ScoreField:
         return f"ScoreField({self.width}x{self.height})"
 
 
+def grid_coords(side: int) -> np.ndarray:
+    """Unit-interval coordinates of the ``side`` pixel centers of one axis
+    under the align-corners convention: ``i / (side - 1)``, and 0 for a
+    one-pixel axis."""
+    return np.arange(side) / max(side - 1, 1)
+
+
+def _taps(coords: np.ndarray, n: int):
+    """Bilinear taps of unit-interval ``coords`` on an axis of ``n`` pixels:
+    the lower and upper pixel indices and the weight of the upper one."""
+    g = coords * (n - 1)
+    i0 = np.clip(np.floor(g).astype(np.intp), 0, max(n - 2, 0))
+    i1 = np.minimum(i0 + 1, n - 1)
+    return i0, i1, g - i0
+
+
 def sample_points(field: ScoreField, points) -> np.ndarray:
     """Bilinearly sample ``field`` at an ``(n, 2)`` array of unit-square points.
 
@@ -165,14 +182,8 @@ def sample_points(field: ScoreField, points) -> np.ndarray:
         raise DomainError(f"point ({bad[0]}, {bad[1]}) outside the unit square")
     v = field.logits
     h, w = v.shape
-    gx = pts[:, 0] * (w - 1)
-    gy = pts[:, 1] * (h - 1)
-    x0 = np.clip(np.floor(gx).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(gy).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = gx - x0
-    fy = gy - y0
+    x0, x1, fx = _taps(pts[:, 0], w)
+    y0, y1, fy = _taps(pts[:, 1], h)
     top = v[y0, x0] * (1.0 - fx) + v[y0, x1] * fx
     bot = v[y1, x0] * (1.0 - fx) + v[y1, x1] * fx
     return top * (1.0 - fy) + bot * fy
@@ -189,14 +200,8 @@ def resample(field: ScoreField, height: int, width: int) -> ScoreField:
         raise ValueError("target dimensions must be positive")
     v = field.logits
     h, w = v.shape
-    gx = (np.arange(width) / max(width - 1, 1)) * (w - 1)
-    gy = (np.arange(height) / max(height - 1, 1)) * (h - 1)
-    x0 = np.clip(np.floor(gx).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(gy).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = gx - x0
-    fy = gy - y0
+    x0, x1, fx = _taps(grid_coords(width), w)
+    y0, y1, fy = _taps(grid_coords(height), h)
     cols = v[:, x0] * (1.0 - fx) + v[:, x1] * fx  # (h, width)
     out = cols[y0, :] * (1.0 - fy)[:, None] + cols[y1, :] * fy[:, None]
     return ScoreField(out)

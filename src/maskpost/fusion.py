@@ -113,6 +113,16 @@ class EnsembleConfig:
             raise ValueError(f"cluster_iou must lie in [0, 1], got {self.cluster_iou}")
 
 
+def _model_scores(scores) -> np.ndarray:
+    """Validation scores as a non-empty, finite 1-D float array."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("scores must be a non-empty 1-D sequence")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    return s
+
+
 def linear_interpolation_weights(
     scores, theta_min: float = 0.6, theta_max: float = 1.0
 ) -> np.ndarray:
@@ -123,11 +133,7 @@ def linear_interpolation_weights(
     equal every model gets ``theta_max``, so a single-model ensemble keeps
     its confidences scaled by the ceiling.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a non-empty 1-D sequence")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
+    s = _model_scores(scores)
     lo, hi = s.min(), s.max()
     if hi == lo:
         return np.full(s.shape, theta_max)
@@ -142,9 +148,7 @@ def linear_reweight_weights(
     Models are ranked ascending by score; tied scores share the mean of
     their rank positions. A single model gets ``theta_max``.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a non-empty 1-D sequence")
+    s = _model_scores(scores)
     n = s.size
     if n == 1:
         return np.array([theta_max])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreField, resample, sample_points
+from .core import ScoreField, grid_coords, resample, sample_points
 
 __all__ = [
     "PointPredictor",
@@ -81,10 +81,7 @@ class SubdivisionConfig:
             raise ValueError("subdivision_k must be >= 1")
         if self.start_side < 1:
             raise ValueError("start_side must be >= 1")
-        side = self.start_side
-        while side < self.target_side:
-            side *= 2
-        if side != self.target_side:
+        if self.start_side << self.num_steps != self.target_side:
             raise ValueError(
                 f"target_side {self.target_side} is not start_side {self.start_side} "
                 "times a power of two"
@@ -92,7 +89,9 @@ class SubdivisionConfig:
 
     @property
     def num_steps(self) -> int:
-        return int(round(math.log2(self.target_side / self.start_side)))
+        """Doublings from ``start_side`` toward ``target_side``; 0 for a
+        smaller target, which ``__post_init__`` then rejects."""
+        return max(self.target_side // self.start_side, 1).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,13 @@ def select_most_uncertain(field: ScoreField, n: int) -> np.ndarray:
         raise ValueError(f"cannot select {n} points from {size} pixels")
     if n < 0:
         raise ValueError("n must be non-negative")
-    order = np.argsort(np.abs(field.logits.ravel()), kind="stable")
-    return order[:n]
+    return _most_uncertain(field.logits.ravel(), n)
+
+
+def _most_uncertain(logits: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` entries of 1-D ``logits`` closest to zero, ties
+    toward the lowest index."""
+    return np.argsort(np.abs(logits), kind="stable")[:n]
 
 
 def upsample_x2(field: ScoreField) -> ScoreField:
@@ -153,14 +157,10 @@ def plain_upsample(field: ScoreField, target_side: int) -> ScoreField:
     """
     if field.width != field.height:
         raise ValueError("plain_upsample expects a square field")
-    side = field.height
-    out = field
-    while side < target_side:
-        out = upsample_x2(out)
-        side *= 2
-    if side != target_side:
-        raise ValueError(f"target_side {target_side} unreachable from side {field.height}")
-    return out
+    cfg = SubdivisionConfig(target_side=target_side, start_side=field.height)
+    for _ in range(cfg.num_steps):
+        field = upsample_x2(field)
+    return field
 
 
 def subdivision_step(
@@ -179,7 +179,7 @@ def subdivision_step(
     idx = select_most_uncertain(up, n_points)
     h2, w2 = up.height, up.width
     rows, cols = np.divmod(idx, w2)
-    points = np.stack([cols / (w2 - 1), rows / (h2 - 1)], axis=1)
+    points = np.stack([grid_coords(w2)[cols], grid_coords(h2)[rows]], axis=1)
     current = up.logits.ravel()[idx]
     refined = np.asarray(predictor.predict(points, current), dtype=np.float64)
     if refined.shape != (idx.size,):
@@ -228,8 +228,7 @@ def biased_point_sample(field: ScoreField, cfg: TrainSampleConfig) -> np.ndarray
     chosen = []
     if n_importance > 0:
         logits = sample_points(field, candidates)
-        order = np.argsort(np.abs(logits), kind="stable")
-        chosen.append(candidates[order[:n_importance]])
+        chosen.append(candidates[_most_uncertain(logits, n_importance)])
     n_uniform = cfg.n_points - n_importance
     if n_uniform > 0:
         chosen.append(rng.random((n_uniform, 2)))

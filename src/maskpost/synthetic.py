@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreField
+from .core import ScoreField, grid_coords
 
 __all__ = ["Shape", "shape_mask", "shape_field", "default_corpus", "parse_corpus_spec"]
 
@@ -21,7 +21,9 @@ class Shape:
     """A disk, axis-aligned rectangle, or annulus in unit-square coordinates.
 
     ``a`` is the radius (disk), half-width (rect) or outer radius (annulus);
-    ``b`` is the half-height (rect) or inner radius (annulus).
+    ``b`` is the half-height (rect) or inner radius (annulus). All four
+    numbers are finite, ``a > 0``, a rect has ``b > 0`` and an annulus
+    ``0 <= b < a``, so no shape is empty by construction.
     """
 
     kind: str
@@ -30,6 +32,18 @@ class Shape:
     a: float
     b: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in _MAKERS:
+            raise ValueError(f"unknown shape kind {self.kind!r}")
+        if not all(math.isfinite(x) for x in (self.cx, self.cy, self.a, self.b)):
+            raise ValueError(f"{self} has a non-finite center or size")
+        if not self.a > 0:
+            raise ValueError(f"{self.kind} needs a > 0, got a={self.a}")
+        if self.kind == "rect" and not self.b > 0:
+            raise ValueError(f"rect needs a half-height b > 0, got b={self.b}")
+        if self.kind == "annulus" and not 0 <= self.b < self.a:
+            raise ValueError(f"annulus needs 0 <= b < a, got a={self.a}, b={self.b}")
+
     def contains(self, u, v):
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
@@ -37,15 +51,13 @@ class Shape:
             return (u - self.cx) ** 2 + (v - self.cy) ** 2 <= self.a ** 2
         if self.kind == "rect":
             return (np.abs(u - self.cx) <= self.a) & (np.abs(v - self.cy) <= self.b)
-        if self.kind == "annulus":
-            d2 = (u - self.cx) ** 2 + (v - self.cy) ** 2
-            return (d2 <= self.a ** 2) & (d2 > self.b ** 2)
-        raise ValueError(f"unknown shape kind: {self.kind!r}")
+        d2 = (u - self.cx) ** 2 + (v - self.cy) ** 2  # annulus
+        return (d2 <= self.a ** 2) & (d2 > self.b ** 2)
 
 
 def shape_mask(shape: Shape, side: int) -> np.ndarray:
     """Ground-truth boolean mask: pixel-center membership on a side x side grid."""
-    coords = np.arange(side) / max(side - 1, 1)
+    coords = grid_coords(side)
     u, v = np.meshgrid(coords, coords)  # u: columns, v: rows
     return shape.contains(u, v)
 
@@ -94,8 +106,31 @@ def default_corpus() -> list[Shape]:
     return parse_corpus_spec("disk:10,rect:10,annulus:10")
 
 
+def _part_shapes(kind: str, count: str) -> list[Shape]:
+    """The first ``count`` shapes of ``kind``'s family."""
+    if kind not in _MAKERS:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    try:
+        n = int(count)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    shapes = []
+    for i in range(n):
+        try:
+            shapes.append(_MAKERS[kind](i))
+        except ValueError as exc:
+            raise ValueError(f"shape {i}: {exc}") from None
+    return shapes
+
+
 def parse_corpus_spec(spec: str) -> list[Shape]:
-    """Build a corpus from a spec like ``"disk:10,rect:5"`` (or ``"default"``)."""
+    """Build a corpus from a spec like ``"disk:10,rect:5"`` (or ``"default"``).
+
+    Each part is a known kind and a positive count, and every shape it makes
+    must be valid; a bad part is named in the error.
+    """
     if spec == "default":
         spec = "disk:10,rect:10,annulus:10"
     shapes: list[Shape] = []
@@ -104,13 +139,10 @@ def parse_corpus_spec(spec: str) -> list[Shape]:
         if not part:
             continue
         kind, _, count = part.partition(":")
-        if kind not in _MAKERS:
-            raise ValueError(f"unknown shape kind {kind!r} in corpus spec")
         try:
-            n = int(count)
-        except ValueError:
-            raise ValueError(f"bad count in corpus spec part {part!r}") from None
-        shapes.extend(_MAKERS[kind](i) for i in range(n))
+            shapes.extend(_part_shapes(kind, count))
+        except ValueError as exc:
+            raise ValueError(f"corpus spec part {part!r}: {exc}") from None
     if not shapes:
         raise ValueError("corpus spec produced no shapes")
     return shapes

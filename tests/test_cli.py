@@ -160,6 +160,21 @@ class TestParser:
 
 
 class TestRefineCommand:
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("disk:-1,rect:2", "corpus spec part 'disk:-1': count must be a positive integer"),
+            ("rect:17", "corpus spec part 'rect:17': shape 15: rect needs a half-height b > 0"),
+            ("annulus:30", "corpus spec part 'annulus:30': shape 28: annulus needs 0 <= b < a"),
+        ],
+    )
+    def test_bad_corpus_spec_exits_2(self, tmp_path, capsys, spec, named):
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "refine", "--synthetic", spec, "--out", str(out))
+        assert code == 2
+        assert f"error: {named}" in err
+        assert not out.exists()
+
     def test_synthetic_oracle_run(self, tmp_path, capsys):
         out = tmp_path / "rendered.json"
         code, stdout, _ = run_cli(
@@ -416,6 +431,7 @@ class TestEnsembleCommand:
             (["--score-floor", "nan"], "score_floor"),
             (["--merge-masks", "--cluster-iou", "-1"], "cluster_iou"),
             (["--threads", "-3"], "invalid option: threads must be non-negative, got -3"),
+            (["--seed", "-2"], "invalid option: seed must be non-negative, got -2"),
         ],
     )
     def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, named):
@@ -711,6 +727,10 @@ class TestEvalCommand:
                 lambda d: d["images"].append({"id": 99, "width": -4, "height": 8}),
                 f"images[{N_IMAGES}].width: expected a positive integer, got -4",
             ),
+            (
+                lambda d: d["categories"].append({"id": 1, "name": "again"}),
+                "categories[1].id: category 1 already appears at categories[0]",
+            ),
         ],
     )
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, spoil, named):
@@ -783,6 +803,17 @@ class TestStatsCommand:
         run_cli(capsys, "stats", "--gt", str(path), "--sample-n", "999", "--seed", "1", "--out", str(out_a))
         run_cli(capsys, "stats", "--gt", str(path), "--sample-n", "999", "--seed", "2", "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_repeated_category_id_exits_2(self, tmp_path, capsys):
+        path = self._stats_dataset(tmp_path, [100, 200])
+        data = json.loads(path.read_text())
+        data["categories"] = [{"id": 1}, {"id": 1}]
+        path.write_text(json.dumps(data))
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(capsys, "stats", "--gt", str(path), "--out", str(out))
+        assert code == 2
+        assert "error: categories[1].id: category 1 already appears at categories[0]" in err
+        assert not out.exists()
 
     def test_seeded_sampling_reproducible(self, tmp_path, capsys):
         path = self._stats_dataset(tmp_path, list(range(10, 400, 13)))
@@ -865,6 +896,28 @@ class TestConfigPrecedence:
         )
         assert code == 2
         assert f"error: config file {cfg_path}: {key}: {fault}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["refine", "ensemble", "eval", "stats"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, from_config):
+        gt_path, model_paths = write_scenario_files(tmp_path)
+        inputs = {
+            "refine": ["--synthetic", "disk:1"],
+            "ensemble": ["--model", f"{model_paths[0][0]}:70.0"],
+            "eval": ["--gt", str(gt_path), "--results", model_paths[0][0]],
+            "stats": ["--gt", str(gt_path)],
+        }[command]
+        if from_config:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"seed": -4}))
+            inputs += ["--config", str(cfg_path)]
+        else:
+            inputs += ["--seed", "-4"]
+        out = tmp_path / "out.json"
+        code, _, err = run_cli(capsys, command, *inputs, "--out", str(out))
+        assert code == 2
+        assert "error: invalid option: seed must be non-negative, got -4" in err
         assert not out.exists()
 
     # ensemble and stats take the flag case in their bad-option lists

@@ -1,11 +1,13 @@
 import json
+import math
 import random
+import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskpost import (
@@ -279,6 +281,21 @@ class TestDatasetIo:
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="99"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "section, fault",
+        [
+            ("images", r"images\[2\]\.id: image 1 already appears at images\[0\]"),
+            ("categories", r"categories\[2\]\.id: category 1 already appears at categories\[0\]"),
+        ],
+    )
+    def test_repeated_id_rejected(self, tmp_path, section, fault):
+        data = self._dataset_dict()
+        data[section].append(dict(data[section][0]))
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=fault):
             load_dataset(path)
 
     def test_out_of_bounds_bbox_warns(self, tmp_path):
@@ -568,6 +585,114 @@ class TestFieldArchive:
         inst = FieldInstance("x", 1, 1, 0.5, ScoreField.constant(2, 2))
         with pytest.raises(ValueError):
             write_field_archive(tmp_path / "f.npz", [inst, inst])
+
+    @staticmethod
+    def _write_unchecked(path, instances):
+        """What the writer did before it applied the reader's record rules."""
+        meta = {
+            "instances": [
+                {
+                    "id": inst.instance_id,
+                    "image_id": inst.image_id,
+                    "category_id": inst.category_id,
+                    "score": inst.score,
+                    "bbox": None if inst.bbox is None else inst.bbox.to_list(),
+                }
+                for inst in instances
+            ]
+        }
+        arrays = {f"logits:{inst.instance_id}": inst.field.logits for inst in instances}
+        np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+    @pytest.mark.parametrize(
+        "spoil, named",
+        [
+            (
+                lambda insts: (setattr(insts[0], "instance_id", 1), setattr(insts[1], "instance_id", "1")),
+                'instances[1].id: ids must all be strings or all integers, got "1" after 1',
+            ),
+            (
+                lambda insts: setattr(insts[0], "instance_id", True),
+                "instances[0].id: expected a string or an integer, got true",
+            ),
+            (
+                lambda insts: setattr(insts[1], "instance_id", None),
+                "instances[1].id: expected a string or an integer, got null",
+            ),
+            (
+                lambda insts: setattr(insts[1], "instance_id", "i0"),
+                'instances[1].id: instance "i0" already appears at instances[0]',
+            ),
+            (
+                lambda insts: setattr(insts[0], "score", 1.5),
+                "instances[0].score: 1.5 outside [0, 1]",
+            ),
+            (
+                lambda insts: setattr(insts[1], "bbox", BBox(0, 0, float("nan"), 1)),
+                "instances[1].bbox: non-finite value in [0.0, 0.0, nan, 1.0]",
+            ),
+        ],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, spoil, named):
+        instances = [
+            FieldInstance(f"i{k}", k + 1, 1, 0.5, ScoreField.constant(2, 2, float(k)))
+            for k in range(2)
+        ]
+        spoil(instances)
+        path = tmp_path / "f.npz"
+        with pytest.raises(SchemaError) as written:
+            write_field_archive(path, instances)
+        assert not path.exists()
+        self._write_unchecked(path, instances)
+        with pytest.raises(SchemaError) as read:
+            load_field_archive(path)
+        assert str(written.value) == str(read.value) == f"{path}: {named}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_what_the_writer_accepts_loads_back_equal(self, data):
+        # mostly valid id lists, so that most archives are written
+        ids = data.draw(
+            st.one_of(
+                st.lists(st.integers(-3, 3), unique=True, max_size=4),
+                st.lists(st.text("a1:", max_size=2), unique=True, max_size=4),
+                st.lists(
+                    st.one_of(st.integers(-2, 2), st.text("a1", max_size=1), st.booleans(), st.none()),
+                    max_size=4,
+                ),
+            )
+        )
+        scores = st.one_of(st.floats(0, 1), st.floats(-0.5, 1.5), st.just(math.nan))
+        side = st.one_of(st.floats(0, 5), st.just(math.nan))
+        boxes = st.one_of(
+            st.none(), st.builds(BBox, st.floats(-5, 5), st.floats(-5, 5), side, st.floats(0, 5))
+        )
+        instances = [
+            FieldInstance(
+                instance_id,
+                data.draw(st.integers(-2, 2)),
+                7,
+                data.draw(scores),
+                ScoreField.constant(2, 3, k),
+                data.draw(boxes),
+            )
+            for k, instance_id in enumerate(ids)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.npz"
+            try:
+                write_field_archive(path, instances)
+            except SchemaError:
+                assert not path.exists()
+                return
+            loaded = load_field_archive(path)
+        assert len(loaded) == len(instances)
+        for orig, back in zip(instances, loaded):
+            assert type(back.instance_id) is type(orig.instance_id)
+            assert (back.instance_id, back.image_id, back.category_id, back.score, back.bbox) == (
+                orig.instance_id, orig.image_id, orig.category_id, orig.score, orig.bbox
+            )
+            assert np.array_equal(back.field.logits, orig.field.logits)
 
     def test_missing_file(self):
         with pytest.raises(SchemaError):

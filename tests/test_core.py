@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskpost import (
     BBox,
@@ -10,8 +12,10 @@ from maskpost import (
     bilinear_sample,
     binarize,
     box_iou,
+    grid_coords,
     mask_bbox,
     mask_iou,
+    resample,
     rle_decode,
     rle_encode,
     sample_points,
@@ -72,6 +76,29 @@ class TestBilinearSample:
         values = sample_points(field, pts)
         for p, v in zip(pts, values):
             assert bilinear_sample(field, p) == v
+
+
+class TestGrid:
+    def test_align_corners_coordinates(self):
+        assert grid_coords(5).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert grid_coords(2).tolist() == [0.0, 1.0]
+        assert grid_coords(1).tolist() == [0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_resample_is_sample_points_on_the_grid(self, h, w, height, width, seed):
+        """A resample is the field sampled at every ``grid_coords`` point,
+        bit for bit."""
+        field = ScoreField(np.random.default_rng(seed).normal(size=(h, w)))
+        u, v = np.meshgrid(grid_coords(width), grid_coords(height))
+        expected = sample_points(field, np.stack([u.ravel(), v.ravel()], axis=1))
+        assert np.array_equal(resample(field, height, width).logits, expected.reshape(height, width))
 
 
 class TestScoreFieldValidation:

@@ -166,6 +166,19 @@ class TestLinearReweightWeights:
         assert (np.diff(w[order]) >= 0).all()
 
 
+@pytest.mark.parametrize("weights", [linear_interpolation_weights, linear_reweight_weights])
+class TestModelScoreCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, weights, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            weights([bad, 1.0, 2.0])
+
+    @pytest.mark.parametrize("scores", [[], [[1.0, 2.0]], 3.0])
+    def test_not_a_non_empty_list_rejected(self, weights, scores):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            weights(scores)
+
+
 class TestApplyWeights:
     def test_identity_weight(self):
         model = ModelCandidate("m", 70.0, [_det(score=0.5)])

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from maskpost import (
     uncertainty,
     upsample_x2,
 )
-from maskpost.synthetic import Shape
+from maskpost.synthetic import Shape, parse_corpus_spec
 
 
 class TestUncertainty:
@@ -257,3 +260,69 @@ class TestConfigs:
     def test_subdivision_num_steps(self):
         assert SubdivisionConfig(28, 224, 7).num_steps == 5
         assert SubdivisionConfig(28, 7, 7).num_steps == 0
+
+    def test_schedule_accepts_what_the_doubling_loop_accepts(self):
+        """For start sides 1-16 and target sides -2-1100, the accepted pairs
+        and their step counts are those of the doubling loop and the log2
+        step count the schedule was first written with."""
+        for start in range(1, 17):
+            for target in range(-2, 1101):
+                side = start
+                while side < target:
+                    side *= 2
+                if side == target:
+                    cfg = SubdivisionConfig(target_side=target, start_side=start)
+                    assert cfg.num_steps == int(round(math.log2(target / start)))
+                else:
+                    with pytest.raises(ValueError, match="times a power of two"):
+                        SubdivisionConfig(target_side=target, start_side=start)
+
+    @pytest.mark.parametrize("side, target", [(7, 100), (7, 3), (4, 12)])
+    def test_plain_upsample_unreachable_target(self, side, target):
+        with pytest.raises(ValueError, match=f"target_side {target} is not start_side {side}"):
+            plain_upsample(ScoreField.constant(side, side), target)
+
+
+class TestShape:
+    @pytest.mark.parametrize(
+        "kind, cx, cy, a, b, fault",
+        [
+            ("star", 0.5, 0.5, 0.2, 0.0, "unknown shape kind 'star'"),
+            ("disk", float("nan"), 0.5, 0.2, 0.0, "non-finite"),
+            ("disk", 0.5, float("inf"), 0.2, 0.0, "non-finite"),
+            ("disk", 0.5, 0.5, 0.0, 0.0, "disk needs a > 0, got a=0.0"),
+            ("rect", 0.5, 0.5, -0.1, 0.2, "rect needs a > 0"),
+            ("rect", 0.5, 0.5, 0.2, 0.0, "rect needs a half-height b > 0, got b=0.0"),
+            ("annulus", 0.5, 0.5, 0.3, 0.3, "annulus needs 0 <= b < a, got a=0.3, b=0.3"),
+            ("annulus", 0.5, 0.5, 0.3, -0.1, "annulus needs 0 <= b < a"),
+        ],
+    )
+    def test_invalid_shape_rejected(self, kind, cx, cy, a, b, fault):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            Shape(kind, cx, cy, a, b)
+
+    def test_valid_edges_accepted(self):
+        assert Shape("annulus", 0.5, 0.5, 0.3, 0.0).contains(0.5, 0.6)
+        assert not Shape("annulus", 0.5, 0.5, 0.3, 0.2).contains(0.5, 0.6)
+        assert Shape("rect", 0.0, 1.0, 0.1, 0.1).contains(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, fault",
+        [
+            ("disk:-1,rect:2", "corpus spec part 'disk:-1': count must be a positive integer, got '-1'"),
+            ("disk:0", "corpus spec part 'disk:0': count must be a positive integer"),
+            ("disk:x", "corpus spec part 'disk:x': count must be a positive integer"),
+            ("rect:17", "corpus spec part 'rect:17': shape 15: rect needs a half-height b > 0"),
+            ("disk:1,annulus:29", "corpus spec part 'annulus:29': shape 28: annulus needs 0 <= b < a"),
+            ("hexagon:2", "corpus spec part 'hexagon:2': unknown shape kind 'hexagon'"),
+            (" , ", "corpus spec produced no shapes"),
+        ],
+    )
+    def test_bad_corpus_spec_names_the_part(self, spec, fault):
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            parse_corpus_spec(spec)
+
+    def test_largest_valid_counts(self):
+        shapes = parse_corpus_spec("disk:40,rect:15,annulus:28")
+        assert len(shapes) == 83
+        assert default_corpus() == parse_corpus_spec("default")
