@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -168,22 +169,28 @@ def _require_path(path: str | None, what: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _render_units(args, opts):
-    """The render config and one ``(instance, reference field or None)``
-    pair per instance, sorted by instance id. A synthetic shape's coarse
-    field is its reference field resampled to ``start_side``; an archive
-    instance's reference is its oracle field, or None under ``identity``."""
+    """The render config and one ``(instance id, build)`` unit per instance,
+    sorted by id; ``build()`` returns ``(instance, reference field or None)``.
+    A synthetic shape's reference is made at ``target_side`` in its build, so
+    memory follows the renders in flight, and its coarse field is that
+    reference resampled to ``start_side``. An archive instance's reference
+    is its oracle field, or None under ``identity``."""
     cfg = SubdivisionConfig(
         subdivision_k=int(opts["subdivision_k"]),
         target_side=int(opts["target_side"]),
         start_side=int(opts["start_side"]),
     )
     side = cfg.start_side
+
+    def shape_unit(name, image_id, shape):
+        ref = shape_field(shape, cfg.target_side)
+        return FieldInstance(name, image_id, 1, 1.0, resample(ref, side, side)), ref
+
     units = []
     if args.synthetic:
         for i, shape in enumerate(parse_corpus_spec(args.synthetic)):
-            ref = shape_field(shape, cfg.target_side)
-            coarse = resample(ref, side, side)
-            units.append((FieldInstance(f"shape{i:04d}", i + 1, 1, 1.0, coarse), ref))
+            name = f"shape{i:04d}"
+            units.append((name, partial(shape_unit, name, i + 1, shape)))
     else:
         coarse_path = _require_path(args.coarse, "--coarse input (or use --synthetic)")
         instances = load_field_archive(coarse_path)
@@ -201,8 +208,9 @@ def _render_units(args, opts):
                 )
             if opts["predictor"] == "oracle" and inst.instance_id not in refs:
                 raise InputError(f"oracle archive has no instance {inst.instance_id}")
-            units.append((inst, refs.get(inst.instance_id)))
-    units.sort(key=lambda unit: unit[0].instance_id)
+            pair = (inst, refs.get(inst.instance_id))
+            units.append((inst.instance_id, lambda pair=pair: pair))
+    units.sort(key=lambda unit: unit[0])
     return cfg, units
 
 
@@ -219,7 +227,7 @@ def cmd_refine(args: argparse.Namespace) -> None:
     def render(unit):
         """Render one instance; with a reference field, also its IoU
         against the reference binarized at the target side."""
-        inst, ref = unit
+        inst, ref = unit[1]()
         predictor = OracleFieldPredictor(ref) if oracle else IdentityPredictor()
         mask = binarize(subdivision_render(inst.field, predictor, cfg))
         det = Detection(

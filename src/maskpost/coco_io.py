@@ -261,6 +261,8 @@ def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tupl
         if isinstance(counts, str):
             return counts, w, h
         if isinstance(counts, (list, tuple)):
+            for k, count in enumerate(counts):
+                _as_int(count, f"{context}.counts[{k}]")
             try:
                 return RleMask(w, h, counts)
             except ValueError as exc:
@@ -555,6 +557,8 @@ def _vertex_array(polygon) -> np.ndarray:
         verts = verts.reshape(-1, 2)
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise ValueError("polygon needs at least 3 (x, y) vertices")
+    if not np.isfinite(verts).all():
+        raise ValueError("polygon coordinates must be finite")
     return verts
 
 

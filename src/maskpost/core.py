@@ -177,8 +177,9 @@ def sample_points(field: ScoreField, points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        bad = pts[((pts < 0.0) | (pts > 1.0)).any(axis=1)][0]
+    # written so that NaN, which fails every comparison, is outside too
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+        bad = pts[~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)][0]
         raise DomainError(f"point ({bad[0]}, {bad[1]}) outside the unit square")
     v = field.logits
     h, w = v.shape
@@ -225,9 +226,16 @@ class RleMask:
     def __init__(self, width: int, height: int, counts) -> None:
         if width < 1 or height < 1:
             raise ValueError("mask dimensions must be positive")
-        arr = np.asarray(counts, dtype=np.int64).copy()
+        arr = np.asarray(counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a non-empty 1-D sequence")
+        # refused, not cast: a cast would truncate floats and wrap large
+        # values, and a count over the pixel count could wrap the sum below
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers in the int64 range, got {arr.dtype} values")
+        if arr.max() > width * height:
+            raise ValueError(f"count {arr.max()} exceeds the {width * height} pixels of the mask")
+        arr = arr.astype(np.int64)
         if (arr < 0).any():
             raise ValueError("counts must be non-negative")
         if arr.size > 1 and (arr[1:] == 0).any():

@@ -55,7 +55,7 @@ class GroundTruthInstance:
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation settings. The COCO grid is fixed: ten IoU thresholds
-    0.50:0.05:0.95 (AP50 and AP75 are entries 0 and 5) and 101 recall points."""
+    0.50:0.05:0.95 (0.50 and 0.75 are entries 0 and 5) and 101 recall points."""
 
     iou_thresholds: ClassVar[tuple[float, ...]] = (
         0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95
@@ -90,27 +90,21 @@ class MetricReport:
     per_category: dict[int, float] = field(default_factory=dict)
     skipped_categories: tuple[int, ...] = ()
 
+    # (label, attribute) of the headline metrics, in report order
+    _HEADLINE: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("mAP", "map"), ("AP50", "ap50"), ("AP75", "ap75"),
+        ("APs", "ap_small"), ("APm", "ap_medium"), ("APl", "ap_large"),
+    )
+
     def to_dict(self) -> dict:
         return {
-            "mAP": self.map,
-            "AP50": self.ap50,
-            "AP75": self.ap75,
-            "APs": self.ap_small,
-            "APm": self.ap_medium,
-            "APl": self.ap_large,
+            **{label: getattr(self, attr) for label, attr in self._HEADLINE},
             "per_category": {str(k): v for k, v in sorted(self.per_category.items())},
             "skipped_categories": list(self.skipped_categories),
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"mAP    {self.map:.6f}",
-            f"AP50   {self.ap50:.6f}",
-            f"AP75   {self.ap75:.6f}",
-            f"APs    {self.ap_small:.6f}",
-            f"APm    {self.ap_medium:.6f}",
-            f"APl    {self.ap_large:.6f}",
-        ]
+        lines = [f"{label:<7}{getattr(self, attr):.6f}" for label, attr in self._HEADLINE]
         for cat in sorted(self.per_category):
             lines.append(f"AP[category {cat}]  {self.per_category[cat]:.6f}")
         if self.skipped_categories:
@@ -148,13 +142,13 @@ def match_detections(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
     return matches
 
 
-def average_precision(scores, tp_flags, n_gt: int, recall_points=EvalConfig.recall_points) -> float:
+def average_precision(scores, tp_flags, n_gt: int) -> float:
     """Interpolated AP from per-detection labels.
 
     Detections are ranked by descending score (stable on ties); interpolated
     precision at recall r is the maximum precision at any recall >= r, and
-    AP averages it over the recall points. With no ground truth the metric
-    is undefined and the -1 sentinel is returned.
+    AP averages it over ``EvalConfig.recall_points``. With no ground truth
+    the metric is undefined and the -1 sentinel is returned.
     """
     if n_gt == 0:
         return UNDEFINED
@@ -171,17 +165,10 @@ def average_precision(scores, tp_flags, n_gt: int, recall_points=EvalConfig.reca
     recall = tp / n_gt
     precision = tp / (tp + fp)
     best_ahead = np.maximum.accumulate(precision[::-1])[::-1]
-    pts = np.asarray(recall_points, dtype=np.float64)
+    pts = np.asarray(EvalConfig.recall_points, dtype=np.float64)
     idx = np.searchsorted(recall, pts, side="left")
     sampled = np.where(idx < recall.size, best_ahead[np.minimum(idx, recall.size - 1)], 0.0)
     return float(sampled.mean())
-
-
-def _detection_area(det: Detection) -> float:
-    """Bucket area of a detection: mask pixels when available, box area otherwise."""
-    if det.mask is not None:
-        return float(det.mask.area)
-    return det.bbox.area
 
 
 def evaluate(
@@ -224,58 +211,56 @@ def evaluate(
 
     score = np.array([d.score for d in dets], dtype=np.float64)
     cat_of = np.array([cat_pos.get(d.category_id, -1) for d in dets], dtype=np.int64)
-    det_code = np.array([code(_detection_area(d)) for d in dets], dtype=np.int64)
+    # a detection's bucket area: mask pixels when it has a mask, box area otherwise
+    det_code = np.array(
+        [code(d.bbox.area if d.mask is None else d.mask.area) for d in dets], dtype=np.int64
+    )
     empty = np.zeros(0, dtype=np.int64)
 
-    # input positions per (image, category): score descending, ties by position
+    # input positions per (image, category), ranked once: score descending, ties by position
     det_groups: dict[tuple[int, int], list[int]] = {}
-    for idx, det in enumerate(dets):
+    for idx in np.argsort(-score, kind="stable").tolist():
         if cat_of[idx] >= 0:
-            det_groups.setdefault((det.image_id, det.category_id), []).append(idx)
-    top = cfg.max_detections_per_image
-    ranked = {
-        key: np.array(idxs)[np.argsort(-score[idxs], kind="stable")][:top]
-        for key, idxs in sorted(det_groups.items())
-    }
+            det_groups.setdefault((dets[idx].image_id, dets[idx].category_id), []).append(idx)
     # ``iou_on`` names the compared attribute, "mask" or "bbox"
     overlap = rle_iou_matrix if cfg.iou_on == "mask" else box_iou_matrix
-    matrices = {
-        key: overlap(
+
+    # one visit per group: its IoU matrix, matched at every threshold. A
+    # matched detection is a TP in its ground truth's bucket, an unmatched
+    # one an FP in its own; row t of ``tp`` and ``bucket_of`` is threshold t
+    tp = np.zeros((len(cfg.iou_thresholds), len(dets)), dtype=bool)
+    bucket_of = np.tile(det_code, (len(cfg.iou_thresholds), 1))
+    kept_by_group = [empty]
+    for key in sorted(det_groups):
+        idx = np.array(det_groups[key][: cfg.max_detections_per_image])
+        gt_idx = gt_groups.get(key, empty)
+        ious = overlap(
             [getattr(dets[i], cfg.iou_on) for i in idx],
-            [getattr(gts[j], cfg.iou_on) for j in gt_groups.get(key, [])],
+            [getattr(gts[j], cfg.iou_on) for j in gt_idx],
         )
-        for key, idx in ranked.items()
-    }
+        for t, thr in enumerate(cfg.iou_thresholds):
+            g = match_detections(ious, thr)
+            hit = g >= 0
+            tp[t, idx[hit]] = True
+            bucket_of[t, idx[hit]] = gt_code[gt_idx][g[hit]]
+        kept_by_group.append(idx)
 
     # pooled order per category: score descending, ties by image (the key
-    # order of ``ranked``) then input position
-    kept = np.concatenate([empty, *ranked.values()])
+    # order of the groups) then input position
+    kept = np.concatenate(kept_by_group)
     order = kept[np.argsort(-score[kept], kind="stable")]
     pooled_by_cat = [order[cat_of[order] == c] for c in range(len(cats))]
 
     # AP per (category, threshold, restriction): restriction 0 is all sizes,
     # 1 + b the size bucket b
     ap = np.zeros((len(cats), len(cfg.iou_thresholds), 1 + len(buckets)))
-    for t, thr in enumerate(cfg.iou_thresholds):
-        # a matched detection is a TP in its ground truth's bucket, an
-        # unmatched one an FP in its own
-        tp = np.zeros(len(dets), dtype=bool)
-        bucket_of = det_code.copy()
-        for key, idx in ranked.items():
-            g = match_detections(matrices[key], thr)
-            hit = g >= 0
-            tp[idx[hit]] = True
-            bucket_of[idx[hit]] = gt_code[gt_groups.get(key, empty)][g[hit]]
+    for t in range(len(cfg.iou_thresholds)):
         for c, pooled in enumerate(pooled_by_cat):
-            scores, flags, codes = score[pooled], tp[pooled], bucket_of[pooled]
-            ap[c, t, 0] = average_precision(
-                scores, flags, int(n_gt[c].sum()), cfg.recall_points
-            )
+            scores, flags, codes = score[pooled], tp[t, pooled], bucket_of[t, pooled]
+            ap[c, t, 0] = average_precision(scores, flags, int(n_gt[c].sum()))
             for b in range(len(buckets)):
                 sel = codes == b
-                ap[c, t, 1 + b] = average_precision(
-                    scores[sel], flags[sel], int(n_gt[c, b]), cfg.recall_points
-                )
+                ap[c, t, 1 + b] = average_precision(scores[sel], flags[sel], int(n_gt[c, b]))
 
     def _mean(cells: np.ndarray) -> float:
         # C-order flattening keeps the summation order category-major

@@ -195,15 +195,14 @@ def _decay(ious: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     return np.where(ious > cfg.iou_threshold, 0.0, 1.0)
 
 
-def _suppress_group(group: list[tuple[Detection, int]], cfg: SoftNmsConfig) -> list[Detection]:
-    """Soft-NMS over one image (and category) worth of detections.
+def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection]:
+    """Soft-NMS over one image (and category) worth of detections, listed
+    in tie order: on equal scores argmax keeps the first.
 
     The group's box IoU matrix is built once, from the declared boxes or,
     under mask overlap, from the masks' tight boxes: then only the live
     pairs whose tight boxes overlap have their runs read.
     """
-    # tie order: source model, then input position; argmax keeps the first
-    dets = [det for det, _ in sorted(group, key=lambda g: (g[0].source_model or "", g[1]))]
     masks = [det.mask for det in dets]
     if cfg.use_mask_iou and any(mask is None for mask in masks):
         raise ValueError("use_mask_iou requires every detection to carry a mask")
@@ -236,10 +235,11 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
     descending.
     """
     cfg = cfg or SoftNmsConfig()
-    groups: dict[tuple, list[tuple[Detection, int]]] = {}
-    for idx, det in enumerate(dets):
+    # one stable sort gives every group its tie order: source model, then input position
+    groups: dict[tuple, list[Detection]] = {}
+    for det in sorted(dets, key=lambda d: d.source_model or ""):
         key = (det.image_id, det.category_id) if cfg.per_category else (det.image_id,)
-        groups.setdefault(key, []).append((det, idx))
+        groups.setdefault(key, []).append(det)
     out: list[Detection] = []
     for key in sorted(groups):
         out.extend(_suppress_group(groups[key], cfg))

@@ -19,6 +19,7 @@ from maskpost import (
     write_field_archive,
     write_results,
 )
+from maskpost import cli
 from maskpost.cli import build_parser, main
 from oracles import rle_counts_to_string
 from scenario import N_IMAGES, build_ground_truth, build_models
@@ -38,6 +39,31 @@ BAD_COUNTS = [
     ("0\u00e9", "invalid RLE character"),
     (rle_counts_to_string([0, 17]), "larger in magnitude"),
 ]
+
+
+# plain counts lists for an 8x8 mask that are not lists of integers, or that
+# no int64 array holds
+BAD_COUNTS_LISTS = [
+    ([True, 63], "counts[0]: expected an integer, got bool"),
+    ([64.5], "counts[0]: expected an integer, got float"),
+    ([1e30, 2], "counts[0]: expected an integer, got float"),
+    ([2**70, 2], "counts must be integers in the int64 range, got object values"),
+    ([2**63], "count 9223372036854775808 exceeds the 64 pixels"),
+]
+
+
+def _full_8x8_dataset(path, segmentation=None):
+    """A dataset of one 8x8 image whose one annotation covers it."""
+    segmentation = segmentation or {"size": [8, 8], "counts": [0, 64]}
+    path.write_text(
+        json.dumps(
+            {
+                "images": [{"id": 1, "width": 8, "height": 8}],
+                "annotations": [{"image_id": 1, "category_id": 1, "segmentation": segmentation}],
+                "categories": [{"id": 1}],
+            }
+        )
+    )
 
 
 def _archive_bytes(path):
@@ -191,6 +217,27 @@ class TestRefineCommand:
         assert len(dets) == 3
         assert dets[0].mask.width == 56
         assert (tmp_path / "rendered.json.config.json").exists()
+
+    def test_synthetic_reference_built_per_render(self, tmp_path, capsys, monkeypatch):
+        # each shape's target-side reference field is made when its render
+        # starts, not all of them before the first render
+        events = []
+
+        def traced(name, call):
+            def wrapper(*args):
+                events.append(name)
+                return call(*args)
+            return wrapper
+
+        for name in ("shape_field", "subdivision_render"):
+            monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+        out = tmp_path / "rendered.json"
+        code, _, _ = run_cli(
+            capsys, "refine", "--synthetic", "disk:2,rect:1", "--target-side", "56",
+            "--threads", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert events == ["shape_field", "subdivision_render"] * 3
 
     def test_identity_predictor_matches_plain_upsample(self, tmp_path, capsys):
         rng = np.random.default_rng(81)
@@ -465,6 +512,18 @@ class TestEnsembleCommand:
         assert "error: results[1].segmentation.counts: " in err and fault in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts, fault", BAD_COUNTS_LISTS)
+    def test_bad_counts_list_exits_2(self, tmp_path, capsys, counts, fault):
+        ok = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 8, 8]}
+        bad = dict(ok, segmentation={"size": [8, 8], "counts": counts})
+        model = tmp_path / "f.json"
+        model.write_text(json.dumps([ok, bad]))
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(capsys, "ensemble", "--model", f"{model}:0.5", "--out", str(out))
+        assert code == 2
+        assert "error: results[1].segmentation.counts" in err and fault in err
+        assert not out.exists()
+
     def test_mismatched_image_ids_warn(self, tmp_path, capsys):
         _, model_paths = write_scenario_files(tmp_path)
         sliced = load_results(model_paths[0][0])[:3]
@@ -668,6 +727,48 @@ class TestEvalCommand:
         )
         assert code == 2
         assert "error: annotations[2].segmentation.counts: " in err and fault in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts, fault", BAD_COUNTS_LISTS)
+    def test_bad_counts_list_exits_2(self, tmp_path, capsys, counts, fault):
+        gt_path = tmp_path / "gt.json"
+        _full_8x8_dataset(gt_path)
+        ok = {"image_id": 1, "category_id": 1, "score": 0.9, "bbox": [0, 0, 8, 8],
+              "segmentation": {"size": [8, 8], "counts": [0, 64]}}
+        bad = dict(ok, segmentation={"size": [8, 8], "counts": counts})
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps([ok, bad]))
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(out)
+        )
+        assert code == 2
+        assert "error: results[1].segmentation.counts" in err and fault in err
+        assert not out.exists()
+
+        _full_8x8_dataset(gt_path, {"size": [8, 8], "counts": counts})
+        results.write_text(json.dumps([ok]))
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(out)
+        )
+        assert code == 2
+        assert "error: annotations[0].segmentation.counts" in err and fault in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_polygon_exits_2(self, tmp_path, capsys, bad):
+        gt_path = tmp_path / "gt.json"
+        _full_8x8_dataset(gt_path, [[0, 0, bad, 0, 4, 4]])
+        assert "Infinity" in gt_path.read_text() or "NaN" in gt_path.read_text()
+        results = tmp_path / "results.json"
+        write_results(results, [Detection(1, 1, 0.9, BBox(0, 0, 4, 4))])
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results),
+            "--iou-on", "bbox", "--out", str(out),
+        )
+        assert code == 2
+        assert "error: annotations[0].segmentation: polygon coordinates must be finite" in err
         assert not out.exists()
 
     def test_result_without_mask_exits_2_under_mask_iou(self, tmp_path, capsys):

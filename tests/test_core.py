@@ -65,6 +65,12 @@ class TestBilinearSample:
             with pytest.raises(DomainError):
                 bilinear_sample(field, p)
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5)])
+    def test_non_finite_point_rejected(self, point):
+        field = ScoreField(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(DomainError, match="outside the unit square"):
+            sample_points(field, [point])
+
     def test_single_pixel_field(self):
         field = ScoreField.constant(1, 1, -3.0)
         assert bilinear_sample(field, (0.5, 0.5)) == -3.0
@@ -178,6 +184,30 @@ class TestRleCodec:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             RleMask(2, 2, [-1, 5])
+
+    @pytest.mark.parametrize(
+        "counts, fault",
+        [
+            ([64.5], "counts must be integers in the int64 range, got float64 values"),
+            ([0.0, 64.0], "got float64 values"),
+            ([1e30, 2], "got float64 values"),
+            ([2**70, 2], "got object values"),
+            ([2**63, 1], "got float64 values"),
+            ([2**63], "count 9223372036854775808 exceeds the 64 pixels"),
+            # would wrap the int64 sum round to 64
+            ([2**62, 2**62, 2**62, 2**62 + 64], "exceeds the 64 pixels"),
+        ],
+    )
+    def test_rejects_counts_a_cast_would_change(self, counts, fault):
+        with pytest.raises(ValueError, match=fault):
+            RleMask(8, 8, counts)
+
+    def test_integer_counts_of_any_width_accepted(self):
+        expected = RleMask(8, 8, [10, 54])
+        for counts in ([10, 54], (10, 54), np.array([10, 54], dtype=np.int32),
+                       np.array([10, 54], dtype=np.uint8)):
+            mask = RleMask(8, 8, counts)
+            assert mask == expected and mask.counts.dtype == np.int64
 
 
 class TestMaskIou:

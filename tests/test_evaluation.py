@@ -9,6 +9,7 @@ from maskpost import (
     Detection,
     EvalConfig,
     GroundTruthInstance,
+    MetricReport,
     average_precision,
     evaluate,
     mask_bbox,
@@ -157,7 +158,7 @@ class TestAveragePrecision:
             scores = rng.random(n).tolist()
             flags = (rng.random(n) < 0.5).tolist()
             n_gt = int(rng.integers(1, 8))
-            ours = average_precision(scores, flags, n_gt, points)
+            ours = average_precision(scores, flags, n_gt)
             ref = ap_bruteforce(scores, flags, n_gt, points)
             assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -256,6 +257,40 @@ class TestEvaluate:
         for _ in range(60):
             gts, dets, cfg = random_micro_case(rng)
             assert_matches_oracle(gts, dets, cfg)
+
+    def test_report_bytes(self):
+        report = MetricReport(
+            map=0.5, ap50=0.75, ap75=0.25, ap_small=-1.0, ap_medium=0.125, ap_large=1.0,
+            per_category={3: 0.5, 1: 0.25}, skipped_categories=(7,),
+        )
+        assert report.to_text() == (
+            "mAP    0.500000\n"
+            "AP50   0.750000\n"
+            "AP75   0.250000\n"
+            "APs    -1.000000\n"
+            "APm    0.125000\n"
+            "APl    1.000000\n"
+            "AP[category 1]  0.250000\n"
+            "AP[category 3]  0.500000\n"
+            "categories without ground truth (excluded): 7\n"
+        )
+        assert report.to_json() == (
+            '{\n'
+            '  "AP50": 0.75,\n'
+            '  "AP75": 0.25,\n'
+            '  "APl": 1.0,\n'
+            '  "APm": 0.125,\n'
+            '  "APs": -1.0,\n'
+            '  "mAP": 0.5,\n'
+            '  "per_category": {\n'
+            '    "1": 0.25,\n'
+            '    "3": 0.5\n'
+            '  },\n'
+            '  "skipped_categories": [\n'
+            '    7\n'
+            '  ]\n'
+            '}\n'
+        )
 
     def test_report_serialization(self):
         report = evaluate([_gt()], [_det()])
