@@ -61,7 +61,10 @@ def _require(record: dict, key: str, context: str):
 def _as_number(value, context: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{context}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SchemaError(f"{context}: integer too large for a float") from None
 
 
 def _as_int(value, context: str) -> int:
@@ -550,6 +553,16 @@ def rle_string_decode(s: str, width: int, height: int) -> RleMask:
 # ---------------------------------------------------------------------------
 
 def _vertex_array(polygon) -> np.ndarray:
+    """Float vertices of a flat coordinate list or of ``(x, y)`` pairs. Each
+    coordinate of a list is a number by :func:`_as_number`'s rule: booleans
+    and strings are refused, not cast."""
+    if isinstance(polygon, (list, tuple)):
+        polygon = [
+            [_as_number(c, f"polygon vertex {k}") for c in v]
+            if isinstance(v, (list, tuple))
+            else _as_number(v, f"polygon coordinate {k}")
+            for k, v in enumerate(polygon)
+        ]
     verts = np.asarray(polygon, dtype=np.float64)
     if verts.ndim == 1:
         if verts.size % 2:
@@ -570,10 +583,12 @@ def rasterize_polygon(polygon, width: int, height: int) -> np.ndarray:
     crossing resolve deterministically. Vertices may be a flat COCO-style
     coordinate list or ``(x, y)`` pairs.
     """
-    verts = _vertex_array(polygon)
+    # Python floats: the same IEEE arithmetic as numpy scalars, but an
+    # overflow gives inf or NaN without a warning, and is refused below
+    verts = _vertex_array(polygon).tolist()
     mask = np.zeros((height, width), dtype=bool)
     crossings: list[list[float]] = [[] for _ in range(height)]
-    n = verts.shape[0]
+    n = len(verts)
     for k in range(n):
         x1, y1 = verts[k]
         x2, y2 = verts[(k + 1) % n]
@@ -584,7 +599,12 @@ def rasterize_polygon(polygon, width: int, height: int) -> np.ndarray:
         r1 = min(height - 1, math.ceil(yhi - 0.5) - 1)
         for row in range(r0, r1 + 1):
             yc = row + 0.5
-            crossings[row].append(x1 + (yc - y1) * (x2 - x1) / (y2 - y1))
+            x = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
+            if not math.isfinite(x):
+                raise ValueError(
+                    f"polygon edge {k} crosses pixel row {row} at {x}: coordinates too large"
+                )
+            crossings[row].append(x)
     for row, xs in enumerate(crossings):
         if not xs:
             continue

@@ -118,6 +118,18 @@ class ScoreField:
         arr = np.array(logits, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("logits must be a non-empty 2-D array")
+        self._own(arr)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> ScoreField:
+        """Take ownership of a non-empty 2-D float64 array that no one else
+        holds, without copying it; it is still checked for finiteness and
+        becomes read-only."""
+        self = object.__new__(cls)
+        self._own(arr)
+        return self
+
+    def _own(self, arr: np.ndarray) -> None:
         if not np.isfinite(arr).all():
             raise ValueError("logits must be finite")
         arr.setflags(write=False)
@@ -203,9 +215,19 @@ def resample(field: ScoreField, height: int, width: int) -> ScoreField:
     h, w = v.shape
     x0, x1, fx = _taps(grid_coords(width), w)
     y0, y1, fy = _taps(grid_coords(height), h)
-    cols = v[:, x0] * (1.0 - fx) + v[:, x1] * fx  # (h, width)
-    out = cols[y0, :] * (1.0 - fy)[:, None] + cols[y1, :] * fy[:, None]
-    return ScoreField(out)
+    # cols = v[:, x0] * (1 - fx) + v[:, x1] * fx, then the same along rows,
+    # built in place so a step holds two output-sized arrays, not six
+    cols = np.take(v, x0, axis=1)  # (h, width)
+    cols *= 1.0 - fx
+    tap = np.take(v, x1, axis=1)
+    tap *= fx
+    cols += tap
+    out = np.take(cols, y0, axis=0)  # (height, width)
+    out *= (1.0 - fy)[:, None]
+    tap = np.take(cols, y1, axis=0)
+    tap *= fy[:, None]
+    out += tap
+    return ScoreField._wrap(out)
 
 
 def binarize(field: ScoreField, threshold: float = 0.0) -> np.ndarray:

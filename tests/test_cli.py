@@ -771,6 +771,52 @@ class TestEvalCommand:
         assert "error: annotations[0].segmentation: polygon coordinates must be finite" in err
         assert not out.exists()
 
+    @staticmethod
+    def _eval_micro_with_polygon(tmp_path, capsys, edit):
+        """``eval`` on the micro fixture after ``edit`` changes the flat
+        coordinate list of annotation 1's polygon."""
+        data = Path(__file__).parent / "data"
+        gt = json.loads((data / "eval_micro_gt.json").read_text())
+        edit(gt["annotations"][1]["segmentation"][0])
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(json.dumps(gt))
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path),
+            "--results", str(data / "eval_micro_results.json"), "--out", str(out),
+        )
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize(
+        "vertex, fault",
+        [
+            ({}, "expected a number, got dict"),
+            ("5", "expected a number, got str"),
+            (True, "expected a number, got bool"),
+            (10**400, "integer too large for a float"),
+        ],
+        ids=["dict", "str", "bool", "10**400"],
+    )
+    def test_polygon_coordinate_that_is_not_a_number_exits_2(self, tmp_path, capsys, vertex, fault):
+        def edit(coords):
+            coords[0] = vertex
+
+        code, err = self._eval_micro_with_polygon(tmp_path, capsys, edit)
+        assert code == 2
+        assert f"error: annotations[1].segmentation: polygon coordinate 0: {fault}" in err
+
+    @pytest.mark.parametrize("huge", [{0: 1e308}, {0: -1e308}, {1: 1e308, 3: -1e308}])
+    def test_polygon_crossing_beyond_float_range_exits_2(self, tmp_path, capsys, huge):
+        def edit(coords):
+            for k, value in huge.items():
+                coords[k] = value
+
+        code, err = self._eval_micro_with_polygon(tmp_path, capsys, edit)
+        assert code == 2
+        assert "error: annotations[1].segmentation: polygon edge " in err
+        assert err.rstrip().endswith(": coordinates too large")
+
     def test_result_without_mask_exits_2_under_mask_iou(self, tmp_path, capsys):
         gt_path, _ = write_scenario_files(tmp_path)
         g = build_ground_truth()[0]

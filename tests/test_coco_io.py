@@ -216,6 +216,32 @@ class TestRasterizePolygon:
             height = max(y for _, y in verts) - min(y for _, y in verts)
             assert abs(int(mask.sum()) - analytic) <= max(width, height)
 
+    @pytest.mark.parametrize("bad", [{}, "5", True, None, 10**400], ids=["dict", "str", "bool", "null", "10**400"])
+    def test_coordinate_that_is_not_a_number_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^polygon coordinate 2: "):
+            rasterize_polygon([0, 0, bad, 0, 2, 2], 4, 4)
+        with pytest.raises(ValueError, match=r"^polygon vertex 1: "):
+            rasterize_polygon([(0, 0), (bad, 0), (2, 2)], 4, 4)
+
+    def test_numeric_array_accepted(self):
+        pairs = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        assert np.array_equal(rasterize_polygon(np.array(pairs), 4, 4), rasterize_polygon(pairs, 4, 4))
+
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            [(-1e308, 0), (1e308, 4), (0, 4)],   # the crossing overflows to inf
+            [(0, 1e308), (4, -1e308), (4, 0)],   # inf / inf: a NaN crossing
+        ],
+    )
+    def test_crossing_beyond_float_range_rejected(self, verts):
+        with pytest.raises(ValueError, match=r"^polygon edge 0 crosses pixel row \d+ at .*: coordinates too large$"):
+            rasterize_polygon(verts, 4, 4)
+
+    def test_huge_finite_crossings_clip_to_the_image(self):
+        verts = [(-1e300, 0), (1e300, 0), (1e300, 4), (-1e300, 4)]
+        assert rasterize_polygon(verts, 4, 4).all()
+
     def test_even_odd_hole(self):
         outer = [(0, 0), (8, 0), (8, 8), (0, 8)]
         inner = [(2, 2), (6, 2), (6, 6), (2, 6)]
@@ -306,7 +332,9 @@ class TestDatasetIo:
         with pytest.warns(UserWarning):
             load_dataset(path)
 
-    @pytest.mark.parametrize("bbox", [[1, 1, float("nan"), 3], [1, 1, 3, -1]])
+    @pytest.mark.parametrize(
+        "bbox", [[1, 1, float("nan"), 3], [1, 1, 3, -1], pytest.param([1, 1, 10**400, 3], id="10**400")]
+    )
     def test_malformed_bbox_rejected(self, tmp_path, bbox):
         data = self._dataset_dict()
         data["annotations"][1]["bbox"] = bbox

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from maskpost import (
     sample_points,
     size_bucket,
 )
+from maskpost import core
 
 
 class TestBilinearSample:
@@ -105,6 +108,31 @@ class TestGrid:
         u, v = np.meshgrid(grid_coords(width), grid_coords(height))
         expected = sample_points(field, np.stack([u.ravel(), v.ravel()], axis=1))
         assert np.array_equal(resample(field, height, width).logits, expected.reshape(height, width))
+
+
+class TestResampleOutput:
+    @pytest.mark.parametrize("height, width", [(2, 3), (4, 6), (1, 1), (5, 2)])
+    def test_read_only_and_not_aliased(self, height, width):
+        field = ScoreField(np.arange(6.0).reshape(2, 3))
+        out = resample(field, height, width).logits
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, field.logits)
+
+    def test_non_finite_result_rejected_as_by_the_constructor(self):
+        # bilinear weights lie in [0, 1], so no finite field resamples to
+        # inf here; weights stretched past 1 make resample overflow
+        taps = core._taps
+
+        def stretched_taps(coords, n):
+            i0, i1, frac = taps(coords, n)
+            return i0, i1, 4.0 * frac
+
+        with pytest.raises(ValueError) as public:
+            ScoreField([[np.inf]])
+        with patch.object(core, "_taps", stretched_taps), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as internal:
+                resample(ScoreField([[1e308, 1e308]]), 1, 3)
+        assert str(internal.value) == str(public.value) == "logits must be finite"
 
 
 class TestScoreFieldValidation:

@@ -1,8 +1,12 @@
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maskpost import (
     IdentityPredictor,
@@ -26,7 +30,19 @@ from maskpost import (
     uncertainty,
     upsample_x2,
 )
+from maskpost import refine
 from maskpost.synthetic import Shape, parse_corpus_spec
+
+
+def _full_sort_ranking(logits, n):
+    """The ranking as a full stable sort of ``|logits|``: the reference the
+    partial selection in ``refine._most_uncertain`` must equal element for
+    element."""
+    return np.argsort(np.abs(logits), kind="stable")[:n]
+
+
+# few magnitudes, each with both signs, and both zeros: ties are heavy
+TIED_LOGITS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5])
 
 
 class TestUncertainty:
@@ -59,6 +75,46 @@ class TestSelectMostUncertain:
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
             select_most_uncertain(ScoreField.constant(2, 2), 5)
+
+
+class TestMostUncertainRanking:
+    @settings(max_examples=300)
+    @given(st.lists(TIED_LOGITS | st.floats(-3.0, 3.0), max_size=48))
+    def test_equals_full_stable_sort(self, values):
+        logits = np.array(values, dtype=np.float64)
+        for n in range(logits.size + 1):
+            got, want = refine._most_uncertain(logits, n), _full_sort_ranking(logits, n)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+
+def _square_fields(max_side, elements):
+    return st.integers(1, max_side).flatmap(lambda side: arrays(np.float64, (side, side), elements=elements))
+
+
+class TestRenderRankingEquivalence:
+    @settings(max_examples=20)
+    @given(
+        coarse=_square_fields(7, TIED_LOGITS | st.floats(-4.0, 4.0)),
+        reference=_square_fields(24, TIED_LOGITS | st.floats(-4.0, 4.0)),
+        steps=st.integers(1, 6),
+        k=st.integers(1, 40),
+        oracle=st.booleans(),
+    )
+    @example(coarse=np.full((7, 7), 0.5), reference=np.zeros((3, 3)), steps=6, k=28, oracle=True)
+    @example(coarse=np.eye(7), reference=np.eye(24) - 0.5, steps=6, k=28, oracle=True)
+    @example(coarse=np.eye(7) - 0.5, reference=np.zeros((2, 2)), steps=6, k=40, oracle=False)
+    def test_render_equals_full_sort_render(self, coarse, reference, steps, k, oracle):
+        """Renders up to 448 px are bit-identical with the partial selection
+        and with the full stable sort."""
+        field = ScoreField(coarse)
+        predictor = OracleFieldPredictor(ScoreField(reference)) if oracle else IdentityPredictor()
+        side = field.height
+        cfg = SubdivisionConfig(subdivision_k=k, target_side=side << steps, start_side=side)
+        got = subdivision_render(field, predictor, cfg).logits
+        with patch.object(refine, "_most_uncertain", _full_sort_ranking):
+            want = subdivision_render(field, predictor, cfg).logits
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSubdivisionStep:
