@@ -552,17 +552,28 @@ def rle_string_decode(s: str, width: int, height: int) -> RleMask:
 # Polygon rasterization
 # ---------------------------------------------------------------------------
 
+_POLYGON_RULE = "a polygon is a flat list of numbers or a list of (x, y) pairs"
+
+
 def _vertex_array(polygon) -> np.ndarray:
-    """Float vertices of a flat coordinate list or of ``(x, y)`` pairs. Each
-    coordinate of a list is a number by :func:`_as_number`'s rule: booleans
-    and strings are refused, not cast."""
+    """Float vertices of a polygon: a numeric array, or a list that is
+    either all numbers (an even count) or all ``(x, y)`` pairs of numbers,
+    as its first entry says. Each coordinate of a list is a number by
+    :func:`_as_number`'s rule: booleans and strings are refused, not cast.
+    Anything else is refused naming its position and the rule."""
     if isinstance(polygon, (list, tuple)):
-        polygon = [
-            [_as_number(c, f"polygon vertex {k}") for c in v]
-            if isinstance(v, (list, tuple))
-            else _as_number(v, f"polygon coordinate {k}")
-            for k, v in enumerate(polygon)
-        ]
+        pairs = bool(polygon) and isinstance(polygon[0], (list, tuple))
+        coords = []
+        for k, v in enumerate(polygon):
+            where = f"polygon {'vertex' if pairs else 'coordinate'} {k}"
+            listed = isinstance(v, (list, tuple))
+            if listed != pairs or listed and len(v) != 2:
+                got = f"a list of length {len(v)}" if listed else type(v).__name__
+                raise ValueError(f"{where}: got {got}, but {_POLYGON_RULE}")
+            coords += [_as_number(c, where) for c in (v if pairs else [v])]
+        polygon = coords
+    elif not isinstance(polygon, np.ndarray):
+        raise ValueError(f"polygon: got {type(polygon).__name__}, but {_POLYGON_RULE}")
     verts = np.asarray(polygon, dtype=np.float64)
     if verts.ndim == 1:
         if verts.size % 2:
@@ -576,44 +587,40 @@ def _vertex_array(polygon) -> np.ndarray:
 
 
 def rasterize_polygon(polygon, width: int, height: int) -> np.ndarray:
-    """Scanline-fill one polygon with the even-odd rule.
+    """Fill one polygon with the even-odd rule.
 
-    A pixel belongs to the polygon when its center ``(col + 0.5, row + 0.5)``
-    is inside; spans are half-open on the right so centers exactly on a
-    crossing resolve deterministically. Vertices may be a flat COCO-style
-    coordinate list or ``(x, y)`` pairs.
+    A pixel belongs to the polygon when an odd number of its row's edge
+    crossings lie at or left of its center ``(col + 0.5, row + 0.5)``. An
+    edge crosses the rows whose center ``y`` lies in ``[ylo, yhi)``, and a
+    crossing at ``x`` counts for the columns from ``ceil(x - 0.5)`` on, so
+    centers exactly on an edge or a vertex resolve deterministically.
+    Vertices may be a flat COCO-style coordinate list, ``(x, y)`` pairs or
+    a numeric array.
     """
-    # Python floats: the same IEEE arithmetic as numpy scalars, but an
-    # overflow gives inf or NaN without a warning, and is refused below
-    verts = _vertex_array(polygon).tolist()
+    verts = _vertex_array(polygon)
+    x1, y1 = verts.T
+    x2, y2 = np.roll(verts, -1, axis=0).T
+    # rows [r0, r1) of each edge, clipped to the image; empty for a horizontal edge
+    r0 = np.clip(np.ceil(np.minimum(y1, y2) - 0.5), 0, height).astype(np.intp)
+    r1 = np.clip(np.ceil(np.maximum(y1, y2) - 0.5), 0, height).astype(np.intp)
+    spans = r1 - r0
+    edge = np.repeat(np.arange(len(verts)), spans)  # one entry per crossing, edge-major
+    row = np.arange(edge.size) - np.repeat(np.cumsum(spans) - spans - r0, spans)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        x = x1[edge] + (row + 0.5 - y1[edge]) * (x2[edge] - x1[edge]) / (y2[edge] - y1[edge])
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"polygon edge {edge[k]} crosses pixel row {row[k]} at {float(x[k])}: "
+            "coordinates too large"
+        )
+    # a mark at column ceil(x - 0.5), at least 0; column `width` takes those past the image
+    lo, hi = r0.min(), r1.max()
+    marks = np.zeros((hi - lo, width + 1), dtype=bool)
+    np.logical_xor.at(marks, (row - lo, np.clip(np.ceil(x - 0.5), 0, width).astype(np.intp)), True)
     mask = np.zeros((height, width), dtype=bool)
-    crossings: list[list[float]] = [[] for _ in range(height)]
-    n = len(verts)
-    for k in range(n):
-        x1, y1 = verts[k]
-        x2, y2 = verts[(k + 1) % n]
-        if y1 == y2:
-            continue  # horizontal edges never cross a scanline transversally
-        ylo, yhi = (y1, y2) if y1 < y2 else (y2, y1)
-        r0 = max(0, math.ceil(ylo - 0.5))
-        r1 = min(height - 1, math.ceil(yhi - 0.5) - 1)
-        for row in range(r0, r1 + 1):
-            yc = row + 0.5
-            x = x1 + (yc - y1) * (x2 - x1) / (y2 - y1)
-            if not math.isfinite(x):
-                raise ValueError(
-                    f"polygon edge {k} crosses pixel row {row} at {x}: coordinates too large"
-                )
-            crossings[row].append(x)
-    for row, xs in enumerate(crossings):
-        if not xs:
-            continue
-        xs.sort()
-        for a, b in zip(xs[::2], xs[1::2]):
-            j0 = max(0, math.ceil(a - 0.5))
-            j1 = min(width - 1, math.ceil(b - 0.5) - 1)
-            if j1 >= j0:
-                mask[row, j0 : j1 + 1] = True
+    np.logical_xor.accumulate(marks[:, :width], axis=1, out=mask[lo:hi])
     return mask
 
 

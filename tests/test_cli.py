@@ -52,6 +52,10 @@ BAD_COUNTS_LISTS = [
 ]
 
 
+# the flat polygon of annotation 1 in tests/data/eval_micro_gt.json
+MICRO_SQUARE = [60.0, 60.0, 110.0, 60.0, 110.0, 110.0, 60.0, 110.0]
+
+
 def _full_8x8_dataset(path, segmentation=None):
     """A dataset of one 8x8 image whose one annotation covers it."""
     segmentation = segmentation or {"size": [8, 8], "counts": [0, 64]}
@@ -773,11 +777,11 @@ class TestEvalCommand:
 
     @staticmethod
     def _eval_micro_with_polygon(tmp_path, capsys, edit):
-        """``eval`` on the micro fixture after ``edit`` changes the flat
-        coordinate list of annotation 1's polygon."""
+        """``eval`` on the micro fixture after ``edit`` changes annotation
+        1's segmentation, a list holding one flat coordinate list."""
         data = Path(__file__).parent / "data"
         gt = json.loads((data / "eval_micro_gt.json").read_text())
-        edit(gt["annotations"][1]["segmentation"][0])
+        edit(gt["annotations"][1]["segmentation"])
         gt_path = tmp_path / "gt.json"
         gt_path.write_text(json.dumps(gt))
         out = tmp_path / "r.json"
@@ -799,8 +803,8 @@ class TestEvalCommand:
         ids=["dict", "str", "bool", "10**400"],
     )
     def test_polygon_coordinate_that_is_not_a_number_exits_2(self, tmp_path, capsys, vertex, fault):
-        def edit(coords):
-            coords[0] = vertex
+        def edit(segmentation):
+            segmentation[0][0] = vertex
 
         code, err = self._eval_micro_with_polygon(tmp_path, capsys, edit)
         assert code == 2
@@ -808,14 +812,39 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("huge", [{0: 1e308}, {0: -1e308}, {1: 1e308, 3: -1e308}])
     def test_polygon_crossing_beyond_float_range_exits_2(self, tmp_path, capsys, huge):
-        def edit(coords):
+        def edit(segmentation):
             for k, value in huge.items():
-                coords[k] = value
+                segmentation[0][k] = value
 
         code, err = self._eval_micro_with_polygon(tmp_path, capsys, edit)
         assert code == 2
         assert "error: annotations[1].segmentation: polygon edge " in err
         assert err.rstrip().endswith(": coordinates too large")
+
+    @pytest.mark.parametrize(
+        "segmentation, fault",
+        [
+            ([{}], "polygon: got dict"),
+            ([MICRO_SQUARE, {}], "polygon: got dict"),
+            (["x"], "polygon: got str"),
+            ([None], "polygon: got NoneType"),
+            ([[[60.0, 60.0], *MICRO_SQUARE[2:]]], "polygon vertex 1: got float"),
+            ([[60.0, [60.0, 60.0], *MICRO_SQUARE[2:]]], "polygon coordinate 1: got a list of length 2"),
+            ([[[1, 2], [3], [4, 5]]], "polygon vertex 1: got a list of length 1"),
+        ],
+        ids=["dict", "polygon-then-dict", "str", "null", "pair-first", "pair-inside", "ragged-pairs"],
+    )
+    def test_polygon_of_neither_shape_exits_2(self, tmp_path, capsys, segmentation, fault):
+        def edit(original):
+            assert original == [MICRO_SQUARE]
+            original[:] = segmentation
+
+        code, err = self._eval_micro_with_polygon(tmp_path, capsys, edit)
+        assert code == 2
+        assert err == (
+            f"error: annotations[1].segmentation: {fault}, "
+            "but a polygon is a flat list of numbers or a list of (x, y) pairs\n"
+        )
 
     def test_result_without_mask_exits_2_under_mask_iou(self, tmp_path, capsys):
         gt_path, _ = write_scenario_files(tmp_path)

@@ -175,6 +175,59 @@ class TestBatchedRleStrings:
                 rle_strings_decode(strings, [(4, 4)] * 51)
 
 
+def scanline_reference(verts, width, height):
+    """Even-odd fill by the per-row scanline that ``rasterize_polygon`` used
+    before it marked crossings in an array: each row's crossings are listed,
+    sorted and filled between pairs. ``verts`` are float ``(x, y)`` pairs
+    whose crossings are all finite."""
+    mask = np.zeros((height, width), dtype=bool)
+    crossings = [[] for _ in range(height)]
+    n = len(verts)
+    for k in range(n):
+        x1, y1 = verts[k]
+        x2, y2 = verts[(k + 1) % n]
+        if y1 == y2:
+            continue
+        ylo, yhi = (y1, y2) if y1 < y2 else (y2, y1)
+        r0 = max(0, math.ceil(ylo - 0.5))
+        r1 = min(height - 1, math.ceil(yhi - 0.5) - 1)
+        for row in range(r0, r1 + 1):
+            yc = row + 0.5
+            crossings[row].append(x1 + (yc - y1) * (x2 - x1) / (y2 - y1))
+    for row, xs in enumerate(crossings):
+        xs.sort()
+        for a, b in zip(xs[::2], xs[1::2]):
+            j0 = max(0, math.ceil(a - 0.5))
+            j1 = min(width - 1, math.ceil(b - 0.5) - 1)
+            if j1 >= j0:
+                mask[row, j0 : j1 + 1] = True
+    return mask
+
+
+@st.composite
+def polygons(draw):
+    """``(vertices, width, height)``: 3-9 vertices on integers and half
+    integers (centers fall on edges and vertices), on arbitrary floats, or
+    up to 1e6 away, often outside the image; each vertex may repeat its
+    predecessor's x or y, which makes vertical and horizontal edges."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    coordinate = st.one_of(
+        st.integers(-4, 44).map(float),
+        st.integers(-8, 88).map(lambda v: v / 2),
+        st.floats(-10, 50),
+        st.floats(-1e6, 1e6),
+    )
+    verts = []
+    for _ in range(draw(st.integers(3, 9))):
+        x, y = draw(coordinate), draw(coordinate)
+        if verts:
+            repeat = draw(st.sampled_from(["", "x", "y"]))
+            x = verts[-1][0] if repeat == "x" else x
+            y = verts[-1][1] if repeat == "y" else y
+        verts.append((x, y))
+    return verts, width, height
+
+
 class TestRasterizePolygon:
     def test_axis_aligned_square(self):
         # square over [0,2]x[0,2] covers exactly pixels (0..1, 0..1)
@@ -241,6 +294,15 @@ class TestRasterizePolygon:
     def test_huge_finite_crossings_clip_to_the_image(self):
         verts = [(-1e300, 0), (1e300, 0), (1e300, 4), (-1e300, 4)]
         assert rasterize_polygon(verts, 4, 4).all()
+
+    @settings(max_examples=300)
+    @given(polygons(), st.booleans())
+    def test_equals_scanline_reference(self, polygon, flat):
+        verts, width, height = polygon
+        given_as = [c for v in verts for c in v] if flat else [list(v) for v in verts]
+        mask = rasterize_polygon(given_as, width, height)
+        assert mask.dtype == bool and mask.shape == (height, width)
+        assert np.array_equal(mask, scanline_reference(verts, width, height))
 
     def test_even_odd_hole(self):
         outer = [(0, 0), (8, 0), (8, 8), (0, 8)]
