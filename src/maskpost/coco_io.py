@@ -88,14 +88,19 @@ def _as_side(value, context: str) -> int:
 
 
 def _as_box(value, context: str) -> list[float]:
-    """``[x, y, w, h]``: four finite numbers with non-negative sides."""
+    """``[x, y, w, h]``: four finite numbers with non-negative sides. Both
+    corners and the area lie within half the float range, so that box IoU,
+    which subtracts corners of two boxes and adds their areas, stays finite."""
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise SchemaError(f"{context}: expected [x, y, w, h]")
     box = [_as_number(v, f"{context}[{j}]") for j, v in enumerate(value)]
     if not all(math.isfinite(v) for v in box):
         raise SchemaError(f"{context}: non-finite value in {box}")
-    if box[2] < 0 or box[3] < 0:
+    x, y, w, h = box
+    if w < 0 or h < 0:
         raise SchemaError(f"{context}: negative side in {box}")
+    if not all(math.isfinite(2 * v) for v in (x, y, x + w, y + h, w * h)):
+        raise SchemaError(f"{context}: coordinates too large in {box}")
     return box
 
 

@@ -2,8 +2,8 @@
 evaluation stages.
 
 Binary masks are plain boolean numpy arrays of shape ``(height, width)``.
-Run-length encoded masks use the COCO column-major layout; their area,
-tight box, IoU and vote merge are computed from the runs, without decoding.
+Run-length encoded masks use the COCO column-major layout; their area, tight
+box, IoU and vote merge read a run table each mask builds once, without decoding.
 Score fields hold mask logits (logit 0 corresponds to foreground probability
 0.5) and support continuous bilinear sampling over the closed unit square.
 """
@@ -243,7 +243,7 @@ class RleMask:
     zero, and the counts must sum to ``width * height``.
     """
 
-    __slots__ = ("width", "height", "counts")
+    __slots__ = ("width", "height", "counts", "_table")
 
     def __init__(self, width: int, height: int, counts) -> None:
         if width < 1 or height < 1:
@@ -286,7 +286,7 @@ class RleMask:
     @property
     def area(self) -> int:
         """Foreground pixel count."""
-        return int(self.counts[1::2].sum())
+        return int(_run_table(self)[1][-1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RleMask):
@@ -326,20 +326,21 @@ def rle_decode(rle: RleMask) -> np.ndarray:
     return flat.reshape((rle.height, rle.width), order="F")
 
 
-def _run_bounds(rle: RleMask) -> np.ndarray:
-    """Run ``k`` covers column-major pixels ``[bounds[k], bounds[k + 1])``;
-    odd ``k`` are foreground."""
-    return np.concatenate(([0], np.cumsum(rle.counts)))
-
-
-def _coverage(rle: RleMask, points: np.ndarray) -> np.ndarray:
-    """Foreground pixels of ``rle`` before each column-major position in ``points``."""
-    bounds = _run_bounds(rle)
-    fg_counts = rle.counts.copy()
-    fg_counts[::2] = 0
-    fg_before = np.concatenate(([0], np.cumsum(fg_counts)))
-    k = np.searchsorted(bounds, points, side="right") - 1
-    return fg_before[k] + (points - bounds[k]) * (k % 2)
+def _run_table(rle: RleMask) -> tuple[np.ndarray, np.ndarray]:
+    """``(bounds, fg_before)`` of ``rle``, built on first use from its
+    immutable counts and kept: run ``k`` covers column-major pixels
+    ``[bounds[k], bounds[k + 1])``, odd ``k`` are foreground, and
+    ``fg_before[k]`` is the number of foreground pixels before ``bounds[k]``.
+    Threads that race on a cold mask build equal tables; either is kept."""
+    table = getattr(rle, "_table", None)
+    if table is None:
+        fg_counts = rle.counts.copy()
+        fg_counts[::2] = 0
+        table = tuple(np.concatenate(([0], np.cumsum(c))) for c in (rle.counts, fg_counts))
+        for arr in table:
+            arr.setflags(write=False)
+        object.__setattr__(rle, "_table", table)
+    return table
 
 
 def _check_same_size(a: RleMask, b: RleMask) -> None:
@@ -356,7 +357,7 @@ def rle_bbox(rle: RleMask) -> BBox:
     covers the bottom of one column and the top of the next, so it reaches
     both the first and the last row.
     """
-    bounds = _run_bounds(rle)
+    bounds = _run_table(rle)[0]
     starts, lasts = bounds[1:-1:2], bounds[2::2] - 1
     if starts.size == 0:
         return BBox(0.0, 0.0, 0.0, 0.0)
@@ -369,32 +370,30 @@ def rle_bbox(rle: RleMask) -> BBox:
 
 
 def rle_iou(a: RleMask, b: RleMask) -> float:
-    """Intersection over union of two equally sized run-length masks.
-
-    Equal, bit for bit, to ``mask_iou`` of the decoded masks: the
-    intersection is the count of ``b``'s foreground pixels inside each
-    foreground run of ``a``, read off ``b``'s cumulative run coverage.
-    """
-    _check_same_size(a, b)
-    inside = np.diff(_coverage(b, _run_bounds(a)))
-    inter = int(inside[1::2].sum())
-    union = a.area + b.area - inter
-    if union == 0:
-        return 0.0
-    return inter / union
+    """Intersection over union of two equally sized run-length masks, read
+    without the box prefilter of :func:`rle_iou_matrix`."""
+    return float(rle_iou_matrix([a], [b], np.ones((1, 1), bool))[0, 0])
 
 
 def rle_iou_matrix(a, b, near=None) -> np.ndarray:
     """IoU of every mask in ``a`` (rows) with every mask in ``b`` (columns).
 
-    Only the pairs set in the boolean ``near`` matrix are read, by
-    :func:`rle_iou`; the rest are 0. ``near`` defaults to tight-box IoU > 0:
-    masks whose tight boxes share no pixel cannot intersect."""
+    Only the pairs set in the boolean ``near`` matrix are read; the rest are
+    0. ``near`` defaults to tight-box IoU > 0: masks whose tight boxes share
+    no pixel cannot intersect. A pair's intersection is the count of ``b``'s
+    foreground pixels inside each foreground run of ``a``, read off the run
+    tables, so it equals ``mask_iou`` of the decoded masks bit for bit."""
     if near is None:
         near = box_iou_matrix([rle_bbox(m) for m in a], [rle_bbox(m) for m in b]) > 0
     ious = np.zeros((len(a), len(b)))
     for i, j in zip(*np.nonzero(near)):
-        ious[i, j] = rle_iou(a[i], b[j])
+        _check_same_size(a[i], b[j])
+        (a_bounds, a_fg), (b_bounds, b_fg) = _run_table(a[i]), _run_table(b[j])
+        k = np.searchsorted(b_bounds, a_bounds, side="right") - 1
+        inside = np.diff(b_fg[k] + (a_bounds - b_bounds[k]) * (k % 2))
+        inter = int(inside[1::2].sum())
+        union = int(a_fg[-1]) + int(b_fg[-1]) - inter
+        ious[i, j] = inter / union if union else 0.0
     return ious
 
 
@@ -414,12 +413,12 @@ def rle_merge(masks, weights) -> RleMask:
         raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
     for rle in masks[1:]:
         _check_same_size(masks[0], rle)
-    bounds = np.unique(np.concatenate([_run_bounds(rle) for rle in masks]))
+    bounds = np.unique(np.concatenate([_run_table(rle)[0] for rle in masks]))
     seg_starts = bounds[:-1]
     votes = np.zeros(seg_starts.size)
     total = 0.0
     for rle, weight in zip(masks, weights):
-        covered = (np.searchsorted(_run_bounds(rle), seg_starts, side="right") - 1) % 2
+        covered = (np.searchsorted(_run_table(rle)[0], seg_starts, side="right") - 1) % 2
         votes = votes + weight * covered
         total += weight
     fg = votes > 0.5 * total

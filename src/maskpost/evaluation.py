@@ -187,8 +187,6 @@ def evaluate(
     order.
     """
     cfg = cfg or EvalConfig()
-    if len({id(d) for d in dets}) != len(dets):
-        raise ValueError("duplicate detection objects in input")
     if cfg.iou_on == "mask" and any(det.mask is None for det in dets):
         raise ValueError("mask IoU requested but a detection has no mask")
 

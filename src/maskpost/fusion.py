@@ -211,16 +211,20 @@ def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection
     scores = np.array([det.score for det in dets], dtype=np.float64)
     live = np.arange(len(dets))
     kept: list[Detection] = []
-    while live.size:
-        best = live[np.argmax(scores[live])]
-        live = live[live != best]
-        det, score = dets[best], float(scores[best])
-        kept.append(det if det.score == score else replace(det, score=score))
-        row = ious[best, live]
-        if cfg.use_mask_iou:
-            row = rle_iou_matrix([masks[best]], [masks[j] for j in live], row[None] > 0)[0]
-        scores[live] *= _decay(row, cfg)
-        live = live[scores[live] >= cfg.score_floor]
+    # a subnormal gaussian sigma overflows iou**2 / sigma to inf, and
+    # exp(-inf) = 0 is the intended decay; entered once per group, as entering
+    # it per decay costs more than the decay itself
+    with np.errstate(over="ignore"):
+        while live.size:
+            best = live[np.argmax(scores[live])]
+            live = live[live != best]
+            det, score = dets[best], float(scores[best])
+            kept.append(det if det.score == score else replace(det, score=score))
+            row = ious[best, live]
+            if cfg.use_mask_iou:
+                row = rle_iou_matrix([masks[best]], [masks[j] for j in live], row[None] > 0)[0]
+            scores[live] *= _decay(row, cfg)
+            live = live[scores[live] >= cfg.score_floor]
     return kept
 
 

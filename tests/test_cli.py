@@ -55,6 +55,25 @@ BAD_COUNTS_LISTS = [
 # the flat polygon of annotation 1 in tests/data/eval_micro_gt.json
 MICRO_SQUARE = [60.0, 60.0, 110.0, 60.0, 110.0, 110.0, 60.0, 110.0]
 
+# boxes with a corner or an area beyond half the float range, where box IoU
+# (differences of corners, a sum of two areas) overflows
+HUGE_BOXES = [
+    [5.0, 5.0, 1e308, 1e308],
+    [1e308, 5.0, 1e308, 40.0],
+    [5.0, 1e308, 40.0, 1e308],
+    [5.0, 5.0, 1e154, 1e154],
+]
+
+
+def _micro_with_box(tmp_path, name, records, bbox):
+    """A copy of the micro fixture ``name`` with the ``bbox`` of the first
+    of its ``records`` (a key, or None for a top-level list) replaced."""
+    doc = json.loads((Path(__file__).parent / "data" / name).read_text())
+    (doc if records is None else doc[records])[0]["bbox"] = bbox
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
 
 def _full_8x8_dataset(path, segmentation=None):
     """A dataset of one 8x8 image whose one annotation covers it."""
@@ -504,6 +523,15 @@ class TestEnsembleCommand:
         assert "--model" in err and spec in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bbox", HUGE_BOXES)
+    def test_box_too_large_exits_2(self, tmp_path, capsys, bbox):
+        results = _micro_with_box(tmp_path, "eval_micro_results.json", None, bbox)
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(capsys, "ensemble", "--model", f"{results}:0.5", "--out", str(out))
+        assert code == 2
+        assert f"error: results[0].bbox: coordinates too large in {bbox}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("counts, fault", BAD_COUNTS)
     def test_bad_counts_string_exits_2(self, tmp_path, capsys, counts, fault):
         ok = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 2, 2]}
@@ -651,6 +679,19 @@ class TestEvalCommand:
             assert report[key] == pytest.approx(expected[key], abs=1e-10)
         for cat, value in expected["per_category"].items():
             assert report["per_category"][cat] == pytest.approx(value, abs=1e-10)
+
+    @pytest.mark.parametrize("bbox", HUGE_BOXES)
+    def test_box_too_large_exits_2(self, tmp_path, capsys, bbox):
+        data = Path(__file__).parent / "data"
+        results = _micro_with_box(tmp_path, "eval_micro_results.json", None, bbox)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(data / "eval_micro_gt.json"), "--results", str(results),
+            "--iou-on", "bbox", "--out", str(out),
+        )
+        assert code == 2
+        assert f"error: results[0].bbox: coordinates too large in {bbox}" in err
+        assert not out.exists()
 
     def test_missing_results_exits_2(self, tmp_path, capsys):
         gt_path, _ = write_scenario_files(tmp_path)
@@ -989,6 +1030,15 @@ class TestStatsCommand:
         code, _, err = run_cli(capsys, "stats", "--gt", str(path), "--out", str(out))
         assert code == 2
         assert "error: categories[1].id: category 1 already appears at categories[0]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bbox", HUGE_BOXES)
+    def test_box_too_large_exits_2(self, tmp_path, capsys, bbox):
+        gt = _micro_with_box(tmp_path, "eval_micro_gt.json", "annotations", bbox)
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(capsys, "stats", "--gt", str(gt), "--out", str(out))
+        assert code == 2
+        assert f"error: annotations[0].bbox: coordinates too large in {bbox}" in err
         assert not out.exists()
 
     def test_seeded_sampling_reproducible(self, tmp_path, capsys):

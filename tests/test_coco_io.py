@@ -1,13 +1,15 @@
+import contextlib
 import json
 import math
 import random
 import tempfile
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskpost import (
@@ -18,6 +20,7 @@ from maskpost import (
     ScoreField,
     SchemaError,
     annotation_mask,
+    box_iou_matrix,
     dataset_ground_truth,
     load_dataset,
     load_field_archive,
@@ -38,6 +41,9 @@ from maskpost import (
 )
 from maskpost import coco_io
 from oracles import rle_counts_to_string, rle_string_to_counts, shoelace_area
+
+# box coordinates about half and all of the float range, and their negations
+HUGE = [1e154, -1e154, 8.9e307, -8.9e307, 1e308, -1e308, 1.7e308, -1.7e308]
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "rle_golden.json").read_text())
 
@@ -504,6 +510,9 @@ class TestResultsIo:
             ([0, 0, float("nan"), 1], "non-finite"),
             ([0, float("inf"), 1, 1], "non-finite"),
             ([0, 0, -1, 1], "negative side"),
+            ([1e308, 0, 1e308, 1], "coordinates too large"),
+            ([0, 0, 1e154, 1e154], "coordinates too large"),
+            ([-1e308, 0, 1, 1], "coordinates too large"),
         ],
     )
     def test_malformed_bbox_rejected(self, tmp_path, bbox, fault):
@@ -512,6 +521,29 @@ class TestResultsIo:
         path.write_text(json.dumps([ok, dict(ok, bbox=bbox)]))
         with pytest.raises(SchemaError, match=rf"results\[1\]\.bbox: {fault}"):
             load_results(path)
+
+    # ordinary values and values near half and all of the float range
+    @given(
+        st.lists(
+            st.tuples(
+                *[st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(HUGE))] * 2,
+                *[st.one_of(st.floats(0, None, allow_infinity=False), st.sampled_from(HUGE[::2]))] * 2,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example([(1e308, 0.0, 1.0, 1.0), (-1e308, 0.0, 1.0, 1.0)])  # corners 2e308 apart
+    @example([(0.0, 0.0, 1e154, 1e154)])  # two areas of 1e308
+    def test_accepted_boxes_have_finite_iou(self, raw):
+        boxes = []
+        for value in raw:
+            with contextlib.suppress(SchemaError):
+                boxes.append(BBox(*coco_io._as_box(list(value), "bbox")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ious = box_iou_matrix(boxes, boxes)
+        assert np.isfinite(ious).all()
 
     @pytest.mark.parametrize(
         "segmentation, fault",
@@ -720,6 +752,10 @@ class TestFieldArchive:
             (
                 lambda insts: setattr(insts[1], "bbox", BBox(0, 0, float("nan"), 1)),
                 "instances[1].bbox: non-finite value in [0.0, 0.0, nan, 1.0]",
+            ),
+            (
+                lambda insts: setattr(insts[1], "bbox", BBox(0, 1e308, 1, 1e308)),
+                "instances[1].bbox: coordinates too large in [0.0, 1e+308, 1.0, 1e+308]",
             ),
         ],
     )

@@ -242,10 +242,16 @@ class TestEvaluate:
         assert report.ap_small == -1.0
         assert report.ap_medium == -1.0
 
-    def test_duplicate_objects_rejected(self):
-        det = _det()
-        with pytest.raises(ValueError):
-            evaluate([_gt()], [det, det])
+    @pytest.mark.parametrize("iou_on", ["mask", "bbox"])
+    def test_repeated_object_scores_as_an_equal_copy(self, iou_on):
+        # detections are told apart by position: one object listed twice is
+        # two detections, and the second is a false positive
+        gts = [_gt(image_id=1), _gt(image_id=2)]
+        dets = [_det(image_id=1, score=0.9), _det(image_id=2, score=0.8)]
+        cfg = EvalConfig(iou_on=iou_on)
+        twice = evaluate(gts, dets + [dets[0]], cfg)
+        assert twice == evaluate(gts, dets + [replace(dets[0])], cfg)
+        assert twice.map < evaluate(gts, dets, cfg).map
 
     def test_area_mismatch_rejected(self):
         bits = _mask(slice(0, 2), slice(0, 2))

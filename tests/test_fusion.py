@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,24 @@ class TestSoftNms:
         dets = [_det(score=score, box=box, source=source) for score, source, box in specs]
         cfg = SoftNmsConfig(method="hard", iou_threshold=threshold)
         assert soft_nms(dets, cfg) == classic_nms(dets, threshold)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.1, 0.4, 0.7, 1.0]),
+                st.tuples(*[st.integers(0, 6)] * 2, *[st.integers(1, 6)] * 2),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_subnormal_sigma_is_hard_suppression(self, specs):
+        # iou**2 / 1e-320 overflows to inf for every overlap, and exp(-inf) = 0
+        dets = [_det(score=score, box=box) for score, box in specs]
+        hard = soft_nms(dets, SoftNmsConfig(method="hard", iou_threshold=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert soft_nms(dets, SoftNmsConfig(method="gaussian", sigma=1e-320)) == hard
 
     @settings(max_examples=400)
     @given(nms_cases())

@@ -7,8 +7,9 @@ an ``internal error``, means a check is missing.
 
 The inputs are copies of ``tests/data/eval_micro_*`` (a dataset and a
 results file), a coarse and an oracle field archive for ``refine``, and a
-``--config`` file holding every option's default. A path visits the first
-two elements of every list, as the fixtures' records are alike.
+``--config`` file holding every option's default. A path visits every
+element of a list of at most four scalars (a box, a size) and the first two
+elements of any other list, as the fixtures' records are alike.
 """
 import contextlib
 import copy
@@ -58,12 +59,13 @@ FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scope
 
 
 def _paths(node, path=()):
-    """Every path below the root of a JSON document; a list contributes
-    its first two elements."""
+    """Every path below the root of a JSON document; a list of at most four
+    scalars contributes every element, any other list its first two."""
     if isinstance(node, dict):
         children = node.items()
     elif isinstance(node, list):
-        children = enumerate(node[:2])
+        scalars = len(node) <= 4 and not any(isinstance(v, (list, dict)) for v in node)
+        children = enumerate(node if scalars else node[:2])
     else:
         return
     for key, child in children:
@@ -143,6 +145,8 @@ def test_mutated_dataset(tmp_path, path, value):
 
 @settings(FUZZ, max_examples=80)
 @given(path=st.sampled_from(list(_paths(RESULTS))), value=MUTATION)
+# a box width that overflows box IoU
+@example(path=(0, "bbox", 2), value=1e308)
 def test_mutated_results(tmp_path, path, value):
     results = _write(tmp_path / "results.json", _mutated(RESULTS, path, value))
     _run(tmp_path, ["eval", "ensemble"], results=results)

@@ -1,4 +1,6 @@
 """Properties of the run-length mask algebra against dense and set references."""
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -145,6 +147,70 @@ def test_rle_iou_matrix_equals_pairwise(sets):
     assert ious.shape == (len(a), len(b))
     for i, j in np.ndindex(ious.shape):
         assert ious[i, j] == rle_iou(a[i], b[j])
+
+
+# each operation names the masks it reads; the first to read a mask builds
+# its run table, and later ones read the kept table
+RUN_OPERATIONS = ["area", "bbox", "iou", "iou_matrix", "merge"]
+
+
+@given(
+    weighted_masks(),
+    st.lists(
+        st.tuples(st.sampled_from(RUN_OPERATIONS), st.integers(0, 4), st.integers(0, 4)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_run_operations_equal_dense_in_any_order(case, operations):
+    masks, weights = case
+    dense = [rle_decode(m) for m in masks]
+    for name, i, j in operations:
+        i, j = i % len(masks), j % len(masks)
+        if name == "area":
+            assert masks[i].area == np.count_nonzero(dense[i])
+        elif name == "bbox":
+            assert rle_bbox(masks[i]) == mask_bbox(dense[i])
+        elif name == "iou":
+            assert rle_iou(masks[i], masks[j]) == mask_iou(dense[i], dense[j])
+        elif name == "iou_matrix":
+            ious = rle_iou_matrix(masks, masks)
+            for p, q in np.ndindex(ious.shape):
+                assert ious[p, q] == mask_iou(dense[p], dense[q])
+        else:
+            assert rle_merge(masks, weights) == dense_vote(masks, weights)
+
+
+def test_run_table_leaves_the_mask_as_it_was():
+    cold, warm = RleMask(3, 4, [2, 3, 7]), RleMask(3, 4, [2, 3, 7])
+    assert warm.area == 3 and rle_iou(warm, warm) == 1.0
+    assert warm == cold and cold == warm
+    assert repr(warm) == repr(cold)
+    assert not warm.counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        warm.counts[0] = 1
+    assert warm.counts.tolist() == [2, 3, 7]
+
+
+def test_threads_share_cold_masks():
+    rng = np.random.default_rng(3)
+    bits = [rng.random((16, 12)) < rng.uniform(0.1, 0.9) for _ in range(12)]
+    serial = rle_iou_matrix([rle_encode(b) for b in bits], [rle_encode(b) for b in bits])
+    shared = [rle_encode(b) for b in bits]  # no table built yet
+    start = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def run(k):
+        start.wait()
+        results[k] = rle_iou_matrix(shared, shared)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for ious in results:
+        assert np.array_equal(ious, serial)
 
 
 def test_rle_iou_matrix_reads_only_near_pairs():
