@@ -110,7 +110,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge built-in defaults, --config file values and explicit flags. A
     config key of another subcommand is skipped, so one file can serve all
     of them; a key no subcommand has is an error, and so is a negative
-    ``seed`` or ``threads``, which every subcommand takes."""
+    ``seed``, ``threads`` or ``sample_n``."""
     resolved = {key: default for key, (default, _) in _OPTIONS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -136,8 +136,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
-    for key in ("seed", "threads"):
-        if resolved[key] < 0:
+    for key in ("seed", "threads", "sample_n"):
+        if resolved.get(key, 0) < 0:
             raise InputError(f"invalid option: {key} must be non-negative, got {resolved[key]}")
     return resolved
 
@@ -381,8 +381,6 @@ def cmd_stats(args: argparse.Namespace) -> None:
     gt_path = _require_path(args.gt, "--gt dataset file")
     ds = load_dataset(gt_path)
     sample_n = int(opts["sample_n"])
-    if sample_n < 0:
-        raise InputError(f"invalid option: sample_n must be non-negative, got {sample_n}")
     image_ids = [img.id for img in ds.images]
     if 0 < sample_n < len(image_ids):
         rng = np.random.default_rng(int(opts["seed"]))

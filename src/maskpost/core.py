@@ -413,7 +413,8 @@ def rle_merge(masks, weights) -> RleMask:
         raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
     for rle in masks[1:]:
         _check_same_size(masks[0], rle)
-    bounds = np.unique(np.concatenate([_run_table(rle)[0] for rle in masks]))
+    bounds = np.sort(np.concatenate([_run_table(rle)[0] for rle in masks]))
+    bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     seg_starts = bounds[:-1]
     votes = np.zeros(seg_starts.size)
     total = 0.0

@@ -33,23 +33,17 @@ UNDEFINED = -1.0  # sentinel for metrics with no ground truth to measure against
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
-    """An annotated instance. ``area`` is the mask's foreground pixel count
-    and is derived from the mask when not supplied."""
+    """An annotated instance."""
 
     image_id: int
     category_id: int
     mask: RleMask
     bbox: BBox
-    area: int | None = None
 
-    def __post_init__(self) -> None:
-        pixels = self.mask.area
-        if self.area is None:
-            object.__setattr__(self, "area", pixels)
-        elif self.area != pixels:
-            raise ValueError(
-                f"area {self.area} does not match mask foreground count {pixels}"
-            )
+    @property
+    def area(self) -> int:
+        """The mask's foreground pixel count."""
+        return self.mask.area
 
 
 @dataclass(frozen=True)

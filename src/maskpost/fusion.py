@@ -63,7 +63,7 @@ class SoftNmsConfig:
     """Soft-NMS behavior.
 
     ``method`` is one of ``gaussian`` (decay ``exp(-iou**2 / sigma)``),
-    ``linear`` (decay ``1 - iou`` past ``iou_threshold``) or ``hard``
+    ``linear`` (decay ``max(1 - iou, 0)`` past ``iou_threshold``) or ``hard``
     (classic suppression past ``iou_threshold``). Detections whose decayed
     score drops below ``score_floor`` are discarded. Overlap is measured on
     boxes unless ``use_mask_iou`` is set.
@@ -124,7 +124,7 @@ def _model_scores(scores) -> np.ndarray:
 
 
 def linear_interpolation_weights(
-    scores, theta_min: float = 0.6, theta_max: float = 1.0
+    scores, theta_min: float = EnsembleConfig.theta_min, theta_max: float = EnsembleConfig.theta_max
 ) -> np.ndarray:
     """Per-model weights, affine in the validation scores.
 
@@ -141,7 +141,7 @@ def linear_interpolation_weights(
 
 
 def linear_reweight_weights(
-    scores, theta_min: float = 0.6, theta_max: float = 1.0
+    scores, theta_min: float = EnsembleConfig.theta_min, theta_max: float = EnsembleConfig.theta_max
 ) -> np.ndarray:
     """Rank-based weights, evenly spaced over ``[theta_min, theta_max]``.
 
@@ -152,13 +152,9 @@ def linear_reweight_weights(
     n = s.size
     if n == 1:
         return np.array([theta_max])
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.arange(n, dtype=np.float64)
-    for value in np.unique(s):
-        tied = s == value
-        if np.count_nonzero(tied) > 1:
-            ranks[tied] = ranks[tied].mean()
+    ordered = np.sort(s)
+    # a value's mean sorted position: the midpoint of its first and last, a half-integer
+    ranks = (np.searchsorted(ordered, s) + np.searchsorted(ordered, s, side="right") - 1) / 2
     return theta_min + (theta_max - theta_min) * ranks / (n - 1)
 
 
@@ -191,7 +187,8 @@ def _decay(ious: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     if cfg.method == "gaussian":
         return np.exp(-(ious * ious) / cfg.sigma)
     if cfg.method == "linear":
-        return np.where(ious > cfg.iou_threshold, 1.0 - ious, 1.0)
+        # an IoU that rounds above 1 must not turn a score negative
+        return np.where(ious > cfg.iou_threshold, np.maximum(1.0 - ious, 0.0), 1.0)
     return np.where(ious > cfg.iou_threshold, 0.0, 1.0)
 
 

@@ -103,7 +103,7 @@ _MAKERS = {"disk": _disk, "rect": _rect, "annulus": _annulus}
 
 def default_corpus() -> list[Shape]:
     """The standard 30-shape benchmark: 10 disks, 10 rectangles, 10 annuli."""
-    return parse_corpus_spec("disk:10,rect:10,annulus:10")
+    return parse_corpus_spec("default")
 
 
 def _part_shapes(kind: str, count: str) -> list[Shape]:

@@ -532,6 +532,19 @@ class TestEnsembleCommand:
         assert f"error: results[0].bbox: coordinates too large in {bbox}" in err
         assert not out.exists()
 
+    def test_linear_decay_of_a_rounded_iou_exits_0(self, tmp_path, capsys):
+        # y + h rounds at this height, so the box's IoU with itself reads 1.5
+        rec = {"image_id": 1, "category_id": 1, "bbox": [0, 9007199254740994, 1, 5]}
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps([dict(rec, score=0.9), dict(rec, score=0.8)]))
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(
+            capsys, "ensemble", "--model", f"{model}:1", "--nms-method", "linear",
+            "--iou-threshold", "0.3", "--score-floor=-1e9", "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        assert [r["score"] for r in json.loads(out.read_text())] == [0.9, 0.0]
+
     @pytest.mark.parametrize("counts, fault", BAD_COUNTS)
     def test_bad_counts_string_exits_2(self, tmp_path, capsys, counts, fault):
         ok = {"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [0, 0, 2, 2]}
@@ -1068,6 +1081,13 @@ class TestStatsCommand:
         code, _, err = run_cli(capsys, "stats", "--gt", str(path), *flags, "--out", str(out))
         assert code == 2
         assert named in err
+        assert not out.exists()
+
+    def test_negative_sample_n_named_before_the_dataset_is_read(self, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(capsys, "stats", "--sample-n", "-5", "--out", str(out))
+        assert code == 2
+        assert err == "error: invalid option: sample_n must be non-negative, got -5\n"
         assert not out.exists()
 
 

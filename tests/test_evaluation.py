@@ -253,10 +253,15 @@ class TestEvaluate:
         assert twice == evaluate(gts, dets + [replace(dets[0])], cfg)
         assert twice.map < evaluate(gts, dets, cfg).map
 
-    def test_area_mismatch_rejected(self):
-        bits = _mask(slice(0, 2), slice(0, 2))
-        with pytest.raises(ValueError):
-            GroundTruthInstance(1, 1, rle_encode(bits), mask_bbox(bits), area=99)
+    def test_area_is_the_mask_pixel_count(self):
+        bits = _mask(slice(0, 2), slice(0, 3))
+        gt = GroundTruthInstance(1, 1, rle_encode(bits), mask_bbox(bits))
+        assert [f.name for f in fields(gt)] == ["image_id", "category_id", "mask", "bbox"]
+        assert gt.area == gt.mask.area == 6
+        with pytest.raises(TypeError):
+            GroundTruthInstance(1, 1, rle_encode(bits), mask_bbox(bits), area=6)
+        with pytest.raises(AttributeError):
+            gt.area = 6
 
     def test_oracle_agreement_random_sample(self):
         rng = np.random.default_rng(2024)

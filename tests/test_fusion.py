@@ -38,7 +38,7 @@ def reference_soft_nms(dets, cfg):
         if cfg.method == "gaussian":
             return float(np.exp(-(iou * iou) / cfg.sigma))
         if cfg.method == "linear":
-            return 1.0 - iou if iou > cfg.iou_threshold else 1.0
+            return max(1.0 - iou, 0.0) if iou > cfg.iou_threshold else 1.0
         return 0.0 if iou > cfg.iou_threshold else 1.0
 
     def overlap(a, b):
@@ -65,6 +65,22 @@ def reference_soft_nms(dets, cfg):
             live = [rec for rec in live if rec[0] >= cfg.score_floor]
     out.sort(key=lambda d: (-d.score, d.image_id, d.category_id, d.source_model or ""))
     return out
+
+
+def reference_reweight(scores, theta_min, theta_max):
+    """Rank weights as a stable argsort and a loop giving each run of tied
+    scores the mean of its positions."""
+    s = np.asarray(scores, dtype=np.float64)
+    n = s.size
+    if n == 1:
+        return np.array([theta_max])
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[np.argsort(s, kind="stable")] = np.arange(n, dtype=np.float64)
+    for value in np.unique(s):
+        tied = s == value
+        if np.count_nonzero(tied) > 1:
+            ranks[tied] = ranks[tied].mean()
+    return theta_min + (theta_max - theta_min) * ranks / (n - 1)
 
 
 @st.composite
@@ -165,6 +181,20 @@ class TestLinearReweightWeights:
         w = linear_reweight_weights(s)
         order = np.argsort(s)
         assert (np.diff(w[order]) >= 0).all()
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, 1.0, 77.3]),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([(0.6, 1.0), (0.0, 1.0), (0.25, 0.25), (-3.0, 7.5), (1e-300, 0.1)]),
+    )
+    def test_equals_the_argsort_tie_loop(self, scores, thetas):
+        assert linear_reweight_weights(scores, *thetas).tobytes() == reference_reweight(
+            scores, *thetas
+        ).tobytes()
 
 
 @pytest.mark.parametrize("weights", [linear_interpolation_weights, linear_reweight_weights])
@@ -321,6 +351,13 @@ class TestSoftNms:
         out = soft_nms(dets, SoftNmsConfig(method="linear", iou_threshold=0.3))
         assert len(out) == 2
         assert out[1].score == pytest.approx(0.8 * (1 - 1 / 3), abs=1e-12)
+
+    def test_linear_decay_stops_at_zero(self):
+        # y + h rounds at this height, so the box's IoU with itself reads 1.5
+        box = (0, 9007199254740994, 1, 5)
+        dets = [_det(score=0.9, box=box), _det(score=0.8, box=box)]
+        cfg = SoftNmsConfig(method="linear", iou_threshold=0.3, score_floor=-1e9)
+        assert [d.score for d in soft_nms(dets, cfg)] == [0.9, 0.0]
 
     def test_linear_mode_below_threshold_untouched(self):
         dets = [_det(score=0.9, box=(0, 0, 10, 10)), _det(score=0.8, box=(8, 0, 10, 10))]

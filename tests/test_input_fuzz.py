@@ -3,13 +3,17 @@
 Each example sets one JSON value of an input to an awkward value, or
 deletes it, and runs the subcommands that read that input in-process. Bad
 input must exit 2 with an ``error:`` line and good input exit 0. Exit 1,
-an ``internal error``, means a check is missing.
+an ``internal error``, means a check is missing. A value that breaks a rule
+README's "File formats" states for its field must exit 2: exit 0 there
+means the input passed silently.
 
 The inputs are copies of ``tests/data/eval_micro_*`` (a dataset and a
 results file), a coarse and an oracle field archive for ``refine``, and a
-``--config`` file holding every option's default. A path visits every
-element of a list of at most four scalars (a box, a size) and the first two
-elements of any other list, as the fixtures' records are alike.
+``--config`` file holding every option's default. The dataset's annotations
+carry an explicit ``"iscrowd": 0`` and one result's counts are a plain list,
+so that mutations reach both fields. A path visits every element of a list
+of at most four scalars (a box, a size) and the first two elements of any
+other list, as the fixtures' records are alike.
 """
 import contextlib
 import copy
@@ -26,12 +30,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maskpost.cli import _OPTIONS, main
+from maskpost.coco_io import rle_string_decode
 
 DATA = Path(__file__).parent / "data"
 GT_PATH = DATA / "eval_micro_gt.json"
 RESULTS_PATH = DATA / "eval_micro_results.json"
 GT = json.loads(GT_PATH.read_text())
+for _ann in GT["annotations"]:
+    _ann["iscrowd"] = 0
 RESULTS = json.loads(RESULTS_PATH.read_text())
+_seg = RESULTS[1]["segmentation"]
+_seg["counts"] = rle_string_decode(_seg["counts"], *_seg["size"][::-1]).counts.tolist()
 CONFIG = {key: default for options in _OPTIONS.values() for key, (default, _) in options.items()}
 # the manifest of both field archives; refine renders 7 -> 224 by default
 MANIFEST = {
@@ -73,6 +82,31 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _breaks_stated_rule(path, value) -> bool:
+    """Whether setting ``path`` to ``value`` breaks a rule README states for
+    that field: a box element must be a finite number and a side
+    non-negative, a polygon coordinate a finite number, an image side an
+    integer of at least 1, ``iscrowd`` 0, a plain counts entry an integer,
+    and an archive score a number in [0, 1]."""
+    if value == DELETE:
+        return False
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    finite = number and math.isfinite(value)
+    if path[-2:-1] == ("bbox",):
+        return not finite or (path[-1] >= 2 and value < 0)
+    if path[-2:-1] == ("counts",):
+        return isinstance(value, (bool, float))
+    if len(path) == 5 and path[2] == "segmentation" and isinstance(path[3], int):
+        return isinstance(value, (bool, str)) or (number and not finite)
+    if path[-1] in ("width", "height"):
+        return not (number and isinstance(value, int) and value >= 1)
+    if path[-1] == "iscrowd":
+        return value != 0
+    if path[0] == "instances" and path[-1] == "score":
+        return number and not 0 <= value <= 1
+    return False
+
+
 def _mutated(doc, path, value):
     doc = copy.deepcopy(doc)
     parent = reduce(getitem, path[:-1], doc)
@@ -95,8 +129,9 @@ def _write_archive(path: Path, manifest, archive: str) -> Path:
     return path
 
 
-def _check(*argv) -> None:
-    """Run maskpost; it must exit 0, or 2 with an ``error:`` line."""
+def _check(*argv, refused=False) -> None:
+    """Run maskpost; it must exit 0, or 2 with an ``error:`` line, and 2 if
+    ``refused``."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -104,17 +139,24 @@ def _check(*argv) -> None:
             warnings.simplefilter("ignore", UserWarning)
             code = main([str(a) for a in argv])
     err = err.getvalue()
-    assert "internal error" not in err and code in (0, 2), (argv, code, err)
+    assert "internal error" not in err and code in ((2,) if refused else (0, 2)), (argv, code, err)
     assert (code == 2) == ("error: " in err), (argv, code, err)
 
 
 def _run(
-    tmp_path: Path, commands, *extra, gt=GT_PATH, results=RESULTS_PATH, coarse=None, oracle=None
+    tmp_path: Path,
+    commands,
+    *extra,
+    gt=GT_PATH,
+    results=RESULTS_PATH,
+    coarse=None,
+    oracle=None,
+    refused=False,
 ):
     """Run each of ``commands``: ``stats`` on ``gt``, ``eval`` with mask and
     box IoU on ``gt`` and ``results``, ``ensemble`` with box and with mask
     soft-NMS on ``results`` next to the unchanged fixture, and ``refine`` on
-    the two archives."""
+    the two archives. Each must exit 2 if ``refused``."""
     models = ("--model", f"{results}:0.6", "--model", f"{RESULTS_PATH}:0.4")
     argvs = {
         "stats": [("--gt", gt)],
@@ -124,7 +166,7 @@ def _run(
     }
     for command in commands:
         for argv in argvs[command]:
-            _check(command, *argv, "--out", tmp_path / "out.json", *extra)
+            _check(command, *argv, "--out", tmp_path / "out.json", *extra, refused=refused)
 
 
 def _archives(tmp_path: Path) -> dict:
@@ -140,7 +182,10 @@ def _archives(tmp_path: Path) -> dict:
 @example(path=("annotations", 1, "segmentation"), value=[{}])
 def test_mutated_dataset(tmp_path, path, value):
     gt = _write(tmp_path / "gt.json", _mutated(GT, path, value))
-    _run(tmp_path, ["stats", "eval"], gt=gt)
+    refused = _breaks_stated_rule(path, value)
+    # stats reads no segmentation
+    _run(tmp_path, ["stats"], gt=gt, refused=refused and "segmentation" not in path)
+    _run(tmp_path, ["eval"], gt=gt, refused=refused)
 
 
 @settings(FUZZ, max_examples=80)
@@ -149,7 +194,7 @@ def test_mutated_dataset(tmp_path, path, value):
 @example(path=(0, "bbox", 2), value=1e308)
 def test_mutated_results(tmp_path, path, value):
     results = _write(tmp_path / "results.json", _mutated(RESULTS, path, value))
-    _run(tmp_path, ["eval", "ensemble"], results=results)
+    _run(tmp_path, ["eval", "ensemble"], results=results, refused=_breaks_stated_rule(path, value))
 
 
 @settings(FUZZ, max_examples=60)
@@ -161,7 +206,7 @@ def test_mutated_results(tmp_path, path, value):
 def test_mutated_field_archive(tmp_path, archive, path, value):
     files = _archives(tmp_path)
     _write_archive(files[archive], _mutated(MANIFEST, path, value), archive)
-    _run(tmp_path, ["refine"], **files)
+    _run(tmp_path, ["refine"], **files, refused=_breaks_stated_rule(path, value))
 
 
 @settings(FUZZ, max_examples=40)
