@@ -271,22 +271,24 @@ def _parse_model_arg(spec: str) -> tuple[str, float]:
         raise InputError(f"--model {spec!r}: score {score!r} is not a number")
 
 
-def _check_masks(models: list[ModelCandidate], flag: str) -> None:
-    """Mask soft-NMS and the vote merge need a mask on every record and one
-    mask size per image across all model files."""
-    first: dict[int, tuple[int, int, str]] = {}
-    for model in models:
-        for i, det in enumerate(model.detections):
-            where = f"{model.model_id}: results[{i}]"
-            if det.mask is None:
-                raise InputError(f"{where} has no segmentation, which {flag} needs")
-            w, h = det.mask.width, det.mask.height
-            w0, h0, where0 = first.setdefault(det.image_id, (w, h, where))
-            if (w, h) != (w0, h0):
-                raise InputError(
-                    f"{where}.segmentation: mask is {w}x{h} but {where0} gives "
-                    f"image {det.image_id} a {w0}x{h0} mask"
-                )
+def _check_masks(dets: list[Detection], where: str, sizes: dict, flag: str | None) -> None:
+    """A mask on every record when ``flag`` needs one, and one mask size per
+    image. ``sizes`` maps an image id to ``(width, height, source)``; an
+    image it lacks takes its size from the first mask seen. Records are
+    named ``{where}results[i]``."""
+    for i, det in enumerate(dets):
+        at = f"{where}results[{i}]"
+        if det.mask is None:
+            if flag:
+                raise InputError(f"{at} has no segmentation, which {flag} needs")
+            continue
+        w, h = det.mask.width, det.mask.height
+        w0, h0, source = sizes.setdefault(det.image_id, (w, h, at))
+        if (w, h) != (w0, h0):
+            raise InputError(
+                f"{at}.segmentation: mask is {w}x{h} but {source} gives "
+                f"image {det.image_id} a {w0}x{h0} mask"
+            )
 
 
 def cmd_ensemble(args: argparse.Namespace) -> None:
@@ -326,7 +328,10 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
     if cfg.nms.use_mask_iou or cfg.merge_masks:
-        _check_masks(models, "--mask-iou-nms" if cfg.nms.use_mask_iou else "--merge-masks")
+        flag = "--mask-iou-nms" if cfg.nms.use_mask_iou else "--merge-masks"
+        sizes = {}
+        for model in models:
+            _check_masks(model.detections, f"{model.model_id}: ", sizes, flag)
     for model, w in zip(models, model_weights(models, cfg)):
         print(f"weight {model.model_id} {w:.6f}")
 
@@ -351,19 +356,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
         cfg = EvalConfig(max_detections_per_image=int(opts["max_dets"]), iou_on=str(opts["iou_on"]))
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
-    images = ds.image_by_id()
+    sizes = {img.id: (img.width, img.height, gt_path) for img in ds.images}
     for i, det in enumerate(dets):
-        img = images.get(det.image_id)
-        if img is None:
+        if det.image_id not in sizes:
             raise InputError(f"results[{i}].image_id: image {det.image_id} is not in {gt_path}")
-        if det.mask is None:
-            if cfg.iou_on == "mask":
-                raise InputError(f"results[{i}] has no segmentation, which --iou-on mask needs")
-        elif (det.mask.width, det.mask.height) != (img.width, img.height):
-            raise InputError(
-                f"results[{i}].segmentation: mask is {det.mask.width}x{det.mask.height} "
-                f"but image {img.id} is {img.width}x{img.height}"
-            )
+    _check_masks(dets, "", sizes, "--iou-on mask" if cfg.iou_on == "mask" else None)
     report = evaluate(gts, dets, cfg)
     out = Path(args.out)
     out.write_text(report.to_json())

@@ -471,10 +471,8 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
     first string at fault is reported."""
     n = len(strings)
     joined = "".join(strings)
-    if joined.isascii():
-        chunks = np.frombuffer(joined.encode("ascii"), np.uint8) - 48
-    else:  # code points, so that the invalid character can be named
-        chunks = np.frombuffer(joined.encode("utf-32-le"), np.uint32) - 48
+    # one entry per code point, so that an invalid character can be named
+    chunks = np.frombuffer(joined.encode("utf-32-le"), np.uint32) - 48
     lengths = np.array([len(s) for s in strings])
     char_owner = np.repeat(np.arange(n), lengths)
     pixels = np.array([min(w * h, 1 << 60) if w > 0 and h > 0 else 0 for w, h in sizes])
@@ -561,31 +559,29 @@ _POLYGON_RULE = "a polygon is a flat list of numbers or a list of (x, y) pairs"
 
 
 def _vertex_array(polygon) -> np.ndarray:
-    """Float vertices of a polygon: a numeric array, or a list that is
-    either all numbers (an even count) or all ``(x, y)`` pairs of numbers,
-    as its first entry says. Each coordinate of a list is a number by
+    """Float vertices of a polygon: a list that is either all numbers (an
+    even count) or all ``(x, y)`` pairs of numbers, as its first entry says.
+    A numpy array is read as its nested list. Each coordinate is a number by
     :func:`_as_number`'s rule: booleans and strings are refused, not cast.
     Anything else is refused naming its position and the rule."""
-    if isinstance(polygon, (list, tuple)):
-        pairs = bool(polygon) and isinstance(polygon[0], (list, tuple))
-        coords = []
-        for k, v in enumerate(polygon):
-            where = f"polygon {'vertex' if pairs else 'coordinate'} {k}"
-            listed = isinstance(v, (list, tuple))
-            if listed != pairs or listed and len(v) != 2:
-                got = f"a list of length {len(v)}" if listed else type(v).__name__
-                raise ValueError(f"{where}: got {got}, but {_POLYGON_RULE}")
-            coords += [_as_number(c, where) for c in (v if pairs else [v])]
-        polygon = coords
-    elif not isinstance(polygon, np.ndarray):
+    if isinstance(polygon, np.ndarray):
+        polygon = polygon.tolist()
+    if not isinstance(polygon, (list, tuple)):
         raise ValueError(f"polygon: got {type(polygon).__name__}, but {_POLYGON_RULE}")
-    verts = np.asarray(polygon, dtype=np.float64)
-    if verts.ndim == 1:
-        if verts.size % 2:
-            raise ValueError("flat polygon needs an even number of coordinates")
-        verts = verts.reshape(-1, 2)
-    if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
+    pairs = bool(polygon) and isinstance(polygon[0], (list, tuple))
+    coords = []
+    for k, v in enumerate(polygon):
+        where = f"polygon {'vertex' if pairs else 'coordinate'} {k}"
+        listed = isinstance(v, (list, tuple))
+        if listed != pairs or listed and len(v) != 2:
+            got = f"a list of length {len(v)}" if listed else type(v).__name__
+            raise ValueError(f"{where}: got {got}, but {_POLYGON_RULE}")
+        coords += [_as_number(c, where) for c in (v if pairs else [v])]
+    if len(coords) % 2:
+        raise ValueError("flat polygon needs an even number of coordinates")
+    if len(coords) < 6:
         raise ValueError("polygon needs at least 3 (x, y) vertices")
+    verts = np.array(coords).reshape(-1, 2)
     if not np.isfinite(verts).all():
         raise ValueError("polygon coordinates must be finite")
     return verts

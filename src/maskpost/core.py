@@ -230,9 +230,9 @@ def resample(field: ScoreField, height: int, width: int) -> ScoreField:
     return ScoreField._wrap(out)
 
 
-def binarize(field: ScoreField, threshold: float = 0.0) -> np.ndarray:
-    """Threshold a score field into a boolean mask; strictly greater-than."""
-    return field.logits > threshold
+def binarize(field: ScoreField) -> np.ndarray:
+    """Foreground where a logit is strictly greater than 0."""
+    return field.logits > 0.0
 
 
 class RleMask:

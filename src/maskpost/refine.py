@@ -141,9 +141,9 @@ def _most_uncertain(logits: np.ndarray, n: int) -> np.ndarray:
     """Indices of the ``n`` entries of 1-D ``logits`` closest to zero, ties
     toward the lowest index: ``np.argsort(|logits|, kind="stable")[:n]``,
     element for element, from a partial selection instead of a full sort."""
+    if n == 0:
+        return np.empty(0, np.intp)
     a = np.abs(logits)
-    if not 0 < n < a.size:
-        return np.argsort(a, kind="stable")[:n]
     cut = np.partition(a, n - 1)[n - 1]
     below = np.flatnonzero(a < cut)
     ties = np.flatnonzero(a == cut)[: n - below.size]

@@ -62,10 +62,9 @@ def shape_mask(shape: Shape, side: int) -> np.ndarray:
     return shape.contains(u, v)
 
 
-def shape_field(shape: Shape, side: int, magnitude: float = 1.0) -> ScoreField:
-    """Ground-truth logits: +magnitude inside the shape, -magnitude outside."""
-    mask = shape_mask(shape, side)
-    return ScoreField(np.where(mask, magnitude, -magnitude))
+def shape_field(shape: Shape, side: int) -> ScoreField:
+    """Ground-truth logits: +1 inside the shape, -1 outside."""
+    return ScoreField(np.where(shape_mask(shape, side), 1.0, -1.0))
 
 
 def _disk(i: int) -> Shape:

@@ -631,6 +631,10 @@ class TestEnsembleCommand:
         assert code == 2
         assert f"{short}: results[1]" in err and f"{square}: results[0]" in err
         assert "8x6" in err and "8x8" in err
+        assert err.splitlines()[-1] == (
+            f"error: {short}: results[1].segmentation: mask is 8x6 but "
+            f"{square}: results[0] gives image 1 a 8x8 mask"
+        )
         assert not out.exists()
 
 
@@ -760,7 +764,44 @@ class TestEvalCommand:
         assert code == 2
         assert "results[1]" in err
         assert "8x6" in err and "8x8" in err
+        assert err == (
+            f"error: results[1].segmentation: mask is 8x6 but {gt_path} gives image 1 a 8x8 mask\n"
+        )
         assert not (tmp_path / "r.json").exists()
+
+    def test_unknown_image_named_before_a_mask_fault(self, tmp_path, capsys):
+        bits = np.zeros((6, 8), dtype=bool)
+        gt_path = tmp_path / "gt.json"
+        _full_8x8_dataset(gt_path)
+        results = tmp_path / "results.json"
+        write_results(
+            results,
+            [Detection(1, 1, 0.9, BBox(0, 0, 8, 6), rle_encode(bits)), Detection(7, 1, 0.8, BBox(0, 0, 8, 8))],
+        )
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(tmp_path / "r.json")
+        )
+        assert code == 2
+        assert err == f"error: results[1].image_id: image 7 is not in {gt_path}\n"
+
+    def test_box_iou_skips_a_missing_mask_but_checks_every_mask_size(self, tmp_path, capsys):
+        bits = np.zeros((8, 8), dtype=bool)
+        bits[2:5, 2:5] = True
+        gt_path = tmp_path / "gt.json"
+        _full_8x8_dataset(gt_path)
+        boxed = Detection(1, 1, 0.9, BBox(0, 0, 8, 8))
+        results, out = tmp_path / "results.json", tmp_path / "r.json"
+        argv = ("eval", "--gt", str(gt_path), "--results", str(results), "--iou-on", "bbox")
+        write_results(results, [boxed, Detection(1, 1, 0.8, BBox(2, 2, 3, 3), rle_encode(bits))])
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        write_results(results, [boxed, Detection(1, 1, 0.8, BBox(2, 2, 3, 3), rle_encode(bits[:6]))])
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "bad.json"))
+        assert code == 2
+        assert err == (
+            f"error: results[1].segmentation: mask is 8x6 but {gt_path} gives image 1 a 8x8 mask\n"
+        )
+        assert not (tmp_path / "bad.json").exists()
 
 
     @pytest.mark.parametrize("counts, fault", BAD_COUNTS)
@@ -1053,6 +1094,26 @@ class TestStatsCommand:
         assert code == 2
         assert f"error: annotations[0].bbox: coordinates too large in {bbox}" in err
         assert not out.exists()
+
+    def test_reads_no_segmentation(self, tmp_path, capsys):
+        """``stats`` reads boxes, not polygons, so a polygon ``eval``
+        refuses still gives it its boxes (README, "Command line")."""
+        data = Path(__file__).parent / "data"
+        doc = json.loads((data / "eval_micro_gt.json").read_text())
+        doc["annotations"][1]["segmentation"][0][0] = True
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(doc))
+        code, stdout, _ = run_cli(capsys, "stats", "--gt", str(gt), "--out", str(tmp_path / "h.csv"))
+        assert code == 0
+        assert "boxes 4 " in stdout
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(gt), "--results", str(data / "eval_micro_results.json"),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert err == (
+            "error: annotations[1].segmentation: polygon coordinate 0: expected a number, got bool\n"
+        )
 
     def test_seeded_sampling_reproducible(self, tmp_path, capsys):
         path = self._stats_dataset(tmp_path, list(range(10, 400, 13)))

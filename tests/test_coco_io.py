@@ -285,6 +285,16 @@ class TestRasterizePolygon:
     def test_numeric_array_accepted(self):
         pairs = [(0, 0), (2, 0), (2, 2), (0, 2)]
         assert np.array_equal(rasterize_polygon(np.array(pairs), 4, 4), rasterize_polygon(pairs, 4, 4))
+        pairs = [(0.4, 0.2), (5.5, 0.7), (4.25, 5.9), (0.1, 4.5)]
+        for verts in (np.array(pairs), np.array(pairs).ravel()):
+            assert np.array_equal(rasterize_polygon(verts, 6, 6), rasterize_polygon(pairs, 6, 6))
+
+    def test_bool_array_rejected_as_a_bool_list_is(self):
+        verts = np.array([(True, False), (True, True), (False, True)])
+        with pytest.raises(ValueError, match=r"^polygon vertex 0: expected a number, got bool$"):
+            rasterize_polygon(verts, 4, 4)
+        with pytest.raises(ValueError, match=r"^polygon vertex 0: expected a number, got bool$"):
+            rasterize_polygon(verts.tolist(), 4, 4)
 
     @pytest.mark.parametrize(
         "verts",

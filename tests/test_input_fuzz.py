@@ -183,7 +183,7 @@ def _archives(tmp_path: Path) -> dict:
 def test_mutated_dataset(tmp_path, path, value):
     gt = _write(tmp_path / "gt.json", _mutated(GT, path, value))
     refused = _breaks_stated_rule(path, value)
-    # stats reads no segmentation
+    # stats reads no segmentation (README, "Command line")
     _run(tmp_path, ["stats"], gt=gt, refused=refused and "segmentation" not in path)
     _run(tmp_path, ["eval"], gt=gt, refused=refused)
 
