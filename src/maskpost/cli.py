@@ -216,8 +216,9 @@ def _render_units(args, opts):
 
 def cmd_refine(args: argparse.Namespace) -> None:
     opts = _resolve(args, "refine")
-    if args.synthetic and args.coarse:
-        raise InputError("--synthetic and --coarse are mutually exclusive")
+    for flag in ("coarse", "oracle"):
+        if args.synthetic and getattr(args, flag):
+            raise InputError(f"--synthetic and --{flag} are mutually exclusive")
     try:
         cfg, units = _render_units(args, opts)
     except ValueError as exc:

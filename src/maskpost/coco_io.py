@@ -37,7 +37,6 @@ __all__ = [
     "rle_strings_decode",
     "rasterize_polygon",
     "rasterize_polygons",
-    "annotation_mask",
     "Histogram",
     "size_histogram",
     "median_sqrt_area",
@@ -149,9 +148,6 @@ class DatasetFile:
     annotations: list[AnnotationRecord]
     categories: list[CategoryInfo]
 
-    def image_by_id(self) -> dict[int, ImageInfo]:
-        return {img.id: img for img in self.images}
-
 
 def _records(data: dict, section: str, where: str = ""):
     """``(context, record)`` for each entry of a section, which must be a
@@ -238,18 +234,6 @@ def load_dataset(path) -> DatasetFile:
     return DatasetFile(images=images, annotations=annotations, categories=categories)
 
 
-def annotation_mask(segmentation, width: int, height: int, context: str = "segmentation") -> RleMask:
-    """Decode an annotation's ``segmentation`` payload into an RLE mask.
-
-    Accepts polygon lists (unioned), RLE dicts with a compressed counts
-    string, and RLE dicts with a plain counts list.
-    """
-    mask = _segmentation_mask(segmentation, context, (width, height))
-    if isinstance(mask, tuple):
-        mask = rle_strings_decode([mask[0]], [mask[1:]], [f"{context}.counts"])[0]
-    return mask
-
-
 def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tuple[str, int, int]:
     """Check a ``segmentation`` payload. ``image`` is the ``(width, height)``
     it must match; without one, as in a results file, only an RLE object,
@@ -308,7 +292,7 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
     instance area is the decoded mask's pixel count regardless of the
     file's ``area`` field.
     """
-    by_id = ds.image_by_id()
+    by_id = {img.id: img for img in ds.images}
     masks = []
     for i, ann in enumerate(ds.annotations):
         img = by_id[ann.image_id]

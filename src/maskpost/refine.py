@@ -8,7 +8,6 @@ budget almost exclusively on instance boundaries.
 """
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -21,15 +20,11 @@ __all__ = [
     "OracleFieldPredictor",
     "IdentityPredictor",
     "SubdivisionConfig",
-    "TrainSampleConfig",
-    "uncertainty",
     "select_most_uncertain",
     "upsample_x2",
     "plain_upsample",
     "subdivision_step",
     "subdivision_render",
-    "biased_point_sample",
-    "flip_fuse",
 ]
 
 
@@ -94,56 +89,19 @@ class SubdivisionConfig:
         return max(self.target_side // self.start_side, 1).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class TrainSampleConfig:
-    """Biased point sampling used at training time.
-
-    ``n_points`` is the raw number of points returned (not a grid side).
-    ``oversample_k * n_points`` uniform candidates are drawn, the
-    ``floor(importance_beta * n_points)`` most uncertain are kept, and the
-    remainder is filled with fresh uniform points.
-    """
-
-    n_points: int
-    oversample_k: int = 3
-    importance_beta: float = 0.75
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if self.oversample_k < 1:
-            raise ValueError("oversample_k must be >= 1")
-        if not 0.0 <= self.importance_beta <= 1.0:
-            raise ValueError("importance_beta must lie in [0, 1]")
-
-
-def uncertainty(logit):
-    """Uncertainty of a logit: ``-|logit|``, maximal at logit 0 (p = 0.5)."""
-    return -np.abs(logit)
-
-
 def select_most_uncertain(field: ScoreField, n: int) -> np.ndarray:
-    """Row-major flat indices of the ``n`` most uncertain pixels.
-
-    Ties are broken toward the lowest index, so the selection is
-    deterministic.
+    """Row-major flat indices of the ``n`` pixels with logits closest to
+    zero, ties toward the lowest index: ``np.argsort(|logits|,
+    kind="stable")[:n]``, element for element, from a partial selection
+    instead of a full sort.
     """
-    size = field.logits.size
-    if n > size:
-        raise ValueError(f"cannot select {n} points from {size} pixels")
+    a = np.abs(field.logits.ravel())
+    if n > a.size:
+        raise ValueError(f"cannot select {n} points from {a.size} pixels")
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _most_uncertain(field.logits.ravel(), n)
-
-
-def _most_uncertain(logits: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the ``n`` entries of 1-D ``logits`` closest to zero, ties
-    toward the lowest index: ``np.argsort(|logits|, kind="stable")[:n]``,
-    element for element, from a partial selection instead of a full sort."""
     if n == 0:
         return np.empty(0, np.intp)
-    a = np.abs(logits)
     cut = np.partition(a, n - 1)[n - 1]
     below = np.flatnonzero(a < cut)
     ties = np.flatnonzero(a == cut)[: n - below.size]
@@ -222,39 +180,3 @@ def subdivision_render(
         step_pixels = 4 * field.width * field.height
         field = subdivision_step(field, predictor, min(budget, step_pixels))
     return field
-
-
-def biased_point_sample(field: ScoreField, cfg: TrainSampleConfig) -> np.ndarray:
-    """Draw ``cfg.n_points`` unit-square points biased toward uncertain logits.
-
-    Oversamples ``oversample_k * n_points`` uniform candidates, keeps the
-    ``floor(importance_beta * n_points)`` with bilinear-sampled logits
-    closest to zero, then tops up with fresh uniform points. Deterministic
-    for a fixed ``rng_seed``.
-    """
-    rng = np.random.default_rng(cfg.rng_seed)
-    candidates = rng.random((cfg.oversample_k * cfg.n_points, 2))
-    n_importance = int(math.floor(cfg.importance_beta * cfg.n_points))
-    chosen = []
-    if n_importance > 0:
-        logits = sample_points(field, candidates)
-        chosen.append(candidates[_most_uncertain(logits, n_importance)])
-    n_uniform = cfg.n_points - n_importance
-    if n_uniform > 0:
-        chosen.append(rng.random((n_uniform, 2)))
-    return np.concatenate(chosen, axis=0)
-
-
-def flip_fuse(field: ScoreField, field_from_flipped_input: ScoreField) -> ScoreField:
-    """Fuse a prediction with one computed on the horizontally flipped input.
-
-    The second field is mirrored back onto the original orientation and the
-    two are averaged logit-wise.
-    """
-    if (field.width, field.height) != (
-        field_from_flipped_input.width,
-        field_from_flipped_input.height,
-    ):
-        raise ValueError("fields must share dimensions")
-    mirrored = field_from_flipped_input.logits[:, ::-1]
-    return ScoreField(0.5 * (field.logits + mirrored))

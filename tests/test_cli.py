@@ -224,6 +224,16 @@ class TestRefineCommand:
         assert f"error: {named}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--coarse", "--oracle"])
+    def test_synthetic_excludes_archive_inputs(self, tmp_path, capsys, flag):
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "refine", "--synthetic", "disk:1", flag, str(tmp_path / "absent.npz"), "--out", str(out)
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: --synthetic and {flag} are mutually exclusive"]
+        assert not out.exists()
+
     def test_synthetic_oracle_run(self, tmp_path, capsys):
         out = tmp_path / "rendered.json"
         code, stdout, _ = run_cli(

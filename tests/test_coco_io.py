@@ -19,7 +19,6 @@ from maskpost import (
     RleMask,
     ScoreField,
     SchemaError,
-    annotation_mask,
     box_iou_matrix,
     dataset_ground_truth,
     load_dataset,
@@ -29,7 +28,6 @@ from maskpost import (
     median_sqrt_area,
     rasterize_polygon,
     rasterize_polygons,
-    rle_decode,
     rle_encode,
     rle_string_decode,
     rle_string_encode,
@@ -371,6 +369,34 @@ class TestDatasetIo:
         assert gts[0].area == 9
         assert gts[1].area == 16  # 4x4 pixel block from the polygon
 
+    @staticmethod
+    def _one_annotation(tmp_path, segmentation):
+        """Load a dataset of one 2x2 image holding one annotation."""
+        path = tmp_path / "gt.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "images": [{"id": 1, "width": 2, "height": 2}],
+                    "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "segmentation": segmentation}],
+                    "categories": [{"id": 1}],
+                }
+            )
+        )
+        return load_dataset(path)
+
+    def test_ground_truth_from_counts_list(self, tmp_path):
+        ds = self._one_annotation(tmp_path, {"size": [2, 2], "counts": [2, 1, 1]})
+        (gt,) = dataset_ground_truth(ds)
+        assert (gt.mask.width, gt.mask.height) == (2, 2)
+        assert gt.mask.counts.tolist() == [2, 1, 1]
+        assert gt.area == 1
+
+    def test_ground_truth_size_mismatch(self, tmp_path):
+        ds = self._one_annotation(tmp_path, {"size": [3, 3], "counts": [9]})
+        with pytest.raises(SchemaError) as exc:
+            dataset_ground_truth(ds)
+        assert str(exc.value) == "annotations[0].segmentation.size: mask is 3x3 but the image is 2x2"
+
     def test_unknown_fields_ignored(self, tmp_path):
         data = self._dataset_dict()
         data["licenses"] = ["whatever"]
@@ -628,20 +654,6 @@ class TestResultsIo:
         path.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5}]))
         with pytest.raises(SchemaError):
             load_results(path)
-
-
-class TestAnnotationMask:
-    def test_uncompressed_counts_list(self):
-        rle = annotation_mask({"size": [2, 2], "counts": [2, 1, 1]}, 2, 2)
-        assert rle.counts.tolist() == [2, 1, 1]
-
-    def test_size_mismatch(self):
-        with pytest.raises(SchemaError):
-            annotation_mask({"size": [3, 3], "counts": [9]}, 2, 2)
-
-    def test_polygon_list(self):
-        rle = annotation_mask([[0, 0, 2, 0, 2, 2, 0, 2]], 4, 4)
-        assert rle_decode(rle)[0:2, 0:2].all()
 
 
 class TestSizeStats:

@@ -1,22 +1,22 @@
 import maskpost
 from maskpost import coco_io, core, evaluation, fusion, refine, synthetic
 
-# every name the package exported when it listed them by hand
+# every name the package exported when it listed them by hand, less those
+# since removed
 LISTED_BY_HAND = [
     "BBox", "DomainError", "MEDIUM_LARGE_SIDE", "RleMask", "SMALL_MEDIUM_SIDE", "ScoreField",
     "SizeBucket", "bilinear_sample", "binarize", "box_iou", "box_iou_matrix", "mask_bbox",
     "mask_iou", "resample", "rle_bbox", "rle_decode", "rle_encode", "rle_iou", "rle_iou_matrix",
     "rle_merge", "sample_points", "size_bucket",
     "IdentityPredictor", "OracleFieldPredictor", "PointPredictor", "SubdivisionConfig",
-    "TrainSampleConfig", "biased_point_sample", "flip_fuse", "plain_upsample",
-    "select_most_uncertain", "subdivision_render", "subdivision_step", "uncertainty",
+    "plain_upsample", "select_most_uncertain", "subdivision_render", "subdivision_step",
     "upsample_x2",
     "Detection", "EnsembleConfig", "ModelCandidate", "SoftNmsConfig", "apply_weights",
     "cluster_merge_masks", "ensemble", "linear_interpolation_weights", "linear_reweight_weights",
     "model_weights", "soft_nms",
     "EvalConfig", "GroundTruthInstance", "MetricReport", "average_precision", "evaluate",
     "match_detections",
-    "DatasetFile", "FieldInstance", "Histogram", "SchemaError", "annotation_mask",
+    "DatasetFile", "FieldInstance", "Histogram", "SchemaError",
     "dataset_ground_truth", "load_dataset", "load_field_archive", "load_results",
     "median_sqrt_area", "rasterize_polygon", "rasterize_polygons", "rle_string_decode",
     "rle_string_encode", "rle_strings_decode", "rle_strings_encode", "size_histogram",

@@ -13,11 +13,8 @@ from maskpost import (
     OracleFieldPredictor,
     ScoreField,
     SubdivisionConfig,
-    TrainSampleConfig,
-    biased_point_sample,
     binarize,
     default_corpus,
-    flip_fuse,
     mask_iou,
     plain_upsample,
     resample,
@@ -27,36 +24,21 @@ from maskpost import (
     shape_mask,
     subdivision_render,
     subdivision_step,
-    uncertainty,
     upsample_x2,
 )
 from maskpost import refine
 from maskpost.synthetic import Shape, parse_corpus_spec
 
 
-def _full_sort_ranking(logits, n):
+def _full_sort_ranking(field, n):
     """The ranking as a full stable sort of ``|logits|``: the reference the
-    partial selection in ``refine._most_uncertain`` must equal element for
-    element."""
-    return np.argsort(np.abs(logits), kind="stable")[:n]
+    partial selection in ``refine.select_most_uncertain`` must equal element
+    for element."""
+    return np.argsort(np.abs(field.logits.ravel()), kind="stable")[:n]
 
 
 # few magnitudes, each with both signs, and both zeros: ties are heavy
 TIED_LOGITS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5])
-
-
-class TestUncertainty:
-    def test_zero_is_most_uncertain(self):
-        assert uncertainty(0.0) == 0.0
-
-    def test_symmetric(self):
-        assert uncertainty(3.0) == uncertainty(-3.0) == -3.0
-
-    def test_ordering(self):
-        assert uncertainty(0.1) > uncertainty(-2.0)
-
-    def test_array(self):
-        assert uncertainty(np.array([1.0, -2.0])).tolist() == [-1.0, -2.0]
 
 
 class TestSelectMostUncertain:
@@ -79,11 +61,12 @@ class TestSelectMostUncertain:
 
 class TestMostUncertainRanking:
     @settings(max_examples=300)
-    @given(st.lists(TIED_LOGITS | st.floats(-3.0, 3.0), max_size=48))
+    @given(st.lists(TIED_LOGITS | st.floats(-3.0, 3.0), min_size=1, max_size=48))
     def test_equals_full_stable_sort(self, values):
-        logits = np.array(values, dtype=np.float64)
-        for n in range(logits.size + 1):
-            got, want = refine._most_uncertain(logits, n), _full_sort_ranking(logits, n)
+        field = ScoreField.from_flat(len(values), 1, values)
+        for n in range(len(values) + 1):
+            got = select_most_uncertain(field, n)
+            want = _full_sort_ranking(field, n)
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
 
@@ -112,8 +95,9 @@ class TestRenderRankingEquivalence:
         side = field.height
         cfg = SubdivisionConfig(subdivision_k=k, target_side=side << steps, start_side=side)
         got = subdivision_render(field, predictor, cfg).logits
-        with patch.object(refine, "_most_uncertain", _full_sort_ranking):
+        with patch.object(refine, "select_most_uncertain", side_effect=_full_sort_ranking) as full_sort:
             want = subdivision_render(field, predictor, cfg).logits
+        assert full_sort.call_count == steps
         assert got.tobytes() == want.tobytes()
 
 
@@ -223,96 +207,7 @@ def test_shape_reference_binarizes_to_shape_mask(side):
     assert mismatched == []
 
 
-class TestBiasedPointSample:
-    # confident everywhere except a single zero-logit pixel at the center
-    _logits = np.full((9, 9), 5.0)
-    _logits[4, 4] = 0.0
-    FIELD = ScoreField(_logits)
-
-    def test_count_and_bounds(self):
-        cfg = TrainSampleConfig(n_points=26, oversample_k=3, importance_beta=0.75, rng_seed=1)
-        pts = biased_point_sample(self.FIELD, cfg)
-        assert pts.shape == (26, 2)
-        assert (pts >= 0).all() and (pts <= 1).all()
-
-    def test_deterministic(self):
-        cfg = TrainSampleConfig(n_points=24, oversample_k=3, importance_beta=0.6, rng_seed=42)
-        a = biased_point_sample(self.FIELD, cfg)
-        b = biased_point_sample(self.FIELD, cfg)
-        assert np.array_equal(a, b)
-
-    def test_beta_zero_is_plain_uniform(self):
-        cfg = TrainSampleConfig(n_points=10, oversample_k=2, importance_beta=0.0, rng_seed=5)
-        pts = biased_point_sample(self.FIELD, cfg)
-        rng = np.random.default_rng(5)
-        rng.random((20, 2))  # the unused candidate draw
-        expected = rng.random((10, 2))
-        assert np.array_equal(pts, expected)
-
-    def test_beta_one_clusters_near_uncertain_pixel(self):
-        # single zero-logit pixel at the field center: importance-selected
-        # points must sit closer to it than uniform ones, measured over many
-        # seeded draws
-        target = np.array([0.5, 0.5])
-
-        def mean_distance(beta):
-            total, count = 0.0, 0
-            for seed in range(40):
-                cfg = TrainSampleConfig(
-                    n_points=25, oversample_k=4, importance_beta=beta, rng_seed=seed
-                )
-                pts = biased_point_sample(self.FIELD, cfg)
-                total += float(np.linalg.norm(pts - target, axis=1).sum())
-                count += pts.shape[0]
-            return total / count
-
-        assert mean_distance(1.0) < mean_distance(0.0) - 0.05
-
-
-class TestFlipFuse:
-    def test_symmetric_fixed_point(self):
-        sym = ScoreField.from_flat(3, 2, [1, 2, 1, -1, 0, -1])
-        fused = flip_fuse(sym, sym)
-        assert np.allclose(fused.logits, sym.logits)
-
-    def test_mirror_input_recovers_original(self):
-        rng = np.random.default_rng(33)
-        field = ScoreField(rng.normal(size=(4, 5)))
-        mirrored = ScoreField(field.logits[:, ::-1])
-        fused = flip_fuse(field, mirrored)
-        assert np.allclose(fused.logits, field.logits)
-
-    def test_hand_example(self):
-        field = ScoreField.from_flat(2, 1, [0, 2])
-        flipped_pred = ScoreField.from_flat(2, 1, [0, 2])
-        fused = flip_fuse(field, flipped_pred)
-        assert fused.logits.tolist() == [[1.0, 1.0]]
-
-    def test_commutes_with_global_shift(self):
-        rng = np.random.default_rng(35)
-        a = ScoreField(rng.normal(size=(3, 4)))
-        b = ScoreField(rng.normal(size=(3, 4)))
-        shift = 0.75
-        fused_then_shift = flip_fuse(a, b).logits + shift
-        shift_then_fused = flip_fuse(
-            ScoreField(a.logits + shift), ScoreField(b.logits + shift)
-        ).logits
-        assert np.allclose(fused_then_shift, shift_then_fused)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            flip_fuse(ScoreField.constant(2, 2), ScoreField.constant(3, 2))
-
-
 class TestConfigs:
-    def test_train_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainSampleConfig(n_points=0)
-        with pytest.raises(ValueError):
-            TrainSampleConfig(n_points=5, importance_beta=1.5)
-        with pytest.raises(ValueError):
-            TrainSampleConfig(n_points=5, oversample_k=0)
-
     def test_subdivision_num_steps(self):
         assert SubdivisionConfig(28, 224, 7).num_steps == 5
         assert SubdivisionConfig(28, 7, 7).num_steps == 0
