@@ -4,7 +4,7 @@ Subcommands: ``refine`` (subdivision rendering of score fields),
 ``ensemble`` (multi-model fusion), ``eval`` (mask AP report) and ``stats``
 (box size histogram). Options resolve as CLI flag > config file > built-in
 default, and every run writes the resolved configuration next to its
-output. Exit codes: 0 success, 1 internal error, 2 usage or input error.
+output. Exit codes: 0 success, 1 internal error, 2 usage, input or output error.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .core import BBox, binarize, mask_bbox, mask_iou, rle_encode, resample
 from .coco_io import (
     FieldInstance,
     SchemaError,
+    _read_json,
     dataset_ground_truth,
     load_dataset,
     load_field_archive,
@@ -114,12 +115,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     resolved = {key: default for key, (default, _) in _OPTIONS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise InputError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {path}: invalid JSON ({exc})")
+            loaded = _read_json(path)
+        except SchemaError as exc:
+            raise InputError(f"config file {exc}") from exc
         if not isinstance(loaded, dict):
             raise InputError(f"config file {path}: expected a JSON object")
         for key, value in loaded.items():
@@ -158,10 +157,7 @@ def _worker_count(opts: dict) -> int:
 def _require_path(path: str | None, what: str) -> Path:
     if not path:
         raise InputError(f"missing {what}")
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"{what} not found: {p}")
-    return p
+    return Path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,6 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
     image_sets = []
     for spec in args.model:
         path, score = _parse_model_arg(spec)
-        _require_path(path, "model results file")
         dets = load_results(path)
         try:
             models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
@@ -455,7 +450,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         args.handler(args)
-    except (InputError, SchemaError) as exc:
+    except (InputError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - report and exit nonzero

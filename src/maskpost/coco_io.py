@@ -103,15 +103,22 @@ def _as_box(value, context: str) -> list[float]:
     return box
 
 
-def _read_json(path):
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
+def _open(path: Path):
+    """``path`` opened in binary; any failure to open it is a schema error."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        return open(path, "rb")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def _read_json(path):
+    """The JSON document in ``path``, decoded as UTF-8 whatever the locale."""
+    path = Path(path)
+    with _open(path) as fh:
+        try:
+            return json.loads(fh.read().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +751,9 @@ def write_field_archive(path, instances: list[FieldInstance]) -> None:
     np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-# what numpy raises on a file that is not a readable .npz, or on a member it
-# cannot read without unpickling
-_UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
+# what numpy raises on a file that is not a readable .npz (an unknown zip
+# version or method included), or on a member it cannot read without unpickling
+_UNREADABLE = (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile)
 
 
 def _open_npz(fh, path: Path):
@@ -769,10 +776,8 @@ def load_field_archive(path) -> list[FieldInstance]:
     a schema error naming the path.
     """
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
     # numpy leaves a file it opened itself open when the zip is unreadable
-    with open(path, "rb") as fh, _open_npz(fh, path) as data:
+    with _open(path) as fh, _open_npz(fh, path) as data:
         if "meta" not in data:
             raise SchemaError(f"{path}: not a field archive (no manifest)")
         try:

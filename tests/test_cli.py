@@ -100,6 +100,17 @@ def _write_npy(path):
         np.save(fh, np.ones(3))
 
 
+def _edit_central_directory(offset, value):
+    """A writer of a small valid field archive whose first central-directory
+    entry has its byte ``offset`` set to ``value``: 6 is the low byte of the
+    version needed to extract, 10 of the compression method."""
+    def write(path):
+        data = bytearray(_archive_bytes(path))
+        data[data.index(b"PK\x01\x02") + offset] = value
+        path.write_bytes(data)
+    return write
+
+
 def write_scenario_files(tmp_path):
     """Dataset + per-model results files for the constructed 3-model case."""
     gt_path = tmp_path / "gt.json"
@@ -378,8 +389,13 @@ class TestRefineCommand:
                 lambda p: np.savez(p, meta=np.array("{instances: []"), **{"logits:i0": np.ones((7, 7))}),
                 "manifest: invalid JSON (",
             ),
+            (_edit_central_directory(6, 130), "not a field archive (zip file version 13.0)"),
+            (
+                _edit_central_directory(10, 99),
+                "not a field archive (That compression method is not supported)",
+            ),
         ],
-        ids=["empty", "text", "npy", "truncated", "manifest"],
+        ids=["empty", "text", "npy", "truncated", "manifest", "zip-version", "zip-method"],
     )
     def test_unreadable_archive_exits_2(self, tmp_path, capsys, write, named):
         coarse = tmp_path / "coarse.npz"
@@ -593,7 +609,8 @@ class TestEnsembleCommand:
             "--out", str(out),
         )
         assert code == 0
-        assert "different image id" in err
+        assert err == "warning: model files cover different image id sets\n"
+        assert out.exists()
 
     @pytest.mark.parametrize("flag", ["--mask-iou-nms", "--merge-masks"])
     def test_record_without_mask_exits_2(self, tmp_path, capsys, flag):
@@ -1291,3 +1308,81 @@ class TestConfigPrecedence:
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+
+_MICRO_GT = str(Path(__file__).parent / "data" / "eval_micro_gt.json")
+_MICRO_RESULTS = str(Path(__file__).parent / "data" / "eval_micro_results.json")
+# each input flag: a run that reads the file under test at {bad}, and valid
+# files elsewhere
+_INPUT_RUNS = {
+    "eval-gt": ["eval", "--gt", "{bad}", "--results", _MICRO_RESULTS],
+    "eval-results": ["eval", "--gt", _MICRO_GT, "--results", "{bad}"],
+    "stats-gt": ["stats", "--gt", "{bad}"],
+    "ensemble-model": ["ensemble", "--model", "{bad}:1"],
+    "refine-coarse": ["refine", "--coarse", "{bad}", "--oracle", "{oracle}"],
+    "refine-oracle": ["refine", "--coarse", "{coarse}", "--oracle", "{bad}"],
+    "config": ["stats", "--gt", _MICRO_GT, "--config", "{bad}"],
+}
+# bytes no JSON reader accepts: not UTF-8, nested past the parser's depth
+# limit, an integer past its digit limit
+_BAD_JSON = {
+    "not-utf8": b"\xff\xfe\x00garbage",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "digits": b"[" + b"9" * 5000 + b"]",
+}
+_UNREADABLE_ROWS = [
+    (flag, failure)
+    for flag in _INPUT_RUNS
+    for failure in ("missing", "directory", *(() if flag.startswith("refine") else _BAD_JSON))
+]
+
+
+class TestFileBoundary:
+    """Each reader opens its file once and maps every failure of the open
+    and the parse: an input that cannot be read, or an --out that cannot be
+    written, exits 2 with one error line naming the path."""
+
+    @pytest.mark.parametrize(
+        "flag, failure", _UNREADABLE_ROWS, ids=[f"{f}-{why}" for f, why in _UNREADABLE_ROWS]
+    )
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, flag, failure):
+        coarse, oracle, bad = tmp_path / "coarse.npz", tmp_path / "oracle.npz", tmp_path / "bad"
+        _archive_bytes(coarse)
+        _archive_bytes(oracle)
+        if failure == "directory":
+            bad.mkdir()
+        elif failure in _BAD_JSON:
+            bad.write_bytes(_BAD_JSON[failure])
+        out = tmp_path / "out.json"
+        argv = [arg.format(bad=bad, coarse=coarse, oracle=oracle) for arg in _INPUT_RUNS[flag]]
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        reason = {
+            "missing": "cannot read (No such file or directory)",
+            "directory": "cannot read (Is a directory)",
+        }.get(failure, "invalid JSON (")
+        prefix = "config file " if flag == "config" else ""
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {prefix}{bad}: {reason}"), err
+        assert not out.exists() and not Path(f"{out}.config.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["refine", "--synthetic", "disk:1"],
+            ["ensemble", "--model", f"{_MICRO_RESULTS}:1"],
+            ["eval", "--gt", _MICRO_GT, "--results", _MICRO_RESULTS],
+            ["stats", "--gt", _MICRO_GT],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv, where):
+        out = tmp_path / "out"
+        if where == "directory":
+            out.mkdir()
+        else:
+            out = out / "r.json"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(out) in err, err
+        assert not Path(f"{out}.config.json").exists()

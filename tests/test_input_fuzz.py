@@ -5,7 +5,8 @@ deletes it, and runs the subcommands that read that input in-process. Bad
 input must exit 2 with an ``error:`` line and good input exit 0. Exit 1,
 an ``internal error``, means a check is missing. A value that breaks a rule
 README's "File formats" states for its field must exit 2: exit 0 there
-means the input passed silently.
+means the input passed silently. A second fuzz corrupts the bytes of an
+input file instead, where only exit 0 or 2 is asked.
 
 The inputs are copies of ``tests/data/eval_micro_*`` (a dataset and a
 results file), a coarse and an oracle field archive for ``refine``, and a
@@ -214,3 +215,53 @@ def test_mutated_field_archive(tmp_path, archive, path, value):
 def test_mutated_config(tmp_path, key, value):
     config = _write(tmp_path / "config.json", _mutated(CONFIG, (key,), value))
     _run(tmp_path, ["stats", "eval", "ensemble", "refine"], "--config", config, **_archives(tmp_path))
+
+
+
+# the subcommands that read each input
+READERS = {
+    "gt": ["stats", "eval"],
+    "results": ["eval", "ensemble"],
+    "coarse": ["refine"],
+    "oracle": ["refine"],
+    "config": ["stats", "eval", "ensemble", "refine"],
+}
+# the offset of the version needed to extract in a field archive's first
+# central-directory entry
+ZIP_VERSION_AT = _write_archive(io.BytesIO(), MANIFEST, "coarse").getvalue().index(b"PK\x01\x02") + 6
+
+
+def _corrupted(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    """``data`` truncated at ``at``, with the span of ``1 + byte % 40``
+    bytes from ``at`` repeated, with bit ``byte % 8`` of byte ``at``
+    flipped, or with byte ``at`` set to ``byte``."""
+    at %= len(data)
+    if kind == "truncate":
+        return data[:at]
+    if kind == "duplicate":
+        return data[: at + 1 + byte % 40] + data[at:]
+    if kind == "flip":
+        byte = data[at] ^ 1 << byte % 8
+    return data[:at] + bytes([byte]) + data[at + 1 :]
+
+
+@settings(FUZZ, max_examples=200)
+@given(
+    name=st.sampled_from(sorted(READERS)),
+    kind=st.sampled_from(["truncate", "duplicate", "flip", "overwrite"]),
+    at=st.integers(0, 1 << 16),
+    byte=st.integers(0, 255),
+)
+# the exit-1 holes found so far: a first byte no longer UTF-8, and a zip
+# version past what zipfile reads
+@example(name="results", kind="flip", at=0, byte=7)
+@example(name="coarse", kind="overwrite", at=ZIP_VERSION_AT, byte=130)
+def test_corrupted_bytes(tmp_path, name, kind, at, byte):
+    files = {
+        "gt": _write(tmp_path / "gt.json", GT),
+        "results": _write(tmp_path / "results.json", RESULTS),
+        "config": _write(tmp_path / "config.json", CONFIG),
+        **_archives(tmp_path),
+    }
+    files[name].write_bytes(_corrupted(files[name].read_bytes(), kind, at, byte))
+    _run(tmp_path, READERS[name], "--config", files.pop("config"), **files)
