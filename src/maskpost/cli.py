@@ -141,10 +141,33 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _write_sidecar(out_path: str, command: str, resolved: dict, inputs: dict) -> None:
-    sidecar = Path(str(out_path) + ".config.json")
-    payload = {"command": command, "inputs": inputs, "options": resolved}
-    sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _output_paths(args: argparse.Namespace) -> list[Path]:
+    """The files a run writes: ``--out``, then ``eval``'s ``.txt`` report,
+    then the ``<out>.config.json`` sidecar. An ``--out`` with no file name
+    (``.``, ``/``) is a directory, which the write check refuses, so it gets
+    no report path."""
+    out = Path(args.out)
+    report = [out.with_suffix(".txt")] if args.command == "eval" and out.name else []
+    return [out, *report, Path(f"{args.out}.config.json")]
+
+
+def _check_writable(path: Path) -> None:
+    """Open ``path`` for writing, as the run will later, and leave it as it
+    was: a file this makes is removed again."""
+    try:
+        try:
+            open(path, "xb").close()
+        except FileExistsError:
+            open(path, "ab").close()
+        else:
+            path.unlink()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write ({exc.strerror})") from exc
+
+
+def _write_sidecar(args: argparse.Namespace, resolved: dict, inputs: dict) -> None:
+    payload = {"command": args.command, "inputs": inputs, "options": resolved}
+    _output_paths(args)[-1].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _worker_count(opts: dict) -> int:
@@ -242,16 +265,13 @@ def cmd_refine(args: argparse.Namespace) -> None:
     dets = [det for det, _ in rendered]
     dets.sort(key=lambda d: (d.image_id, d.category_id, -d.score))
     write_results(args.out, dets)
+    _write_sidecar(
+        args, opts, {"coarse": args.coarse, "oracle": args.oracle, "synthetic": args.synthetic}
+    )
     ious = [iou for _, iou in rendered if iou is not None]
     if ious:
         print(f"mean_iou {float(np.mean(ious)):.6f}")
     print(f"rendered {len(dets)} instances -> {args.out}")
-    _write_sidecar(
-        args.out,
-        "refine",
-        opts,
-        {"coarse": args.coarse, "oracle": args.oracle, "synthetic": args.synthetic},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +348,12 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
         sizes = {}
         for model in models:
             _check_masks(model.detections, f"{model.model_id}: ", sizes, flag)
-    for model, w in zip(models, model_weights(models, cfg)):
-        print(f"weight {model.model_id} {w:.6f}")
-
     fused = ensemble(models, cfg)
     write_results(args.out, fused)
+    _write_sidecar(args, opts, {"models": list(args.model)})
+    for model, w in zip(models, model_weights(models, cfg)):
+        print(f"weight {model.model_id} {w:.6f}")
     print(f"fused {len(fused)} detections -> {args.out}")
-    _write_sidecar(args.out, "ensemble", opts, {"models": list(args.model)})
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +377,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
             raise InputError(f"results[{i}].image_id: image {det.image_id} is not in {gt_path}")
     _check_masks(dets, "", sizes, "--iou-on mask" if cfg.iou_on == "mask" else None)
     report = evaluate(gts, dets, cfg)
-    out = Path(args.out)
+    out, text, _ = _output_paths(args)
     out.write_text(report.to_json())
-    out.with_suffix(".txt").write_text(report.to_text())
+    text.write_text(report.to_text())
+    _write_sidecar(args, opts, {"gt": args.gt, "results": args.results})
     sys.stdout.write(report.to_text())
-    _write_sidecar(args.out, "eval", opts, {"gt": args.gt, "results": args.results})
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +411,9 @@ def cmd_stats(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
     Path(args.out).write_text(hist.to_csv())
+    _write_sidecar(args, opts, {"gt": args.gt})
     print(f"median_sqrt_area {median_sqrt_area(boxes):.6f}")
     print(f"boxes {hist.total} -> {args.out}")
-    _write_sidecar(args.out, "stats", opts, {"gt": args.gt})
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +468,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        for path in _output_paths(args):
+            _check_writable(path)
         args.handler(args)
     except (InputError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

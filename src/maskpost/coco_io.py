@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BBox, RleMask, ScoreField, rle_bbox, rle_encode
+from .core import _counts_fault, _mask_pixels, _rle_masks  # the RLE counts rule
 from .evaluation import GroundTruthInstance
 from .fusion import Detection
 
@@ -458,15 +459,16 @@ def rle_strings_decode(strings, sizes, contexts=None) -> list[RleMask]:
 
 
 def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
-    """Decode one slice: every check runs over all of its strings, and the
-    first string at fault is reported."""
+    """Decode one slice: every wire check runs over all of its strings, and
+    the counts rule of ``core`` over the counts they decode to; the first
+    string at fault is reported."""
     n = len(strings)
     joined = "".join(strings)
     # one entry per code point, so that an invalid character can be named
     chunks = np.frombuffer(joined.encode("utf-32-le"), np.uint32) - 48
     lengths = np.array([len(s) for s in strings])
     char_owner = np.repeat(np.arange(n), lengths)
-    pixels = np.array([min(w * h, 1 << 60) if w > 0 and h > 0 else 0 for w, h in sizes])
+    pixels = _mask_pixels(sizes)  # 0 for a size the counts rule refuses
     faults = []  # (first string at fault, message), most important first
 
     def check(at_fault, message):
@@ -494,9 +496,7 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
     values = np.diff(np.cumsum(bits)[stops], prepend=0)
     negative = chunks[stops] & 0x10 != 0
     values[negative] -= np.int64(1) << 5 * np.minimum(span[negative], _MAX_VALUE_CHARS)
-    bad = "RLE string decodes to invalid counts: "
-    check(np.flatnonzero(pixels == 0), lambda k: bad + "mask dimensions must be positive")
-    over = np.flatnonzero(np.abs(values) > pixels[owner])
+    over = np.flatnonzero((np.abs(values) > pixels[owner]) & (pixels[owner] > 0))
     check(owner[over], lambda k: (
         f"RLE value {values[over[0]]} is larger in magnitude than the mask's {pixels[k]} pixels"
     ))
@@ -513,23 +513,13 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
     start = np.where(rank & 1, chain[first], chain[first + 1])  # before position 1 or 2
     counts = np.where(rank > 0, chain[1:] - start, values)
 
-    empty = np.flatnonzero(per_string == 0)
-    check(empty, lambda k: bad + "counts must be a non-empty 1-D sequence")
-    check(owner[counts < 0], lambda k: bad + "counts must be non-negative")
-    zero = owner[(counts == 0) & (rank > 0)]
-    check(zero, lambda k: bad + "zero-length run beyond the leading position")
-    sums = np.diff(np.concatenate(([0], np.cumsum(counts)))[bounds])
-    wrong = np.flatnonzero(sums != pixels)
-    check(wrong, lambda k: bad + f"counts sum to {sums[k]}, expected {pixels[k]}")
+    fault = _counts_fault(sizes, counts, bounds)
+    if fault:
+        faults.append((fault[0], "RLE string decodes to invalid counts: " + fault[1]))
     if faults:
         k, message = min(faults, key=lambda f: f[0])
         raise SchemaError(f"{contexts[k]}: {message}")
-    counts.setflags(write=False)
-    bounds = bounds.tolist()
-    return [
-        RleMask._from_checked(w, h, counts[a:b])
-        for (w, h), a, b in zip(sizes, bounds, bounds[1:])
-    ]
+    return _rle_masks(sizes, counts, bounds.tolist())
 
 
 def rle_string_encode(rle: RleMask) -> str:

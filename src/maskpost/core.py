@@ -246,39 +246,25 @@ class RleMask:
     __slots__ = ("width", "height", "counts", "_table")
 
     def __init__(self, width: int, height: int, counts) -> None:
-        if width < 1 or height < 1:
-            raise ValueError("mask dimensions must be positive")
         arr = np.asarray(counts)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("counts must be a non-empty 1-D sequence")
-        # refused, not cast: a cast would truncate floats and wrap large
-        # values, and a count over the pixel count could wrap the sum below
-        if arr.dtype.kind not in "iu":
+        if arr.ndim != 1:
+            arr = np.zeros(0, np.int64)  # refused by the counts rule
+        # refused, not cast: a cast would truncate floats and wrap large values
+        if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers in the int64 range, got {arr.dtype} values")
-        if arr.max() > width * height:
+        if arr.size and arr.max() >= 1 << 63:  # past int64
             raise ValueError(f"count {arr.max()} exceeds the {width * height} pixels of the mask")
         arr = arr.astype(np.int64)
-        if (arr < 0).any():
-            raise ValueError("counts must be non-negative")
-        if arr.size > 1 and (arr[1:] == 0).any():
-            raise ValueError("zero-length run beyond the leading position")
-        total = int(arr.sum())
-        if total != width * height:
-            raise ValueError(f"counts sum to {total}, expected {width * height}")
+        fault = _counts_fault([(width, height)], arr, [0, arr.size])
+        if fault:
+            raise ValueError(fault[1])
         arr.setflags(write=False)
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "counts", arr)
+        self._own(width, height, arr)
 
-    @classmethod
-    def _from_checked(cls, width: int, height: int, counts: np.ndarray) -> RleMask:
-        """Wrap read-only int64 ``counts`` that already pass the checks of
-        ``__init__``, without copying or checking them again."""
-        self = object.__new__(cls)
+    def _own(self, width: int, height: int, counts: np.ndarray) -> None:
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
         object.__setattr__(self, "counts", counts)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RleMask is immutable")
@@ -301,6 +287,61 @@ class RleMask:
 
     def __repr__(self) -> str:
         return f"RleMask({self.width}x{self.height}, {self.counts.size} runs)"
+
+
+def _mask_pixels(sizes) -> np.ndarray:
+    """Pixel count of each ``(width, height)``; 0 for a side below 1, or for
+    ``2**59`` pixels or more, past a 12-character wire value (60 bits, signed)."""
+    pixels = [w * h if w > 0 and h > 0 and w * h < 1 << 59 else 0 for w, h in sizes]
+    return np.array(pixels, np.int64)
+
+
+def _counts_fault(sizes, counts: np.ndarray, bounds) -> tuple[int, str] | None:
+    """The RLE counts rule: ``(k, reason)`` for the first mask that breaks it,
+    mask ``k`` being ``sizes[k]`` over int64 ``counts[bounds[k]:bounds[k + 1]]``,
+    and ``reason`` the first part it breaks, in the order of the messages
+    below; else None."""
+    pixels, bounds = _mask_pixels(sizes), np.asarray(bounds)
+    owner = np.repeat(np.arange(len(sizes)), bounds[1:] - bounds[:-1])
+    start = bounds[owner]
+    before = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, out=before[1:])  # int64 sums wrap round
+    totals, sums = before[1:] - before[start], before[bounds[1:]] - before[bounds[:-1]]
+    zeros = (counts == 0).nonzero()[0]
+    broken = [
+        (pixels == 0).nonzero()[0],
+        (bounds[1:] == bounds[:-1]).nonzero()[0],
+        owner[counts < 0],
+        owner[zeros[zeros > start[zeros]]],
+        (sums != pixels).nonzero()[0],
+        # counts that are non-negative and sum right pass the pixels only on
+        # the way past 2**63, where the running total wraps round negative
+        owner[totals < 0],
+    ]
+    found = [(int(m[0]), rule) for rule, m in enumerate(broken) if m.size]
+    if not found:
+        return None
+    k, rule = min(found)
+    w, h = sizes[k]
+    return k, [
+        "mask dimensions must be positive" if w < 1 or h < 1
+        else f"mask of {w * h} pixels, more than 2**59 - 1",
+        "counts must be a non-empty 1-D sequence",
+        "counts must be non-negative",
+        "zero-length run beyond the leading position",
+        f"counts sum to {sums[k]}, expected {pixels[k]}",
+        f"running total exceeds the {pixels[k]} pixels of the mask",
+    ][rule]
+
+
+def _rle_masks(sizes, counts: np.ndarray, bounds) -> list[RleMask]:
+    """The masks of :func:`_counts_fault`'s layout over ``counts``, which
+    must pass the rule, without a copy."""
+    counts.setflags(write=False)
+    masks = [object.__new__(RleMask) for _ in sizes]
+    for mask, (w, h), a, b in zip(masks, sizes, bounds, bounds[1:]):
+        mask._own(w, h, counts[a:b])
+    return masks
 
 
 def rle_encode(mask) -> RleMask:

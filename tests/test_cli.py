@@ -51,6 +51,12 @@ BAD_COUNTS_LISTS = [
     ([2**63], "count 9223372036854775808 exceeds the 64 pixels"),
 ]
 
+# 65 runs of 2**58 pixels on a 2**29 x 2**29 mask, as a compressed string:
+# their int64 sum wraps round to the pixel count, so only the running total
+# shows that they overrun the mask
+WRAPPING_COUNTS = "PPPPPPPPPPP8" * 3 + "0" * 62
+WRAPPING_FAULT = "running total exceeds the 288230376151711744 pixels of the mask"
+
 
 # the flat polygon of annotation 1 in tests/data/eval_micro_gt.json
 MICRO_SQUARE = [60.0, 60.0, 110.0, 60.0, 110.0, 110.0, 60.0, 110.0]
@@ -595,6 +601,19 @@ class TestEnsembleCommand:
         assert "error: results[1].segmentation.counts" in err and fault in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts", [WRAPPING_COUNTS, [2**58] * 65], ids=["string", "list"])
+    def test_wrapping_counts_exit_2(self, tmp_path, capsys, counts):
+        # a string and a list of the same counts get the same message
+        segmentation = {"size": [2**29, 2**29], "counts": counts}
+        model = tmp_path / "f.json"
+        model.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5,
+                                      "bbox": [0, 0, 1, 1], "segmentation": segmentation}]))
+        out = tmp_path / "fused.json"
+        code, stdout, err = run_cli(capsys, "ensemble", "--model", f"{model}:1", "--out", str(out))
+        wire = "RLE string decodes to invalid counts: " if isinstance(counts, str) else ""
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == f"error: results[0].segmentation.counts: {wire}{WRAPPING_FAULT}\n"
+
     def test_mismatched_image_ids_warn(self, tmp_path, capsys):
         _, model_paths = write_scenario_files(tmp_path)
         sliced = load_results(model_paths[0][0])[:3]
@@ -854,6 +873,25 @@ class TestEvalCommand:
         assert code == 2
         assert "error: annotations[2].segmentation.counts: " in err and fault in err
         assert not out.exists()
+
+    def test_wrapping_counts_exit_2(self, tmp_path, capsys):
+        # accepted, the mask would have area -2**63
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(json.dumps({"images": [{"id": 1, "width": 2**29, "height": 2**29}],
+                                       "annotations": [], "categories": [{"id": 1}]}))
+        segmentation = {"size": [2**29, 2**29], "counts": WRAPPING_COUNTS}
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5,
+                                        "segmentation": segmentation}]))
+        out = tmp_path / "r.json"
+        code, stdout, err = run_cli(
+            capsys, "eval", "--gt", str(gt_path), "--results", str(results), "--out", str(out)
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == (
+            "error: results[0].segmentation.counts: "
+            f"RLE string decodes to invalid counts: {WRAPPING_FAULT}\n"
+        )
 
     @pytest.mark.parametrize("counts, fault", BAD_COUNTS_LISTS)
     def test_bad_counts_list_exits_2(self, tmp_path, capsys, counts, fault):
@@ -1312,6 +1350,13 @@ class TestConfigPrecedence:
 
 _MICRO_GT = str(Path(__file__).parent / "data" / "eval_micro_gt.json")
 _MICRO_RESULTS = str(Path(__file__).parent / "data" / "eval_micro_results.json")
+# a run of each subcommand on valid inputs, without --out
+_WRITING_RUNS = [
+    ["refine", "--synthetic", "disk:1"],
+    ["ensemble", "--model", f"{_MICRO_RESULTS}:1"],
+    ["eval", "--gt", _MICRO_GT, "--results", _MICRO_RESULTS],
+    ["stats", "--gt", _MICRO_GT],
+]
 # each input flag: a run that reads the file under test at {bad}, and valid
 # files elsewhere
 _INPUT_RUNS = {
@@ -1365,16 +1410,7 @@ class TestFileBoundary:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {prefix}{bad}: {reason}"), err
         assert not out.exists() and not Path(f"{out}.config.json").exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["refine", "--synthetic", "disk:1"],
-            ["ensemble", "--model", f"{_MICRO_RESULTS}:1"],
-            ["eval", "--gt", _MICRO_GT, "--results", _MICRO_RESULTS],
-            ["stats", "--gt", _MICRO_GT],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", _WRITING_RUNS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, argv, where):
         out = tmp_path / "out"
@@ -1386,3 +1422,49 @@ class TestFileBoundary:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(out) in err, err
         assert not Path(f"{out}.config.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, reader",
+        [
+            (["refine", "--coarse", _MICRO_GT, "--predictor", "identity"], "load_field_archive"),
+            (["ensemble", "--model", f"{_MICRO_RESULTS}:1"], "load_results"),
+            (["eval", "--gt", _MICRO_GT, "--results", _MICRO_RESULTS], "load_dataset"),
+            (["stats", "--gt", _MICRO_GT], "load_dataset"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else v,
+    )
+    def test_unwritable_out_found_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, reader
+    ):
+        def read(*_):
+            raise AssertionError("an input was read")  # exit 1, not 2
+
+        monkeypatch.setattr(cli, reader, read)
+        out = tmp_path / "missing" / "o.json"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {out}: cannot write (No such file or directory)\n"
+
+    def test_output_check_leaves_files_as_they_were(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        out.write_text("kept")
+        code, _, err = run_cli(
+            capsys, "eval", "--gt", str(tmp_path / "missing.json"), "--results", _MICRO_RESULTS,
+            "--out", str(out),
+        )
+        assert code == 2 and "missing.json: cannot read" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["o.json"] and out.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [(argv, "o.json.config.json") for argv in _WRITING_RUNS] + [(_WRITING_RUNS[2], "o.txt")],
+        ids=[f"{argv[0]}-sidecar" for argv in _WRITING_RUNS] + ["eval-report"],
+    )
+    def test_unwritable_later_output_leaves_no_file(self, tmp_path, capsys, argv, blocked):
+        """Every output path is checked before the work: one that cannot
+        be written leaves no other output behind and no summary printed."""
+        (tmp_path / blocked).mkdir()
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.json"))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {tmp_path / blocked}: cannot write (Is a directory)\n"
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]

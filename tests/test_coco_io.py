@@ -37,7 +37,7 @@ from maskpost import (
     write_field_archive,
     write_results,
 )
-from maskpost import coco_io
+from maskpost import coco_io, core
 from oracles import rle_counts_to_string, rle_string_to_counts, shoelace_area
 
 # box coordinates about half and all of the float range, and their negations
@@ -171,6 +171,55 @@ class TestBatchedRleStrings:
         # even though its fault is found in a later pass
         with pytest.raises(SchemaError, match=r"^b: .*counts sum to 4"):
             rle_strings_decode(["`0", "4", "\x01"], [(4, 4)] * 3, ["a", "b", "c"])
+
+    def test_zero_size_named_before_value_magnitude(self):
+        # a 0x4 mask has 0 pixels, so every value is "larger" than its pixel
+        # count; the size is the fault to name
+        with pytest.raises(SchemaError) as info:
+            rle_strings_decode(["1"], [(0, 4)])
+        assert str(info.value) == (
+            "strings[0]: RLE string decodes to invalid counts: mask dimensions must be positive"
+        )
+
+    def test_wrapped_running_total_rejected(self):
+        # 65 runs of 2**58 on 2**58 pixels, whose int64 sum wraps round to 2**58
+        wrapping = "PPPPPPPPPPP8" * 3 + "0" * 62
+        assert rle_string_to_counts(wrapping) == [2**58] * 65
+        with pytest.raises(SchemaError, match="running total exceeds the 288230376151711744 pixels"):
+            rle_strings_decode([wrapping], [(2**29, 2**29)])
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.one_of(st.integers(-2, 40), st.integers(1 - 2**62, 2**62)), max_size=12),
+        st.one_of(st.none(), st.tuples(st.integers(-2, 2**31), st.integers(-2, 2**31))),
+    )
+    # the counts rule's edges: a running total that wraps round to the pixel
+    # count, a mask whose runs need 13-character values, a zero-size mask
+    @example([2**58] * 65, (2**29, 2**29))
+    @example([16, 16, 2**60 - 32], (2**30, 2**30))
+    @example([1], (0, 4))
+    def test_string_and_list_get_one_verdict(self, counts, size):
+        # without a drawn size, a column of sum(counts) pixels, so that the
+        # counts can fill it; two counts differ by less than 2**63, so the
+        # encoder's two-back deltas do not wrap
+        width, height = size or (1, sum(counts))
+        try:
+            mask, refused = RleMask(width, height, counts), None
+        except ValueError as exc:
+            mask, refused = None, str(exc)
+        unchecked = core._rle_masks([(width, height)], np.array(counts, np.int64), [0, len(counts)])
+        string = rle_strings_encode(unchecked)[0] if counts else ""
+        try:
+            decoded = rle_strings_decode([string], [(width, height)])[0]
+        except SchemaError as exc:
+            assert refused is not None, f"decoder refused a valid mask: {exc}"
+            prefix = "strings[0]: RLE string decodes to invalid counts: "
+            if str(exc).startswith(prefix):  # else a wire rule refused it first
+                assert str(exc) == prefix + refused
+        else:
+            assert refused is None, f"decoder accepted what the constructor refuses: {refused}"
+            assert decoded == mask
+            assert rle_strings_decode(rle_strings_encode([mask]), [(width, height)]) == [mask]
 
     def test_fault_in_a_later_slice(self):
         strings = [rle_string_encode(RleMask(4, 4, [16]))] * 50 + ["0P"]

@@ -230,6 +230,37 @@ class TestRleCodec:
         with pytest.raises(ValueError, match=fault):
             RleMask(8, 8, counts)
 
+    def test_running_total_past_the_pixels_rejected(self):
+        # 65 runs of 2**58 on 2**58 pixels: the int64 sum wraps round to
+        # 2**58, and an accepted mask would have area -2**63
+        with pytest.raises(ValueError, match="^running total exceeds the 288230376151711744 pixels"):
+            RleMask(2**29, 2**29, [2**58] * 65)
+
+    def test_mask_of_2_59_pixels_rejected(self):
+        # the wire format cannot write a run of 2**59 pixels or more
+        with pytest.raises(ValueError, match=r"^mask of 1152921504606846976 pixels, more than 2\*\*59 - 1"):
+            RleMask(2**30, 2**30, [16, 16, 2**60 - 32])
+        with pytest.raises(ValueError, match=r"^mask of 576460752303423488 pixels"):
+            RleMask(1, 2**59, [2**59])
+        assert RleMask(1, 2**59 - 1, [0, 2**59 - 1]).area == 2**59 - 1
+
+    @pytest.mark.parametrize(
+        "width, height, counts, fault",
+        [
+            (0, 4, [4], "mask dimensions must be positive"),
+            (2, 2, [], "counts must be a non-empty 1-D sequence"),
+            (2, 2, [[4]], "counts must be a non-empty 1-D sequence"),
+            (2, 2, [-1, 5], "counts must be non-negative"),
+            (2, 2, [1, 0, 3], "zero-length run beyond the leading position"),
+            (2, 2, [3], "counts sum to 3, expected 4"),
+            (2, 2, [5], "counts sum to 5, expected 4"),
+        ],
+    )
+    def test_fault_names_the_rule(self, width, height, counts, fault):
+        with pytest.raises(ValueError) as info:
+            RleMask(width, height, counts)
+        assert str(info.value) == fault
+
     def test_integer_counts_of_any_width_accepted(self):
         expected = RleMask(8, 8, [10, 54])
         for counts in ([10, 54], (10, 54), np.array([10, 54], dtype=np.int32),
