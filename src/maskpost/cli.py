@@ -468,7 +468,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        for path in _output_paths(args):
+        paths = _output_paths(args)
+        if len(set(paths)) < len(paths):  # eval's report is --out with the suffix .txt
+            raise InputError(f"{paths[0]}: --out is also the .txt report; give it another suffix")
+        for path in paths:
             _check_writable(path)
         args.handler(args)
     except (InputError, SchemaError, OSError) as exc:

@@ -2,8 +2,8 @@
 evaluation stages.
 
 Binary masks are plain boolean numpy arrays of shape ``(height, width)``.
-Run-length encoded masks use the COCO column-major layout; their area, tight
-box, IoU and vote merge read a run table each mask builds once, without decoding.
+Run-length encoded masks use the COCO column-major layout and hold only their
+counts; tight box, IoU and vote merge build run tables per call, without decoding.
 Score fields hold mask logits (logit 0 corresponds to foreground probability
 0.5) and support continuous bilinear sampling over the closed unit square.
 """
@@ -243,7 +243,7 @@ class RleMask:
     zero, and the counts must sum to ``width * height``.
     """
 
-    __slots__ = ("width", "height", "counts", "_table")
+    __slots__ = ("width", "height", "counts")
 
     def __init__(self, width: int, height: int, counts) -> None:
         arr = np.asarray(counts)
@@ -272,7 +272,7 @@ class RleMask:
     @property
     def area(self) -> int:
         """Foreground pixel count."""
-        return int(_run_table(self)[1][-1])
+        return int(self.counts[1::2].sum())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RleMask):
@@ -367,21 +367,14 @@ def rle_decode(rle: RleMask) -> np.ndarray:
     return flat.reshape((rle.height, rle.width), order="F")
 
 
-def _run_table(rle: RleMask) -> tuple[np.ndarray, np.ndarray]:
-    """``(bounds, fg_before)`` of ``rle``, built on first use from its
-    immutable counts and kept: run ``k`` covers column-major pixels
-    ``[bounds[k], bounds[k + 1])``, odd ``k`` are foreground, and
-    ``fg_before[k]`` is the number of foreground pixels before ``bounds[k]``.
-    Threads that race on a cold mask build equal tables; either is kept."""
-    table = getattr(rle, "_table", None)
-    if table is None:
-        fg_counts = rle.counts.copy()
-        fg_counts[::2] = 0
-        table = tuple(np.concatenate(([0], np.cumsum(c))) for c in (rle.counts, fg_counts))
-        for arr in table:
-            arr.setflags(write=False)
-        object.__setattr__(rle, "_table", table)
-    return table
+def _run_table(rle: RleMask) -> np.ndarray:
+    """The rows ``bounds, fg_before`` of ``rle``: run ``k`` covers column-major
+    pixels ``[bounds[k], bounds[k + 1])``, odd ``k`` are foreground, and
+    ``fg_before[k]`` is the number of foreground pixels before ``bounds[k]``."""
+    table = np.zeros((2, rle.counts.size + 1), np.int64)
+    table[0, 1:] = rle.counts
+    table[1, 2::2] = rle.counts[1::2]
+    return table.cumsum(axis=1)
 
 
 def _check_same_size(a: RleMask, b: RleMask) -> None:
@@ -398,11 +391,15 @@ def rle_bbox(rle: RleMask) -> BBox:
     covers the bottom of one column and the top of the next, so it reaches
     both the first and the last row.
     """
-    bounds = _run_table(rle)[0]
+    return _tight_box(rle, _run_table(rle))
+
+
+def _tight_box(rle: RleMask, table: np.ndarray) -> BBox:
+    """:func:`rle_bbox` of ``rle``, read from its run table."""
+    bounds, h = table[0], rle.height
     starts, lasts = bounds[1:-1:2], bounds[2::2] - 1
     if starts.size == 0:
         return BBox(0.0, 0.0, 0.0, 0.0)
-    h = rle.height
     spans = starts // h != lasts // h
     x0, x1 = int(starts[0] // h), int(lasts[-1] // h)
     y0 = int(np.where(spans, 0, starts % h).min())
@@ -422,14 +419,17 @@ def rle_iou_matrix(a, b, near=None) -> np.ndarray:
     Only the pairs set in the boolean ``near`` matrix are read; the rest are
     0. ``near`` defaults to tight-box IoU > 0: masks whose tight boxes share
     no pixel cannot intersect. A pair's intersection is the count of ``b``'s
-    foreground pixels inside each foreground run of ``a``, read off the run
-    tables, so it equals ``mask_iou`` of the decoded masks bit for bit."""
+    foreground pixels inside each foreground run of ``a``, read off run tables
+    built once per mask and call (shared when ``b is a``), so it equals
+    ``mask_iou`` of the decoded masks bit for bit."""
+    a_tables = [_run_table(m) for m in a]
+    b_tables = a_tables if b is a else [_run_table(m) for m in b]
     if near is None:
-        near = box_iou_matrix([rle_bbox(m) for m in a], [rle_bbox(m) for m in b]) > 0
+        near = box_iou_matrix([*map(_tight_box, a, a_tables)], [*map(_tight_box, b, b_tables)]) > 0
     ious = np.zeros((len(a), len(b)))
     for i, j in zip(*np.nonzero(near)):
         _check_same_size(a[i], b[j])
-        (a_bounds, a_fg), (b_bounds, b_fg) = _run_table(a[i]), _run_table(b[j])
+        (a_bounds, a_fg), (b_bounds, b_fg) = a_tables[i], b_tables[j]
         k = np.searchsorted(b_bounds, a_bounds, side="right") - 1
         inside = np.diff(b_fg[k] + (a_bounds - b_bounds[k]) * (k % 2))
         inter = int(inside[1::2].sum())
@@ -454,13 +454,14 @@ def rle_merge(masks, weights) -> RleMask:
         raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
     for rle in masks[1:]:
         _check_same_size(masks[0], rle)
-    bounds = np.sort(np.concatenate([_run_table(rle)[0] for rle in masks]))
+    member_bounds = [_run_table(rle)[0] for rle in masks]
+    bounds = np.sort(np.concatenate(member_bounds))
     bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     seg_starts = bounds[:-1]
     votes = np.zeros(seg_starts.size)
     total = 0.0
-    for rle, weight in zip(masks, weights):
-        covered = (np.searchsorted(_run_table(rle)[0], seg_starts, side="right") - 1) % 2
+    for rle_bounds, weight in zip(member_bounds, weights):
+        covered = (np.searchsorted(rle_bounds, seg_starts, side="right") - 1) % 2
         votes = votes + weight * covered
         total += weight
     fg = votes > 0.5 * total

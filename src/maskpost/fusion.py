@@ -196,15 +196,17 @@ def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection
     """Soft-NMS over one image (and category) worth of detections, listed
     in tie order: on equal scores argmax keeps the first.
 
-    The group's box IoU matrix is built once, from the declared boxes or,
-    under mask overlap, from the masks' tight boxes: then only the live
-    pairs whose tight boxes overlap have their runs read.
+    The group's IoU matrix is built once, of the declared boxes or of the
+    masks: a mask pair is read once, if its tight boxes overlap, and mirrored.
     """
     masks = [det.mask for det in dets]
     if cfg.use_mask_iou and any(mask is None for mask in masks):
         raise ValueError("use_mask_iou requires every detection to carry a mask")
     boxes = [rle_bbox(mask) for mask in masks] if cfg.use_mask_iou else [det.bbox for det in dets]
     ious = box_iou_matrix(boxes, boxes)
+    if cfg.use_mask_iou:
+        ious = rle_iou_matrix(masks, masks, np.triu(ious > 0, 1))
+        ious = ious + ious.T
     scores = np.array([det.score for det in dets], dtype=np.float64)
     live = np.arange(len(dets))
     kept: list[Detection] = []
@@ -217,10 +219,7 @@ def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection
             live = live[live != best]
             det, score = dets[best], float(scores[best])
             kept.append(det if det.score == score else replace(det, score=score))
-            row = ious[best, live]
-            if cfg.use_mask_iou:
-                row = rle_iou_matrix([masks[best]], [masks[j] for j in live], row[None] > 0)[0]
-            scores[live] *= _decay(row, cfg)
+            scores[live] *= _decay(ious[best, live], cfg)
             live = live[scores[live] >= cfg.score_floor]
     return kept
 

@@ -1445,6 +1445,21 @@ class TestFileBoundary:
         assert (code, stdout) == (2, "")
         assert err == f"error: {out}: cannot write (No such file or directory)\n"
 
+    def test_eval_out_that_is_its_own_report_exits_2(self, tmp_path, capsys, monkeypatch):
+        """``eval``'s text report is ``--out`` with the suffix ``.txt``, so
+        an ``--out`` ending in ``.txt`` would be overwritten by it: refused
+        before any input is read."""
+
+        def read(*_):
+            raise AssertionError("an input was read")  # exit 1, not 2
+
+        monkeypatch.setattr(cli, "load_dataset", read)
+        out = tmp_path / "r.txt"
+        code, stdout, err = run_cli(capsys, *_WRITING_RUNS[2], "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {out}: --out is also the .txt report; give it another suffix\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_check_leaves_files_as_they_were(self, tmp_path, capsys):
         out = tmp_path / "o.json"
         out.write_text("kept")

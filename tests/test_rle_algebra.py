@@ -1,5 +1,6 @@
 """Properties of the run-length mask algebra against dense and set references."""
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,8 +150,8 @@ def test_rle_iou_matrix_equals_pairwise(sets):
         assert ious[i, j] == rle_iou(a[i], b[j])
 
 
-# each operation names the masks it reads; the first to read a mask builds
-# its run table, and later ones read the kept table
+# each operation names the masks it reads; every one builds the run tables
+# it needs from the counts, whatever ran before
 RUN_OPERATIONS = ["area", "bbox", "iou", "iou_matrix", "merge"]
 
 
@@ -192,11 +193,37 @@ def test_run_table_leaves_the_mask_as_it_was():
     assert warm.counts.tolist() == [2, 3, 7]
 
 
+def test_masks_keep_only_their_counts():
+    """Run tables live for one call: after area, box, IoU and merge have
+    read every mask, the masks hold about their counts and no more."""
+    rng = np.random.default_rng(5)
+    bits = [rng.random((40, 60)) < 0.5 for _ in range(50)]
+
+    def read(masks):
+        for mask in masks:
+            assert mask.area == np.count_nonzero(rle_decode(mask))
+            rle_bbox(mask)
+        rle_iou_matrix(masks, masks)
+        rle_merge(masks, np.ones(len(masks)))
+
+    read([rle_encode(b) for b in bits[:2]])  # one-time setup of each call path
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        masks = [rle_encode(b) for b in bits]
+        read(masks)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    counts = sum(mask.counts.nbytes for mask in masks)
+    assert counts <= held <= 1.1 * counts, (held, counts)
+
+
 def test_threads_share_cold_masks():
     rng = np.random.default_rng(3)
     bits = [rng.random((16, 12)) < rng.uniform(0.1, 0.9) for _ in range(12)]
     serial = rle_iou_matrix([rle_encode(b) for b in bits], [rle_encode(b) for b in bits])
-    shared = [rle_encode(b) for b in bits]  # no table built yet
+    shared = [rle_encode(b) for b in bits]  # each call builds its own tables
     start = threading.Barrier(4, timeout=30)
     results = [None] * 4
 
