@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BBox, binarize, mask_bbox, mask_iou, rle_encode, resample
+from .core import BBox, mask_bbox, mask_iou, rle_encode, resample
 from .coco_io import (
     FieldInstance,
     SchemaError,
@@ -33,7 +33,13 @@ from .coco_io import (
 )
 from .evaluation import EvalConfig, evaluate
 from .fusion import Detection, EnsembleConfig, ModelCandidate, SoftNmsConfig, ensemble, model_weights
-from .refine import IdentityPredictor, OracleFieldPredictor, SubdivisionConfig, subdivision_render
+from .refine import (
+    IdentityPredictor,
+    OracleFieldPredictor,
+    SubdivisionConfig,
+    resample_mask,
+    subdivision_mask,
+)
 from .synthetic import parse_corpus_spec, shape_field
 
 EXIT_OK = 0
@@ -249,7 +255,7 @@ def cmd_refine(args: argparse.Namespace) -> None:
         against the reference binarized at the target side."""
         inst, ref = unit[1]()
         predictor = OracleFieldPredictor(ref) if oracle else IdentityPredictor()
-        mask = binarize(subdivision_render(inst.field, predictor, cfg))
+        mask = subdivision_mask(inst.field, predictor, cfg)
         det = Detection(
             image_id=inst.image_id,
             category_id=inst.category_id,
@@ -257,7 +263,7 @@ def cmd_refine(args: argparse.Namespace) -> None:
             bbox=inst.bbox if inst.bbox is not None else mask_bbox(mask),
             mask=rle_encode(mask),
         )
-        return det, None if ref is None else mask_iou(mask, binarize(resample(ref, side, side)))
+        return det, None if ref is None else mask_iou(mask, resample_mask(ref, side, side))
 
     with ThreadPoolExecutor(max_workers=_worker_count(opts)) as pool:
         rendered = list(pool.map(render, units))

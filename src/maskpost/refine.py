@@ -9,11 +9,11 @@ budget almost exclusively on instance boundaries.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ScoreField, grid_coords, resample, sample_points
+from .core import ScoreField, _taps, binarize, grid_coords, resample, sample_points
 
 __all__ = [
     "PointPredictor",
@@ -25,6 +25,8 @@ __all__ = [
     "plain_upsample",
     "subdivision_step",
     "subdivision_render",
+    "subdivision_mask",
+    "resample_mask",
 ]
 
 
@@ -145,18 +147,22 @@ def subdivision_step(
     if n_points == 0:
         return up
     idx = select_most_uncertain(up, n_points)
-    h2, w2 = up.height, up.width
-    rows, cols = np.divmod(idx, w2)
-    points = np.stack([grid_coords(w2)[cols], grid_coords(h2)[rows]], axis=1)
-    current = up.logits.ravel()[idx]
+    rows, cols = np.divmod(idx, up.width)
+    logits = up.logits.copy()
+    logits[rows, cols] = _repredict(predictor, up.logits.ravel()[idx], rows, cols, up.logits.shape)
+    return ScoreField._wrap(logits)
+
+
+def _repredict(predictor, current, rows, cols, shape) -> np.ndarray:
+    """The predictor's logits for pixels ``(rows, cols)`` of a ``shape``
+    grid, queried at their centers, checked for shape and finiteness."""
+    points = np.stack([grid_coords(shape[1])[cols], grid_coords(shape[0])[rows]], axis=1)
     refined = np.asarray(predictor.predict(points, current), dtype=np.float64)
-    if refined.shape != (idx.size,):
-        raise ValueError(f"predictor returned shape {refined.shape}, expected ({idx.size},)")
+    if refined.shape != (rows.size,):
+        raise ValueError(f"predictor returned shape {refined.shape}, expected ({rows.size},)")
     if not np.isfinite(refined).all():
         raise ValueError("predictor returned non-finite logits")
-    logits = up.logits.copy()
-    logits[rows, cols] = refined
-    return ScoreField._wrap(logits)
+    return refined
 
 
 def subdivision_render(
@@ -180,3 +186,103 @@ def subdivision_render(
         step_pixels = 4 * field.width * field.height
         field = subdivision_step(field, predictor, min(budget, step_pixels))
     return field
+
+
+def subdivision_mask(
+    coarse: ScoreField, predictor: PointPredictor, cfg: SubdivisionConfig
+) -> np.ndarray:
+    """``binarize(subdivision_render(coarse, predictor, cfg))``: the steps
+    before the last run dense, and the last computes pixel values only in
+    the band where a sign or a rank is still open (see :func:`_band_signs`).
+    """
+    if cfg.num_steps == 0:
+        return binarize(subdivision_render(coarse, predictor, cfg))
+    field = subdivision_render(coarse, predictor, replace(cfg, target_side=cfg.target_side // 2))
+    n = min(cfg.subdivision_k ** 2, 4 * field.width * field.height)
+    return _band_signs(field, 2 * field.height, 2 * field.width, predictor, n)
+
+
+def resample_mask(field: ScoreField, height: int, width: int) -> np.ndarray:
+    """``binarize(resample(field, height, width))``, with pixel values
+    computed only in the cells whose sign is open (see :func:`_band_signs`)."""
+    if height < 1 or width < 1:
+        raise ValueError("target dimensions must be positive")
+    return _band_signs(field, height, width)
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(f, f + c)`` for each pair, laid end to end."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first + count - ends, count)
+
+
+def _band_signs(
+    field: ScoreField,
+    height: int,
+    width: int,
+    predictor: PointPredictor | None = None,
+    n: int = 0,
+) -> np.ndarray:
+    """``binarize(subdivision_step(field, predictor, n))`` for ``n > 0``, where
+    ``height x width`` is twice the field's size, and
+    ``binarize(resample(field, height, width))`` for ``n == 0``, bit for bit,
+    with pixel values computed only in a band.
+
+    A cell is the 2x2 taps ``(y0, x0)`` of ``core._taps``. When its four taps
+    share a sign and lie in [2^-1000, 2^1000] in magnitude, each pixel of the
+    cell, two convex combinations of the taps that lose at most 6 ulps, has
+    that sign and ``|value| >= bound = min|tap| * (1 - 2^-40)``. Every other
+    cell has bound 0 and is always in the band. The band grows until it is
+    every cell with bound <= t, t being the n-th smallest ``|value|`` in it:
+    a pixel outside then has ``|value| > t``, so it is not selected, ties
+    with none that is, and has its cell's sign. Band values come from
+    ``sample_points``, which equals ``resample`` at grid points bit for bit.
+    """
+    v = field.logits
+    (h, w), gy, gx = v.shape, grid_coords(height), grid_coords(width)
+    y0, x0 = _taps(gy, h)[0], _taps(gx, w)[0]
+    # each cell's taps: columns (b, b + 1) and rows (a, a + 1), one on a 1-pixel axis
+    left, right = v[:, : max(w - 1, 1)], v[:, min(w, 2) - 1 :]
+    lo, hi = np.minimum(left, right), np.maximum(left, right)
+    top, bottom = slice(0, max(h - 1, 1)), slice(min(h, 2) - 1, None)
+    lo, hi = np.minimum(lo[top], lo[bottom]), np.maximum(hi[top], hi[bottom])
+    bound = np.maximum(lo, -hi)  # min|tap| when the four share a sign, else <= 0
+    bound[(bound < 2.0**-1000) | (hi > 2.0**1000) | (lo < -(2.0**1000))] = 0.0
+    bound *= 1 - 2.0**-40
+    cx = np.bincount(x0, minlength=bound.shape[1])
+    first = np.cumsum(cx) - cx  # each cell column's first output column
+
+    def band(cut):
+        """The output pixels, row-major, of the cells with bound <= cut."""
+        ys, xs = np.divmod(np.flatnonzero(bound <= cut), bound.shape[1])
+        # the band's columns lie cell row after cell row; output row r takes
+        # the slice ends[y0[r]]:ends[y0[r] + 1] of them
+        ends = np.searchsorted(ys, np.arange(bound.shape[0] + 1))
+        ends = np.concatenate([[0], np.cumsum(cx[xs])])[ends]
+        count = ends[y0 + 1] - ends[y0]
+        cols = _ranges(first[xs], cx[xs])[_ranges(ends[y0], count)]
+        return np.repeat(np.arange(height), count), cols
+
+    cut = 0.0
+    rows, cols = band(cut)
+    if rows.size < n:  # widen to the n cells of least bound: on a x2 step each holds a pixel
+        cut = np.partition(bound, n - 1, axis=None)[n - 1] if n <= bound.size else np.inf
+        rows, cols = band(cut)
+    while True:
+        vals = sample_points(field, np.stack([gx[cols], gy[rows]], axis=1))
+        if not np.isfinite(vals).all():  # as resample's own field check
+            raise ValueError("logits must be finite")
+        if n == 0:
+            break
+        idx = select_most_uncertain(ScoreField._wrap(vals[None]), n)
+        t = abs(vals[idx[-1]])  # the n-th smallest |value| in the band
+        if t <= cut:
+            break
+        cut, (rows, cols) = t, band(t)
+    signs = vals > 0.0
+    if n:
+        signs[idx] = _repredict(predictor, vals[idx], rows[idx], cols[idx], (height, width)) > 0.0
+    # outside the band a pixel has its cell's sign, and there lo > 0 means positive
+    mask = np.take(np.take(lo > 0.0, x0, axis=1), y0, axis=0)
+    mask[rows, cols] = signs
+    return mask

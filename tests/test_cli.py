@@ -279,7 +279,7 @@ class TestRefineCommand:
                 return call(*args)
             return wrapper
 
-        for name in ("shape_field", "subdivision_render"):
+        for name in ("shape_field", "subdivision_mask"):
             monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
         out = tmp_path / "rendered.json"
         code, _, _ = run_cli(
@@ -287,7 +287,7 @@ class TestRefineCommand:
             "--threads", "1", "--out", str(out),
         )
         assert code == 0
-        assert events == ["shape_field", "subdivision_render"] * 3
+        assert events == ["shape_field", "subdivision_mask"] * 3
 
     def test_identity_predictor_matches_plain_upsample(self, tmp_path, capsys):
         rng = np.random.default_rng(81)

@@ -18,10 +18,12 @@ from maskpost import (
     mask_iou,
     plain_upsample,
     resample,
+    resample_mask,
     sample_points,
     select_most_uncertain,
     shape_field,
     shape_mask,
+    subdivision_mask,
     subdivision_render,
     subdivision_step,
     upsample_x2,
@@ -191,6 +193,121 @@ class TestSubdivisionRender:
         out = subdivision_render(coarse, IdentityPredictor(), cfg)
         assert out.logits.shape == (28, 28)
         assert np.isfinite(out.logits).all()
+
+
+
+def _band_fields(rows, cols):
+    """Fields of one value family each: all zero, +-1 and -2..2 (exact ties
+    at the cut), a few extreme magnitudes, 5e-324 to 1e300 at random, and
+    plain logits."""
+    family = st.sampled_from([
+        st.just(0.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]),
+        st.sampled_from([5e-324, -5e-324, 2.0**-1000, -(2.0**-1000), 1e-300, 1e300, -1e300]),
+        st.floats(-1e300, 1e300),
+        st.floats(-4.0, 4.0),
+    ])
+    shape = st.tuples(rows, cols)
+    return shape.flatmap(lambda s: family.flatmap(lambda e: arrays(np.float64, s, elements=e)))
+
+
+class _FlipPredictor(IdentityPredictor):
+    """Flips the sign of every re-predicted pixel, so that a point selected
+    in place of another changes the mask."""
+
+    def predict(self, points, current):
+        return np.where(current > 0.0, -1.0, 1.0)
+
+
+def _band_predictor(kind, reference):
+    return {
+        "identity": IdentityPredictor(),
+        "oracle": OracleFieldPredictor(ScoreField(reference)),
+        "flip": _FlipPredictor(),
+    }[kind]
+
+
+PREDICTOR_KINDS = st.sampled_from(["identity", "oracle", "flip"])
+
+
+class TestBandedSigns:
+    """``subdivision_mask`` and ``resample_mask`` compute pixel values only in
+    a band of cells; their masks are the dense ones, pixel for pixel."""
+
+    @settings(max_examples=200)
+    @given(
+        logits=_band_fields(st.integers(1, 5), st.integers(1, 5)),
+        reference=_band_fields(st.integers(1, 9), st.integers(1, 9)),
+        kind=PREDICTOR_KINDS,
+    )
+    @example(logits=np.ones((1, 4)), reference=-np.ones((1, 1)), kind="oracle")
+    @example(logits=np.array([[1.0, -1.0], [-1.0, 1.0]]), reference=np.zeros((1, 1)), kind="flip")
+    def test_step_equals_dense_step_for_every_budget(self, logits, reference, kind):
+        field = ScoreField(logits)
+        predictor = _band_predictor(kind, reference)
+        height, width = 2 * field.height, 2 * field.width
+        for n in range(height * width + 1):
+            want = binarize(subdivision_step(field, predictor, n))
+            assert np.array_equal(refine._band_signs(field, height, width, predictor, n), want), n
+
+    @settings(max_examples=60)
+    @given(
+        side=st.integers(1, 5),
+        steps=st.integers(0, 3),
+        k=st.integers(1, 40),
+        data=st.data(),
+        kind=PREDICTOR_KINDS,
+    )
+    def test_subdivision_mask_equals_binarized_render(self, side, steps, k, data, kind):
+        coarse = ScoreField(data.draw(_band_fields(st.just(side), st.just(side))))
+        reference = data.draw(_band_fields(st.integers(1, 24), st.integers(1, 24)))
+        predictor = _band_predictor(kind, reference)
+        cfg = SubdivisionConfig(subdivision_k=k, target_side=side << steps, start_side=side)
+        want = binarize(subdivision_render(coarse, predictor, cfg))
+        assert np.array_equal(subdivision_mask(coarse, predictor, cfg), want)
+
+    @settings(max_examples=150)
+    @given(
+        logits=_band_fields(st.integers(1, 8), st.integers(1, 8)),
+        height=st.integers(1, 24),
+        width=st.integers(1, 24),
+    )
+    @example(logits=np.array([[1.0, -1.0, 2.0]]), height=1, width=3)
+    def test_resample_mask_equals_binarized_resample(self, logits, height, width):
+        field = ScoreField(logits)
+        for h, w in ((height, width), field.logits.shape, (2 * height, width)):
+            assert np.array_equal(resample_mask(field, h, w), binarize(resample(field, h, w)))
+
+    def test_last_step_ranks_through_the_module_name(self):
+        coarse = ScoreField(np.random.default_rng(4).normal(size=(7, 7)))
+        cfg = SubdivisionConfig(subdivision_k=5, target_side=56, start_side=7)
+        with patch.object(refine, "select_most_uncertain", side_effect=_full_sort_ranking) as ranked:
+            mask = subdivision_mask(coarse, OracleFieldPredictor(coarse), cfg)
+        sizes = [call.args[0].logits.size for call in ranked.call_args_list]
+        assert len(sizes) >= cfg.num_steps and sizes[-1] < 56 * 56  # the band, not the grid
+        assert np.array_equal(mask, binarize(subdivision_render(coarse, OracleFieldPredictor(coarse), cfg)))
+
+    @pytest.mark.parametrize(
+        "refined",
+        [lambda points: np.zeros(len(points) + 1), lambda points: np.full(len(points), np.inf)],
+        ids=["wrong-shape", "non-finite"],
+    )
+    def test_bad_predictor_fails_as_the_dense_step(self, refined):
+        class Bad(IdentityPredictor):
+            def predict(self, points, current):
+                return refined(points)
+
+        coarse = ScoreField(np.random.default_rng(6).normal(size=(4, 4)))
+        cfg = SubdivisionConfig(subdivision_k=3, target_side=8, start_side=4)
+        with pytest.raises(ValueError) as dense:
+            subdivision_step(coarse, Bad(), 9)
+        with pytest.raises(ValueError, match=re.escape(str(dense.value))):
+            subdivision_mask(coarse, Bad(), cfg)
+
+    def test_bad_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="target dimensions must be positive"):
+            resample_mask(ScoreField.constant(2, 2), 0, 3)
 
 
 @pytest.mark.parametrize("side", [7 * 2**k for k in range(8)])
