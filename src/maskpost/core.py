@@ -3,7 +3,8 @@ evaluation stages.
 
 Binary masks are plain boolean numpy arrays of shape ``(height, width)``.
 Run-length encoded masks use the COCO column-major layout and hold only their
-counts; tight box, IoU and vote merge build run tables per call, without decoding.
+counts; tight box, IoU and vote merge build run tables per call, without decoding,
+and ``rle_iou_matrix`` alone decides which mask pairs are read.
 Score fields hold mask logits (logit 0 corresponds to foreground probability
 0.5) and support continuous bilinear sampling over the closed unit square.
 """
@@ -377,11 +378,12 @@ def _run_table(rle: RleMask) -> np.ndarray:
     return table.cumsum(axis=1)
 
 
-def _check_same_size(a: RleMask, b: RleMask) -> None:
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValueError(
-            f"mask shapes differ: {(a.height, a.width)} vs {(b.height, b.width)}"
-        )
+def _one_size(masks) -> None:
+    """Raise unless every mask in the list ``masks`` has the first one's size."""
+    sizes = [(rle.height, rle.width) for rle in masks]
+    for size in sizes[1:]:
+        if size != sizes[0]:
+            raise ValueError(f"mask shapes differ: {sizes[0]} vs {size}")
 
 
 def rle_bbox(rle: RleMask) -> BBox:
@@ -408,33 +410,36 @@ def _tight_box(rle: RleMask, table: np.ndarray) -> BBox:
 
 
 def rle_iou(a: RleMask, b: RleMask) -> float:
-    """Intersection over union of two equally sized run-length masks, read
-    without the box prefilter of :func:`rle_iou_matrix`."""
-    return float(rle_iou_matrix([a], [b], np.ones((1, 1), bool))[0, 0])
+    """Intersection over union of two equally sized run-length masks."""
+    return float(rle_iou_matrix([a], [b])[0, 0])
 
 
-def rle_iou_matrix(a, b, near=None) -> np.ndarray:
-    """IoU of every mask in ``a`` (rows) with every mask in ``b`` (columns).
-
-    Only the pairs set in the boolean ``near`` matrix are read; the rest are
-    0. ``near`` defaults to tight-box IoU > 0: masks whose tight boxes share
-    no pixel cannot intersect. A pair's intersection is the count of ``b``'s
-    foreground pixels inside each foreground run of ``a``, read off run tables
-    built once per mask and call (shared when ``b is a``), so it equals
-    ``mask_iou`` of the decoded masks bit for bit."""
+def rle_iou_matrix(a, b) -> np.ndarray:
+    """IoU of every mask in ``a`` (rows) with every mask in ``b`` (columns),
+    all of one size, checked first. Only pairs whose tight boxes overlap are
+    read (masks whose tight boxes share no pixel cannot intersect); the rest
+    are 0. When ``b is a`` each is read once, above the diagonal, and
+    mirrored, and the diagonal is 1 for a mask with pixels, 0 for an empty
+    one. A pair's intersection is the count of ``b``'s foreground pixels in
+    each foreground run of ``a``, read off run tables built once per mask and
+    call, so it equals ``mask_iou`` of the decoded masks bit for bit."""
+    _one_size([*a, *b])
     a_tables = [_run_table(m) for m in a]
     b_tables = a_tables if b is a else [_run_table(m) for m in b]
-    if near is None:
-        near = box_iou_matrix([*map(_tight_box, a, a_tables)], [*map(_tight_box, b, b_tables)]) > 0
-    ious = np.zeros((len(a), len(b)))
-    for i, j in zip(*np.nonzero(near)):
-        _check_same_size(a[i], b[j])
+    a_boxes = [*map(_tight_box, a, a_tables)]
+    b_boxes = a_boxes if b is a else [*map(_tight_box, b, b_tables)]
+    near = box_iou_matrix(a_boxes, b_boxes) > 0
+    ious = np.zeros(near.shape)
+    for i, j in zip(*np.nonzero(np.triu(near, 1) if b is a else near)):
         (a_bounds, a_fg), (b_bounds, b_fg) = a_tables[i], b_tables[j]
         k = np.searchsorted(b_bounds, a_bounds, side="right") - 1
         inside = np.diff(b_fg[k] + (a_bounds - b_bounds[k]) * (k % 2))
         inter = int(inside[1::2].sum())
         union = int(a_fg[-1]) + int(b_fg[-1]) - inter
         ious[i, j] = inter / union if union else 0.0
+    if b is a:  # a pair's IoU is a ratio of integers, the same either way round
+        ious += ious.T
+        np.fill_diagonal(ious, [box.area > 0 for box in a_boxes])
     return ious
 
 
@@ -452,8 +457,7 @@ def rle_merge(masks, weights) -> RleMask:
         raise ValueError("rle_merge needs at least one mask")
     if len(weights) != len(masks):
         raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
-    for rle in masks[1:]:
-        _check_same_size(masks[0], rle)
+    _one_size(masks)
     member_bounds = [_run_table(rle)[0] for rle in masks]
     bounds = np.sort(np.concatenate(member_bounds))
     bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]

@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BBox, RleMask, box_iou_matrix, rle_bbox, rle_iou_matrix, rle_merge
+from .core import BBox, RleMask, box_iou_matrix, rle_iou_matrix, rle_merge
 
 __all__ = [
     "Detection",
@@ -196,17 +196,14 @@ def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection
     """Soft-NMS over one image (and category) worth of detections, listed
     in tie order: on equal scores argmax keeps the first.
 
-    The group's IoU matrix is built once, of the declared boxes or of the
-    masks: a mask pair is read once, if its tight boxes overlap, and mirrored.
+    The group's IoU matrix is built once, of the masks or of the declared
+    boxes.
     """
     masks = [det.mask for det in dets]
     if cfg.use_mask_iou and any(mask is None for mask in masks):
         raise ValueError("use_mask_iou requires every detection to carry a mask")
-    boxes = [rle_bbox(mask) for mask in masks] if cfg.use_mask_iou else [det.bbox for det in dets]
-    ious = box_iou_matrix(boxes, boxes)
-    if cfg.use_mask_iou:
-        ious = rle_iou_matrix(masks, masks, np.triu(ious > 0, 1))
-        ious = ious + ious.T
+    boxes = [det.bbox for det in dets]
+    ious = rle_iou_matrix(masks, masks) if cfg.use_mask_iou else box_iou_matrix(boxes, boxes)
     scores = np.array([det.score for det in dets], dtype=np.float64)
     live = np.arange(len(dets))
     kept: list[Detection] = []

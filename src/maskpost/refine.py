@@ -253,7 +253,8 @@ def _band_signs(
     first = np.cumsum(cx) - cx  # each cell column's first output column
 
     def band(cut):
-        """The output pixels, row-major, of the cells with bound <= cut."""
+        """The output pixels, row-major, of the cells with bound <= cut, and
+        their values."""
         ys, xs = np.divmod(np.flatnonzero(bound <= cut), bound.shape[1])
         # the band's columns lie cell row after cell row; output row r takes
         # the slice ends[y0[r]]:ends[y0[r] + 1] of them
@@ -261,28 +262,24 @@ def _band_signs(
         ends = np.concatenate([[0], np.cumsum(cx[xs])])[ends]
         count = ends[y0 + 1] - ends[y0]
         cols = _ranges(first[xs], cx[xs])[_ranges(ends[y0], count)]
-        return np.repeat(np.arange(height), count), cols
-
-    cut = 0.0
-    rows, cols = band(cut)
-    if rows.size < n:  # widen to the n cells of least bound: on a x2 step each holds a pixel
-        cut = np.partition(bound, n - 1, axis=None)[n - 1] if n <= bound.size else np.inf
-        rows, cols = band(cut)
-    while True:
+        rows = np.repeat(np.arange(height), count)
         vals = sample_points(field, np.stack([gx[cols], gy[rows]], axis=1))
         if not np.isfinite(vals).all():  # as resample's own field check
             raise ValueError("logits must be finite")
-        if n == 0:
-            break
-        idx = select_most_uncertain(ScoreField._wrap(vals[None]), n)
-        t = abs(vals[idx[-1]])  # the n-th smallest |value| in the band
-        if t <= cut:
-            break
-        cut, (rows, cols) = t, band(t)
-    signs = vals > 0.0
+        return rows, cols, vals
+
+    cut = 0.0
+    rows, cols, vals = band(cut)
+    if rows.size < n:  # widen to the n cells of least bound: on a x2 step each holds a pixel
+        cut = np.partition(bound, n - 1, axis=None)[n - 1] if n <= bound.size else np.inf
+        rows, cols, vals = band(cut)
     if n:
-        signs[idx] = _repredict(predictor, vals[idx], rows[idx], cols[idx], (height, width)) > 0.0
+        t = np.partition(np.abs(vals), n - 1)[n - 1]  # the n-th smallest |value| in the band
+        if t > cut:  # grown once: the band to t holds this one, so its n-th smallest is <= t
+            rows, cols, vals = band(t)
+        idx = select_most_uncertain(ScoreField._wrap(vals[None]), n)
+        vals[idx] = _repredict(predictor, vals[idx], rows[idx], cols[idx], (height, width))
     # outside the band a pixel has its cell's sign, and there lo > 0 means positive
     mask = np.take(np.take(lo > 0.0, x0, axis=1), y0, axis=0)
-    mask[rows, cols] = signs
+    mask[rows, cols] = vals > 0.0
     return mask

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from maskpost import (
     rle_iou,
     soft_nms,
 )
+from maskpost import core
 from oracles import classic_nms, rect_iou
 
 CANDIDATE_SCORES = [76.95, 77.21, 77.32, 77.37, 77.38]
@@ -345,6 +347,16 @@ class TestSoftNms:
     def test_equals_reference_loop(self, case):
         dets, cfg = case
         assert soft_nms(dets, cfg) == reference_soft_nms(dets, cfg)
+
+    def test_mask_mode_builds_one_run_table_per_mask(self):
+        rng = np.random.default_rng(2)
+        dets = [
+            _det(score=float(s), mask=rle_encode(rng.random((12, 10)) < 0.5), image_id=1 + k % 2)
+            for k, s in enumerate(rng.uniform(0.2, 1.0, 8))
+        ]
+        with patch.object(core, "_run_table", wraps=core._run_table) as built:
+            soft_nms(dets, SoftNmsConfig(use_mask_iou=True))
+        assert built.call_count == len(dets)
 
     def test_linear_mode_decay(self):
         dets = [_det(score=0.9, box=(0, 0, 10, 10)), _det(score=0.8, box=(5, 0, 10, 10))]

@@ -285,7 +285,7 @@ class TestBandedSigns:
         with patch.object(refine, "select_most_uncertain", side_effect=_full_sort_ranking) as ranked:
             mask = subdivision_mask(coarse, OracleFieldPredictor(coarse), cfg)
         sizes = [call.args[0].logits.size for call in ranked.call_args_list]
-        assert len(sizes) >= cfg.num_steps and sizes[-1] < 56 * 56  # the band, not the grid
+        assert len(sizes) == cfg.num_steps and sizes[-1] < 56 * 56  # the band, not the grid
         assert np.array_equal(mask, binarize(subdivision_render(coarse, OracleFieldPredictor(coarse), cfg)))
 
     @pytest.mark.parametrize(

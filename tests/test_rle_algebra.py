@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from maskpost import (
     BBox,
+    Detection,
     RleMask,
+    SoftNmsConfig,
     box_iou_matrix,
     mask_bbox,
     mask_iou,
@@ -19,6 +21,7 @@ from maskpost import (
     rle_iou,
     rle_iou_matrix,
     rle_merge,
+    soft_nms,
 )
 from oracles import rect_iou, rle_pixel_set, set_iou
 
@@ -144,10 +147,11 @@ def mask_sets(draw):
 @given(mask_sets())
 def test_rle_iou_matrix_equals_pairwise(sets):
     a, b = sets
-    ious = rle_iou_matrix(a, b)
-    assert ious.shape == (len(a), len(b))
-    for i, j in np.ndindex(ious.shape):
-        assert ious[i, j] == rle_iou(a[i], b[j])
+    for rows, cols in ((a, b), (a, a)):  # (a, a) reads each pair once and mirrors it
+        ious = rle_iou_matrix(rows, cols)
+        assert ious.shape == (len(rows), len(cols))
+        for i, j in np.ndindex(ious.shape):
+            assert ious[i, j] == mask_iou(rle_decode(rows[i]), rle_decode(cols[j]))
 
 
 # each operation names the masks it reads; every one builds the run tables
@@ -240,12 +244,6 @@ def test_threads_share_cold_masks():
         assert np.array_equal(ious, serial)
 
 
-def test_rle_iou_matrix_reads_only_near_pairs():
-    full = RleMask(2, 2, [0, 4])
-    near = np.array([[True, False]])
-    assert rle_iou_matrix([full], [full, full], near).tolist() == [[1.0, 0.0]]
-
-
 def test_column_spanning_run_reaches_both_edges():
     # rows 2..3 of column 0, then rows 0..0 of column 1 (height 4)
     rle = RleMask(3, 4, [2, 3, 7])
@@ -260,6 +258,17 @@ def test_size_mismatch_rejected():
         rle_iou(a, b)
     with pytest.raises(ValueError, match="mask shapes differ"):
         rle_merge([a, b], [0.5, 0.5])
+    # sizes are checked before the tight boxes decide which pairs are read
+    top_left, bottom = RleMask(8, 8, [0, 2, 62]), RleMask(8, 6, [5, 1, 42])
+    for pair in ((top_left, bottom), (a, b)):  # tight boxes apart; both masks empty
+        with pytest.raises(ValueError, match="mask shapes differ"):
+            rle_iou_matrix([pair[0]], [pair[1]])
+    dets = [
+        Detection(1, 1, 0.9, BBox(0, 0, 1, 2), top_left),
+        Detection(1, 1, 0.8, BBox(0, 5, 1, 1), bottom),
+    ]
+    with pytest.raises(ValueError, match="mask shapes differ"):
+        soft_nms(dets, SoftNmsConfig(use_mask_iou=True))
 
 
 def test_merge_rejects_bad_arguments():
