@@ -3,8 +3,10 @@ evaluation stages.
 
 Binary masks are plain boolean numpy arrays of shape ``(height, width)``.
 Run-length encoded masks use the COCO column-major layout and hold only their
-counts; tight box, IoU and vote merge build run tables per call, without decoding,
-and ``rle_iou_matrix`` alone decides which mask pairs are read.
+counts; tight box, IoU and vote merge read run tables, without decoding, that
+each call builds once for its whole list of masks. ``rle_iou_matrix`` alone
+decides which mask pairs are read: those whose tight boxes, as integer pixel
+ranges, share a pixel.
 Score fields hold mask logits (logit 0 corresponds to foreground probability
 0.5) and support continuous bilinear sampling over the closed unit square.
 """
@@ -368,22 +370,63 @@ def rle_decode(rle: RleMask) -> np.ndarray:
     return flat.reshape((rle.height, rle.width), order="F")
 
 
-def _run_table(rle: RleMask) -> np.ndarray:
-    """The rows ``bounds, fg_before`` of ``rle``: run ``k`` covers column-major
-    pixels ``[bounds[k], bounds[k + 1])``, odd ``k`` are foreground, and
-    ``fg_before[k]`` is the number of foreground pixels before ``bounds[k]``."""
-    table = np.zeros((2, rle.counts.size + 1), np.int64)
-    table[0, 1:] = rle.counts
-    table[1, 2::2] = rle.counts[1::2]
-    return table.cumsum(axis=1)
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``arange(f, f + c)`` for each pair, laid end to end."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first + count - ends, count)
 
 
-def _one_size(masks) -> None:
-    """Raise unless every mask in the list ``masks`` has the first one's size."""
+def _geometry(masks):
+    """Run tables of every mask in the list ``masks``, built together for one
+    call; raises unless the masks share one size.
+
+    Returns ``bounds, fg_before, at``. Mask ``k``'s run table is
+    ``bounds[at[k]:at[k + 1]]`` and ``fg_before[at[k]:at[k + 1]]``: its run
+    ``r`` covers column-major pixels ``[bounds[r], bounds[r + 1])``, odd ``r``
+    are foreground, and ``fg_before[r]`` is the number of foreground pixels
+    before ``bounds[r]``. Every table has an even length, so a slot has the
+    same parity in its table and in the list: a mask with an even number of
+    counts ends in one more, empty, background run.
+    """
     sizes = [(rle.height, rle.width) for rle in masks]
     for size in sizes[1:]:
         if size != sizes[0]:
             raise ValueError(f"mask shapes differ: {sizes[0]} vs {size}")
+    zero = np.zeros(1, np.int64)
+    parts, lengths = [zero[:0]], [0]  # an empty first part, so no masks concatenate too
+    for rle in masks:  # a leading 0, the counts, and a 0 to an even length
+        pad = 1 - rle.counts.size % 2
+        parts += [zero, rle.counts, zero[:pad]]
+        lengths.append(rle.counts.size + 1 + pad)
+    at = np.cumsum(lengths)
+    table = np.zeros((2, at[-1]), np.int64)
+    np.concatenate(parts, out=table[0])
+    table[1, ::2] = table[0, ::2]  # a foreground count, one slot after its run
+    # the list-wide sums may wrap round past 2**63; each mask's own totals
+    # fit, so subtracting its base gives them exactly
+    np.cumsum(table, axis=1, out=table)
+    table -= np.repeat(table[:, at[:-1]], np.diff(at), axis=1)
+    return table[0], table[1], at
+
+
+def _boxes(bounds: np.ndarray, at: np.ndarray, height: int) -> np.ndarray:
+    """The tight box of each mask of :func:`_geometry`'s ``bounds, at``, as
+    inclusive pixel ranges ``x0, y0, x1, y1``; ``0, 0, -1, -1`` for an empty
+    mask. A run that spans a column break covers the bottom of one column
+    and the top of the next, so it reaches both the first and the last row."""
+    runs = np.diff(at) // 2 - 1  # foreground runs of each mask
+    # slots 1 to 2 * runs of a table hold its foreground runs' starts and ends
+    first, end = bounds[_ranges(at[:-1] + 1, 2 * runs)].reshape(-1, 2).T
+    (x0, y0), (x1, y1) = np.divmod(first, height), np.divmod(end - 1, height)
+    spans = x0 != x1
+    filled = runs > 0
+    starts = (np.cumsum(runs) - runs)[filled]
+    lo = np.minimum.reduceat(np.stack([x0, np.where(spans, 0, y0)]), starts, axis=1)
+    hi = np.maximum.reduceat(np.stack([x1, np.where(spans, height - 1, y1)]), starts, axis=1)
+    boxes = np.zeros((runs.size, 4), np.int64)
+    boxes[:, 2:] = -1
+    boxes[filled] = np.concatenate([lo, hi]).T
+    return boxes
 
 
 def rle_bbox(rle: RleMask) -> BBox:
@@ -393,19 +436,8 @@ def rle_bbox(rle: RleMask) -> BBox:
     covers the bottom of one column and the top of the next, so it reaches
     both the first and the last row.
     """
-    return _tight_box(rle, _run_table(rle))
-
-
-def _tight_box(rle: RleMask, table: np.ndarray) -> BBox:
-    """:func:`rle_bbox` of ``rle``, read from its run table."""
-    bounds, h = table[0], rle.height
-    starts, lasts = bounds[1:-1:2], bounds[2::2] - 1
-    if starts.size == 0:
-        return BBox(0.0, 0.0, 0.0, 0.0)
-    spans = starts // h != lasts // h
-    x0, x1 = int(starts[0] // h), int(lasts[-1] // h)
-    y0 = int(np.where(spans, 0, starts % h).min())
-    y1 = int(np.where(spans, h - 1, lasts % h).max())
+    bounds, _, at = _geometry([rle])
+    x0, y0, x1, y1 = _boxes(bounds, at, rle.height)[0].tolist()
     return BBox(float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
 
 
@@ -416,30 +448,50 @@ def rle_iou(a: RleMask, b: RleMask) -> float:
 
 def rle_iou_matrix(a, b) -> np.ndarray:
     """IoU of every mask in ``a`` (rows) with every mask in ``b`` (columns),
-    all of one size, checked first. Only pairs whose tight boxes overlap are
-    read (masks whose tight boxes share no pixel cannot intersect); the rest
-    are 0. When ``b is a`` each is read once, above the diagonal, and
+    all of one size, checked first. Only pairs whose tight boxes share a
+    pixel are read (masks whose tight boxes share none cannot intersect); the
+    rest are 0. When ``b is a`` each is read once, above the diagonal, and
     mirrored, and the diagonal is 1 for a mask with pixels, 0 for an empty
     one. A pair's intersection is the count of ``b``'s foreground pixels in
-    each foreground run of ``a``, read off run tables built once per mask and
-    call, so it equals ``mask_iou`` of the decoded masks bit for bit."""
-    _one_size([*a, *b])
-    a_tables = [_run_table(m) for m in a]
-    b_tables = a_tables if b is a else [_run_table(m) for m in b]
-    a_boxes = [*map(_tight_box, a, a_tables)]
-    b_boxes = a_boxes if b is a else [*map(_tight_box, b, b_tables)]
-    near = box_iou_matrix(a_boxes, b_boxes) > 0
+    each foreground run of ``a``, read off run tables built once per call for
+    all the masks, and its IoU is a ratio of Python integers, so it equals
+    ``mask_iou`` of the decoded masks bit for bit."""
+    masks = a if b is a else [*a, *b]
+    bounds, fg_before, at = _geometry(masks)
+    boxes = _boxes(bounds, at, masks[0].height if masks else 1)
+    first = 0 if b is a else len(a)  # b's masks follow a's
+    # near: the column ranges and the row ranges of the two tight boxes overlap
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes[: len(a)].T[..., None], boxes[first:].T
+    near = (ax0 <= bx1) & (bx0 <= ax1) & (ay0 <= by1) & (by0 <= ay1)
+    cols, rows = np.nonzero((np.triu(near, 1) if b is a else near).T)  # the pairs read
+    # pair p reads count[p] points of its row, the starts and ends of the
+    # row's foreground runs (slots at[row] + 1 onwards), numbered from edge[p]
+    count = np.diff(at)[rows] - 2
+    edge = np.concatenate(([0], np.cumsum(count)))
+    # b's foreground pixels before a point p in run k: fg_before[k], plus
+    # p - bounds[k] when the run is foreground (k odd)
+    offset = fg_before.copy()
+    offset[1::2] -= bounds[1::2]
+    inter = np.empty(rows.size, np.int64)
+    split = np.searchsorted(cols, np.arange(len(b) + 1)).tolist()  # column j's first pair
+    table_at = at[first:].tolist()
+    for j, (p0, p1) in enumerate(zip(split, split[1:])):
+        if p1 > p0:
+            points = bounds[_ranges(at[rows[p0:p1]] + 1, count[p0:p1])]
+            # one search: the list-wide slot of the column's run holding each point
+            slot = np.searchsorted(bounds[table_at[j] : table_at[j + 1]], points, side="right")
+            slot += table_at[j] - 1
+            before = points * (slot & 1)
+            before += offset[slot]
+            first_run = (edge[p0:p1] - edge[p0]) // 2  # of each pair, in the column
+            inter[p0:p1] = np.add.reduceat(before[1::2] - before[::2], first_run)
+    areas = fg_before[at[1:] - 1]
+    union = areas[rows] + areas[first + cols] - inter  # > 0: a read row has pixels
     ious = np.zeros(near.shape)
-    for i, j in zip(*np.nonzero(np.triu(near, 1) if b is a else near)):
-        (a_bounds, a_fg), (b_bounds, b_fg) = a_tables[i], b_tables[j]
-        k = np.searchsorted(b_bounds, a_bounds, side="right") - 1
-        inside = np.diff(b_fg[k] + (a_bounds - b_bounds[k]) * (k % 2))
-        inter = int(inside[1::2].sum())
-        union = int(a_fg[-1]) + int(b_fg[-1]) - inter
-        ious[i, j] = inter / union if union else 0.0
+    ious[rows, cols] = [x / u for x, u in zip(inter.tolist(), union.tolist())]
     if b is a:  # a pair's IoU is a ratio of integers, the same either way round
         ious += ious.T
-        np.fill_diagonal(ious, [box.area > 0 for box in a_boxes])
+        np.fill_diagonal(ious, boxes[:, 2] >= 0)
     return ious
 
 
@@ -457,15 +509,15 @@ def rle_merge(masks, weights) -> RleMask:
         raise ValueError("rle_merge needs at least one mask")
     if len(weights) != len(masks):
         raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
-    _one_size(masks)
-    member_bounds = [_run_table(rle)[0] for rle in masks]
-    bounds = np.sort(np.concatenate(member_bounds))
+    all_bounds, _, at = _geometry(masks)
+    at = at.tolist()
+    bounds = np.sort(all_bounds)
     bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     seg_starts = bounds[:-1]
     votes = np.zeros(seg_starts.size)
     total = 0.0
-    for rle_bounds, weight in zip(member_bounds, weights):
-        covered = (np.searchsorted(rle_bounds, seg_starts, side="right") - 1) % 2
+    for lo, hi, weight in zip(at, at[1:], weights):
+        covered = (np.searchsorted(all_bounds[lo:hi], seg_starts, side="right") - 1) % 2
         votes = votes + weight * covered
         total += weight
     fg = votes > 0.5 * total

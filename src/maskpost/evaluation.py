@@ -123,7 +123,8 @@ def match_detections(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
     n_det, n_gt = ious.shape
     matches = np.full(n_det, -1, dtype=np.int64)
     taken = np.zeros(n_gt, dtype=bool)
-    for d in range(n_det):
+    # a row with no value at or above the threshold (NaN included) never matches
+    for d in np.flatnonzero((ious >= iou_threshold).any(axis=1)).tolist():
         best, best_iou = -1, iou_threshold
         for g in range(n_gt):
             if taken[g]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ScoreField, _taps, binarize, grid_coords, resample, sample_points
+from .core import ScoreField, _ranges, _taps, binarize, grid_coords, resample, sample_points
 
 __all__ = [
     "PointPredictor",
@@ -210,12 +210,6 @@ def resample_mask(field: ScoreField, height: int, width: int) -> np.ndarray:
     return _band_signs(field, height, width)
 
 
-def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``arange(f, f + c)`` for each pair, laid end to end."""
-    ends = np.cumsum(count)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first + count - ends, count)
-
-
 def _band_signs(
     field: ScoreField,
     height: int,
@@ -245,9 +239,14 @@ def _band_signs(
     left, right = v[:, : max(w - 1, 1)], v[:, min(w, 2) - 1 :]
     lo, hi = np.minimum(left, right), np.maximum(left, right)
     top, bottom = slice(0, max(h - 1, 1)), slice(min(h, 2) - 1, None)
-    lo, hi = np.minimum(lo[top], lo[bottom]), np.maximum(hi[top], hi[bottom])
-    bound = np.maximum(lo, -hi)  # min|tap| when the four share a sign, else <= 0
-    bound[(bound < 2.0**-1000) | (hi > 2.0**1000) | (lo < -(2.0**1000))] = 0.0
+    # reduced in place: a row is written only after it and the row below are read
+    lo = np.minimum(lo[top], lo[bottom], out=lo[top])
+    hi = np.maximum(hi[top], hi[bottom], out=hi[top])
+    far = (hi > 2.0**1000) | (lo < -(2.0**1000))
+    # min|tap| when the four share a sign, else <= 0; written over hi, as lo
+    # gives the cell signs below
+    bound = np.maximum(lo, np.negative(hi, out=hi), out=hi)
+    bound[(bound < 2.0**-1000) | far] = 0.0
     bound *= 1 - 2.0**-40
     cx = np.bincount(x0, minlength=bound.shape[1])
     first = np.cumsum(cx) - cx  # each cell column's first output column

@@ -137,6 +137,32 @@ class TestMatchDetections:
         assert match_detections(ious, 0.5).tolist() == [0, -1]
 
 
+def match_every_row(ious, iou_threshold):
+    """``match_detections`` visiting every row, unmatched ones included."""
+    matches, taken = [-1] * len(ious), set()
+    for d, row in enumerate(ious.tolist()):
+        best, best_iou = -1, iou_threshold
+        for g, iou in enumerate(row):
+            if g not in taken and (iou > best_iou or (best == -1 and iou >= iou_threshold)):
+                best, best_iou = g, iou
+        if best >= 0:
+            matches[d] = best
+            taken.add(best)
+    return matches
+
+
+# quarter steps make ties with each other and with the thresholds likely
+iou_values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, float("nan")]) | st.floats(0.0, 1.0)
+
+
+@given(st.data(), st.sampled_from([0.25, 0.5, 0.75, 0.95]))
+def test_match_detections_equals_every_row(data, iou_threshold):
+    n_det, n_gt = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 6))
+    values = data.draw(st.lists(iou_values, min_size=n_det * n_gt, max_size=n_det * n_gt))
+    ious = np.array(values, dtype=np.float64).reshape(n_det, n_gt)
+    assert match_detections(ious, iou_threshold).tolist() == match_every_row(ious, iou_threshold)
+
+
 class TestAveragePrecision:
     def test_single_tp(self):
         assert average_precision([0.9], [True], 1) == 1.0

@@ -348,15 +348,18 @@ class TestSoftNms:
         dets, cfg = case
         assert soft_nms(dets, cfg) == reference_soft_nms(dets, cfg)
 
-    def test_mask_mode_builds_one_run_table_per_mask(self):
+    def test_mask_mode_builds_one_geometry_per_group(self):
         rng = np.random.default_rng(2)
         dets = [
             _det(score=float(s), mask=rle_encode(rng.random((12, 10)) < 0.5), image_id=1 + k % 2)
             for k, s in enumerate(rng.uniform(0.2, 1.0, 8))
         ]
-        with patch.object(core, "_run_table", wraps=core._run_table) as built:
+        with patch.object(core, "_geometry", wraps=core._geometry) as built:
             soft_nms(dets, SoftNmsConfig(use_mask_iou=True))
-        assert built.call_count == len(dets)
+        # one call per image's group, covering each of its masks exactly once
+        groups = [sorted(id(d.mask) for d in dets if d.image_id == image) for image in (1, 2)]
+        calls = [sorted(map(id, call.args[0])) for call in built.call_args_list]
+        assert sorted(calls) == sorted(groups)
 
     def test_linear_mode_decay(self):
         dets = [_det(score=0.9, box=(0, 0, 10, 10)), _det(score=0.8, box=(5, 0, 10, 10))]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from maskpost import (
@@ -23,6 +23,7 @@ from maskpost import (
     rle_merge,
     soft_nms,
 )
+from maskpost import core
 from oracles import rect_iou, rle_pixel_set, set_iou
 
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
@@ -144,7 +145,27 @@ def mask_sets(draw):
     )
 
 
-@given(mask_sets())
+def placed(rle, width, left):
+    """``rle`` laid into a mask ``width`` columns wide from column ``left``."""
+    bits = np.zeros((rle.height, width), dtype=bool)
+    bits[:, left : left + rle.width] = rle_decode(rle)
+    return rle_encode(bits)
+
+
+@st.composite
+def apart_sets(draw):
+    """Rows left of a cut column; columns anywhere or right of the cut, so
+    some columns have no near row."""
+    h, w = draw(st.tuples(st.integers(1, 12), st.integers(2, 12)))
+    cut = draw(st.integers(1, w - 1))
+    right = masks_of((h, w - cut)).map(lambda m: placed(m, w, cut))
+    return (
+        [placed(draw(masks_of((h, cut))), w, 0) for _ in range(draw(st.integers(1, 4)))],
+        [draw(st.one_of(masks_of((h, w)), right)) for _ in range(draw(st.integers(1, 4)))],
+    )
+
+
+@given(st.one_of(mask_sets(), apart_sets()))
 def test_rle_iou_matrix_equals_pairwise(sets):
     a, b = sets
     for rows, cols in ((a, b), (a, a)):  # (a, a) reads each pair once and mirrors it
@@ -152,6 +173,75 @@ def test_rle_iou_matrix_equals_pairwise(sets):
         assert ious.shape == (len(rows), len(cols))
         for i, j in np.ndindex(ious.shape):
             assert ious[i, j] == mask_iou(rle_decode(rows[i]), rle_decode(cols[j]))
+
+
+@st.composite
+def mask_lists(draw):
+    """Lists of one size; one-pixel-high and one-pixel-wide masks are likely,
+    and every run of two or more pixels in them spans a column break."""
+    line = st.integers(1, 12)
+    shape = draw(st.one_of(shapes, st.tuples(st.just(1), line), st.tuples(line, st.just(1))))
+    return draw(st.lists(masks_of(shape), max_size=6))
+
+
+@given(mask_lists())
+@example([RleMask(2, 3, [0, 4, 2]), RleMask(2, 3, [6]), RleMask(2, 3, [2, 3, 1])])
+def test_geometry_equals_each_mask_alone(masks):
+    bounds, fg_before, at = core._geometry(masks)
+    boxes = core._boxes(bounds, at, masks[0].height if masks else 1)
+    assert at.tolist()[0] == 0 and boxes.shape == (len(masks), 4)
+    for k, rle in enumerate(masks):
+        # one mask's run table on its own, written out
+        table = np.zeros((2, rle.counts.size + 1), np.int64)
+        table[0, 1:] = rle.counts
+        table[1, 2::2] = rle.counts[1::2]
+        table = table.cumsum(axis=1)
+        if table.shape[1] % 2:  # padded to an even length by an empty background run
+            table = np.concatenate([table, table[:, -1:]], axis=1)
+        assert np.array_equal(bounds[at[k] : at[k + 1]], table[0])
+        assert np.array_equal(fg_before[at[k] : at[k + 1]], table[1])
+        assert fg_before[at[k + 1] - 1] == rle.area
+        x0, y0, x1, y1 = boxes[k].tolist()
+        assert BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1) == mask_bbox(rle_decode(rle))
+
+
+def test_exact_past_the_list_wide_int64_range():
+    """Masks of 2**58 pixels: the counts of 40 of them sum past 2**63, so the
+    list-wide running sums wrap round; every value is still exact."""
+    side = 1 << 29
+    pixels = side * side
+    runs = [((k * pixels) // 48 + k, pixels // 20 + 12345 * k) for k in range(40)]
+    masks = [RleMask(side, side, [s, n, pixels - s - n]) for s, n in runs]
+    assert len(masks) * pixels > 2**63
+
+    def iou(p, q):  # one run each: the intersection is the overlap of two intervals
+        (s, n), (t, m) = p, q
+        inter = max(0, min(s + n, t + m) - max(s, t))
+        return inter, n + m - inter
+
+    pairs = [[iou(p, q) for q in runs] for p in runs]
+    expected = np.array([[i / u if i else 0.0 for i, u in row] for row in pairs])
+    assert np.array_equal(rle_iou_matrix(masks, masks), expected)
+    assert np.array_equal(rle_iou_matrix(masks[:25], masks[25:]), expected[:25, 25:])
+    # masks 33 and 34 lie past the wrap; their IoU is the correctly rounded
+    # ratio, not the ratio of the rounded terms
+    i, u = pairs[33][34]
+    assert 33 * pixels > 2**63 and i / u != float(i) / float(u) and expected[33, 34] == i / u
+
+    # run 39 starts in row 39 of column 13 * 2**25 and spans 26 843 546
+    # columns, so it covers every row
+    assert runs[39] == (13 * 2**54 + 39, 14411518807585587 + 481455)
+    assert rle_bbox(masks[39]) == BBox(13 * 2**25, 0, 26843546, side)
+    assert rle_bbox(RleMask(side, side, [pixels - 7, 3, 4])) == BBox(side - 1, side - 7, 1, 3)
+
+    # a vote of three overlapping runs laid after 37 empty masks, whose
+    # pixels carry the list-wide sums past 2**63
+    start = pixels - 20 * side
+    votes = [RleMask(side, side, [start + a * side, n * side, pixels - start - (a + n) * side])
+             for a, n in ((0, 10), (5, 10), (8, 11))]
+    empty = [RleMask(side, side, [pixels])] * 37
+    merged = rle_merge(empty + votes, [0.0] * 37 + [1.0] * 3)
+    assert merged == RleMask(side, side, [start + 5 * side, 10 * side, 5 * side])
 
 
 # each operation names the masks it reads; every one builds the run tables
