@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BBox, RleMask, ScoreField, rle_bbox, rle_encode
+from .core import BBox, RleMask, ScoreField, rle_encode
 from .core import _counts_fault, _mask_pixels, _rle_masks  # the RLE counts rule
+from .core import _rle_bboxes
 from .evaluation import GroundTruthInstance
 from .fusion import Detection
 
@@ -93,13 +94,14 @@ def _as_box(value, context: str) -> list[float]:
     which subtracts corners of two boxes and adds their areas, stays finite."""
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise SchemaError(f"{context}: expected [x, y, w, h]")
-    box = [_as_number(v, f"{context}[{j}]") for j, v in enumerate(value)]
-    if not all(math.isfinite(v) for v in box):
+    # a float passes _as_number as it is, so only other values need a name
+    box = [v if type(v) is float else _as_number(v, f"{context}[{j}]") for j, v in enumerate(value)]
+    if not all(map(math.isfinite, box)):
         raise SchemaError(f"{context}: non-finite value in {box}")
     x, y, w, h = box
     if w < 0 or h < 0:
         raise SchemaError(f"{context}: negative side in {box}")
-    if not all(math.isfinite(2 * v) for v in (x, y, x + w, y + h, w * h)):
+    if not all(map(math.isfinite, (2 * x, 2 * y, 2 * (x + w), 2 * (y + h), 2 * (w * h)))):
         raise SchemaError(f"{context}: coordinates too large in {box}")
     return box
 
@@ -309,15 +311,21 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
         ctx = f"annotations[{i}].segmentation"
         masks.append(_segmentation_mask(ann.segmentation, ctx, (img.width, img.height)))
     _decode_strings(masks, lambda i: f"annotations[{i}].segmentation.counts")
+    boxes = _boxes_or_tight(
+        [None if ann.bbox is None else BBox(*ann.bbox) for ann in ds.annotations], masks
+    )
     return [
-        GroundTruthInstance(
-            image_id=ann.image_id,
-            category_id=ann.category_id,
-            mask=mask,
-            bbox=BBox(*ann.bbox) if ann.bbox is not None else rle_bbox(mask),
-        )
-        for ann, mask in zip(ds.annotations, masks)
+        GroundTruthInstance(image_id=ann.image_id, category_id=ann.category_id, mask=mask, bbox=bbox)
+        for ann, mask, bbox in zip(ds.annotations, masks, boxes)
     ]
+
+
+def _boxes_or_tight(boxes: list, masks: list) -> list[BBox]:
+    """``boxes`` with each None replaced by the tight box of its mask."""
+    todo = [i for i, box in enumerate(boxes) if box is None]
+    for i, box in zip(todo, _rle_bboxes([masks[i] for i in todo])):
+        boxes[i] = box
+    return boxes
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +337,36 @@ def load_results(path) -> list[Detection]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: results file must be a JSON array")
-    fields, masks = [], []
+    records = []
     for i, rec in enumerate(data):
-        ctx = f"results[{i}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{ctx}: expected an object")
-        score = _as_score(rec, ctx)
-        mask = None
-        if "segmentation" in rec:
-            mask = _segmentation_mask(rec["segmentation"], f"{ctx}.segmentation")
-        bbox = rec.get("bbox")
-        if bbox is not None:
-            bbox = BBox(*_as_box(bbox, f"{ctx}.bbox"))
-        elif mask is None:
-            raise SchemaError(f"{ctx}: needs a bbox or a segmentation")
-        image_id = _as_int(_require(rec, "image_id", ctx), f"{ctx}.image_id")
-        category_id = _as_int(_require(rec, "category_id", ctx), f"{ctx}.category_id")
-        fields.append((image_id, category_id, score, bbox))
-        masks.append(mask)
+        try:
+            records.append(_result_record(rec))
+        except SchemaError as exc:  # named here, so a record that passes formats no name
+            raise SchemaError(f"results[{i}]{exc}") from exc.__cause__
+    masks = [rec[4] for rec in records]
     _decode_strings(masks, lambda i: f"results[{i}].segmentation.counts")
-    return [
-        Detection(
-            image_id=image_id,
-            category_id=category_id,
-            score=score,
-            bbox=rle_bbox(mask) if bbox is None else bbox,
-            mask=mask,
-        )
-        for (image_id, category_id, score, bbox), mask in zip(fields, masks)
-    ]
+    boxes = _boxes_or_tight([rec[3] for rec in records], masks)
+    return [Detection(*rec[:3], box, mask) for rec, box, mask in zip(records, boxes, masks)]
+
+
+def _result_record(rec) -> tuple:
+    """``(image_id, category_id, score, bbox, mask)`` of one results record,
+    ``bbox`` None when the record has none; a refusal names the field within
+    the record (``.score: ...``)."""
+    if not isinstance(rec, dict):
+        raise SchemaError(": expected an object")
+    score = _as_score(rec, "")
+    mask = None
+    if "segmentation" in rec:
+        mask = _segmentation_mask(rec["segmentation"], ".segmentation")
+    bbox = rec.get("bbox")
+    if bbox is not None:
+        bbox = BBox(*_as_box(bbox, ".bbox"))
+    elif mask is None:
+        raise SchemaError(": needs a bbox or a segmentation")
+    image_id = _as_int(_require(rec, "image_id", ""), ".image_id")
+    category_id = _as_int(_require(rec, "category_id", ""), ".category_id")
+    return image_id, category_id, score, bbox, mask
 
 
 def write_results(path, dets: list[Detection]) -> None:
@@ -462,12 +471,10 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
     """Decode one slice: every wire check runs over all of its strings, and
     the counts rule of ``core`` over the counts they decode to; the first
     string at fault is reported."""
-    n = len(strings)
     joined = "".join(strings)
     # one entry per code point, so that an invalid character can be named
     chunks = np.frombuffer(joined.encode("utf-32-le"), np.uint32) - 48
-    lengths = np.array([len(s) for s in strings])
-    char_owner = np.repeat(np.arange(n), lengths)
+    ends = np.cumsum([0, *map(len, strings)])  # string k is characters ends[k]:ends[k + 1]
     pixels = _mask_pixels(sizes)  # 0 for a size the counts rule refuses
     faults = []  # (first string at fault, message), most important first
 
@@ -476,42 +483,55 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
             faults.append((int(at_fault[0]), message(int(at_fault[0]))))
 
     invalid = np.flatnonzero(chunks > 63)  # a character below '0' wraps around
-    check(char_owner[invalid[:1]], lambda k: f"invalid RLE character {joined[invalid[0]]!r}")
+    check(np.searchsorted(ends, invalid[:1], "right") - 1,
+          lambda k: f"invalid RLE character {joined[invalid[0]]!r}")
     stop = chunks & 0x20 == 0  # the last chunk of a value
-    last = np.cumsum(lengths)[lengths > 0] - 1
-    check(char_owner[last[~stop[last]]], lambda k: "truncated RLE string")
+    filled = np.flatnonzero(ends[1:] > ends[:-1])
+    check(filled[~stop[ends[filled + 1] - 1]], lambda k: "truncated RLE string")
 
+    # a value belongs to the string holding its last character: string k's
+    # values are bounds[k]:bounds[k + 1]
     stops = np.flatnonzero(stop)
-    starts = np.concatenate(([0], stops[:-1] + 1))
-    span = stops - starts + 1
-    owner = char_owner[stops]
+    bounds = np.searchsorted(stops, ends)
+    held = np.flatnonzero(bounds[1:] > bounds[:-1])  # the strings with values
+    span = np.diff(stops, prepend=-1)
     long = np.flatnonzero(span > _MAX_VALUE_CHARS)
-    check(owner[long], lambda k: f"RLE value of {span[long[0]]} characters, more than 12")
-    # value = sum of chunk << 5 * step; clipping the step keeps a faulty
-    # string's garbage inside int64, and the wrapped cumsum stays exact
-    head = stop[: stops[-1] + 1 if stops.size else 0]
-    step = np.arange(head.size) - starts[np.cumsum(head) - head]
-    bits = (chunks[: head.size] & 0x1F).astype(np.int64)
-    bits <<= 5 * np.minimum(step, _MAX_VALUE_CHARS - 1)
-    values = np.diff(np.cumsum(bits)[stops], prepend=0)
-    negative = chunks[stops] & 0x10 != 0
-    values[negative] -= np.int64(1) << 5 * np.minimum(span[negative], _MAX_VALUE_CHARS)
-    over = np.flatnonzero((np.abs(values) > pixels[owner]) & (pixels[owner] > 0))
-    check(owner[over], lambda k: (
-        f"RLE value {values[over[0]]} is larger in magnitude than the mask's {pixels[k]} pixels"
-    ))
+    check(np.searchsorted(bounds, long[:1], "right") - 1,
+          lambda k: f"RLE value of {span[long[0]]} characters, more than 12")
+    # the last chunk holds a value's top 5 bits, sign-extended; each longer
+    # value then shifts in its next lower chunk, up to 12 in all (a faulty
+    # string's longer values keep garbage that stays inside int64)
+    values = ((chunks[stops] & 0x1F).astype(np.int64) ^ 0x10) - 0x10
+    more = np.flatnonzero(span > 1)
+    for j in range(1, _MAX_VALUE_CHARS):
+        more = more[span[more] > j]
+        if not more.size:
+            break
+        values[more] = values[more] << 5 | chunks[stops[more] - j] & 0x1F
+    magnitude = np.abs(values)
+    peak = np.maximum.reduceat(magnitude, bounds[held])
+    over = held[(peak > pixels[held]) & (pixels[held] > 0)]
+
+    def too_large(k):
+        t = bounds[k] + np.argmax(magnitude[bounds[k] : bounds[k + 1]] > pixels[k])
+        return f"RLE value {values[t]} is larger in magnitude than the mask's {pixels[k]} pixels"
+
+    check(over, too_large)
 
     # undo the two-back deltas: count t (position 3 or later in its string)
-    # is value t plus count t - 2, a running sum along every other value
-    per_string = np.bincount(owner, minlength=n)
-    bounds = np.concatenate(([0], np.cumsum(per_string)))
-    first = bounds[owner]
-    rank = np.arange(values.size) - first
-    chain = np.zeros(values.size + 1, np.int64)  # chain[t + 1] = values t + chain[t - 1]
-    chain[1::2] = np.cumsum(values[0::2])
-    chain[2::2] = np.cumsum(values[1::2])
-    start = np.where(rank & 1, chain[first], chain[first + 1])  # before position 1 or 2
-    counts = np.where(rank > 0, chain[1:] - start, values)
+    # is value t plus count t - 2. Among the values of one parity, a string's
+    # counts are then a running sum of its values less the sum before the
+    # string, its first value (position 0) left out of the sum.
+    heads = bounds[held]
+    counts = np.empty_like(values)
+    lead = values[heads]
+    values[heads] = 0
+    for p in (0, 1):
+        run = np.zeros((values.size + 1 - p) // 2 + 1, np.int64)
+        np.cumsum(values[p::2], out=run[1:])
+        lo = (bounds + 1 - p) // 2  # string k: values[p::2][lo[k]:lo[k + 1]]
+        counts[p::2] = run[1:] - np.repeat(run[lo[:-1]], np.diff(lo))
+    counts[heads] = lead
 
     fault = _counts_fault(sizes, counts, bounds)
     if fault:

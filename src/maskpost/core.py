@@ -436,9 +436,28 @@ def rle_bbox(rle: RleMask) -> BBox:
     covers the bottom of one column and the top of the next, so it reaches
     both the first and the last row.
     """
-    bounds, _, at = _geometry([rle])
-    x0, y0, x1, y1 = _boxes(bounds, at, rle.height)[0].tolist()
-    return BBox(float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
+    return _rle_bboxes([rle])[0]
+
+
+# masks per _geometry call of _rle_bboxes, which bounds its scratch arrays
+_BBOX_BATCH = 1024
+
+
+def _rle_bboxes(masks) -> list[BBox]:
+    """:func:`rle_bbox` of each mask in the list ``masks``, which may differ
+    in size: the masks of one size are measured together, from one
+    :func:`_geometry` pass per ``_BBOX_BATCH`` of them."""
+    by_size: dict[tuple[int, int], list[int]] = {}
+    for k, rle in enumerate(masks):
+        by_size.setdefault((rle.height, rle.width), []).append(k)
+    out: list = [None] * len(masks)
+    for (height, _), ks in by_size.items():
+        for a in range(0, len(ks), _BBOX_BATCH):
+            batch = ks[a : a + _BBOX_BATCH]
+            bounds, _, at = _geometry([masks[k] for k in batch])
+            for k, (x0, y0, x1, y1) in zip(batch, _boxes(bounds, at, height).tolist()):
+                out[k] = BBox(float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1))
+    return out
 
 
 def rle_iou(a: RleMask, b: RleMask) -> float:

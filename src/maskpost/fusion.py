@@ -176,10 +176,12 @@ def apply_weights(models: list[ModelCandidate], weights) -> list[Detection]:
     if w.size != len(models):
         raise ValueError(f"{len(models)} models but {w.size} weights")
     pooled: list[Detection] = []
-    for model, weight in zip(models, w):
-        for det in model.detections:
-            scaled = min(max(det.score * float(weight), 0.0), 1.0)
-            pooled.append(replace(det, score=scaled, source_model=model.model_id))
+    for model, weight in zip(models, w.tolist()):
+        pooled += [
+            Detection(d.image_id, d.category_id, min(max(d.score * weight, 0.0), 1.0),
+                      d.bbox, d.mask, model.model_id)
+            for d in model.detections
+        ]
     return pooled
 
 
@@ -204,20 +206,24 @@ def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection
         raise ValueError("use_mask_iou requires every detection to carry a mask")
     boxes = [det.bbox for det in dets]
     ious = rle_iou_matrix(masks, masks) if cfg.use_mask_iou else box_iou_matrix(boxes, boxes)
-    scores = np.array([det.score for det in dets], dtype=np.float64)
-    live = np.arange(len(dets))
-    kept: list[Detection] = []
     # a subnormal gaussian sigma overflows iou**2 / sigma to inf, and
-    # exp(-inf) = 0 is the intended decay; entered once per group, as entering
-    # it per decay costs more than the decay itself
+    # exp(-inf) = 0 is the intended decay
     with np.errstate(over="ignore"):
-        while live.size:
-            best = live[np.argmax(scores[live])]
-            live = live[live != best]
-            det, score = dets[best], float(scores[best])
-            kept.append(det if det.score == score else replace(det, score=score))
-            scores[live] *= _decay(ious[best, live], cfg)
-            live = live[scores[live] >= cfg.score_floor]
+        decay = _decay(ious, cfg)
+    # the detections still live, in input order, and their decayed scores
+    live = np.arange(len(dets))
+    scores = np.array([det.score for det in dets], dtype=np.float64)
+    kept: list[Detection] = []
+    while live.size:
+        i = np.argmax(scores)
+        det, score = dets[live[i]], float(scores[i])
+        if det.score != score:
+            det = Detection(det.image_id, det.category_id, score, det.bbox, det.mask, det.source_model)
+        kept.append(det)
+        scores *= decay[live[i], live]
+        stay = scores >= cfg.score_floor
+        stay[i] = False
+        live, scores = live[stay], scores[stay]
     return kept
 
 

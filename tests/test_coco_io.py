@@ -28,6 +28,7 @@ from maskpost import (
     median_sqrt_area,
     rasterize_polygon,
     rasterize_polygons,
+    rle_decode,
     rle_encode,
     rle_string_decode,
     rle_string_encode,
@@ -110,6 +111,42 @@ _mask_counts = st.tuples(
     st.integers(0, 2**40),
     st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**40)), max_size=12),
 ).map(lambda lr: [lr[0], *lr[1]] if lr[0] or lr[1] else [1])
+
+
+@st.composite
+def _edited_string(draw):
+    """``(string, (width, height))``: a valid compressed string whose values
+    take 1 to 12 characters, of both signs, often with one edit: a character
+    replaced (by a valid or an invalid one), inserted or deleted, the string
+    truncated, emptied, a span of it repeated, or a value stretched by
+    continuation characters."""
+    lead = draw(st.integers(0, 2**55))
+    runs = draw(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**55)), max_size=8))
+    counts = [lead, *runs] if lead or runs else [1]
+    s = rle_counts_to_string(counts)
+    size = (1, sum(counts)) if draw(st.booleans()) else (sum(counts), 1)
+    edit = draw(st.sampled_from(
+        ["none", "replace", "insert", "delete", "truncate", "empty", "repeat", "stretch"]
+    ))
+    i = draw(st.integers(0, len(s)))
+    char = draw(st.one_of(st.characters(min_codepoint=48, max_codepoint=111),
+                          st.sampled_from(["/", "p", "\x01", "é"])))
+    if edit == "replace" and i < len(s):
+        s = s[:i] + char + s[i + 1 :]
+    elif edit == "insert":
+        s = s[:i] + char + s[i:]
+    elif edit == "delete":
+        s = s[:i] + s[i + 1 :]
+    elif edit == "truncate":
+        s = s[:i]
+    elif edit == "empty":
+        s = ""
+    elif edit == "stretch":
+        s = s[:i] + "P" * draw(st.integers(1, 13)) + s[i:]
+    elif edit == "repeat":
+        j = draw(st.integers(i, len(s)))
+        s = s[:j] + s[i:j] + s[j:]
+    return s, size
 
 
 class TestBatchedRleStrings:
@@ -226,6 +263,31 @@ class TestBatchedRleStrings:
         with patch.object(coco_io, "_SLICE_SIZE", 8):
             with pytest.raises(SchemaError, match=r"^strings\[50\]: truncated"):
                 rle_strings_decode(strings, [(4, 4)] * 51)
+
+    @settings(max_examples=300)
+    @given(st.lists(_edited_string(), min_size=1, max_size=8), st.sampled_from([1, 5, 64, 1 << 13]))
+    # a string whose first value is too long, after a valid one
+    @example([("3", (3, 1)), ("P" * 12 + "3", (1, 3))], 1 << 13)
+    def test_faulty_batch_equals_strings_alone(self, drawn, slice_size):
+        # each string's verdict is its own, whatever its neighbours and
+        # wherever the slices fall: a truncated string's last characters run
+        # on into the next string, which must not take the blame
+        strings, sizes = [s for s, _ in drawn], [size for _, size in drawn]
+        contexts = [f"s{k}" for k in range(len(strings))]
+        alone = []
+        for s, size, context in zip(strings, sizes, contexts):
+            try:
+                alone.append(rle_strings_decode([s], [size], [context])[0])
+            except SchemaError as exc:
+                alone.append(str(exc))
+        with patch.object(coco_io, "_SLICE_SIZE", slice_size):
+            refused = next((a for a in alone if isinstance(a, str)), None)
+            if refused is None:
+                assert rle_strings_decode(strings, sizes, contexts) == alone
+            else:
+                with pytest.raises(SchemaError) as info:
+                    rle_strings_decode(strings, sizes, contexts)
+                assert str(info.value) == refused
 
 
 def scanline_reference(verts, width, height):
@@ -648,23 +710,34 @@ class TestResultsIo:
             load_results(path)
 
     def test_bbox_derived_from_mask(self, tmp_path):
-        bits = np.zeros((5, 5), dtype=bool)
-        bits[1:3, 2:4] = True
-        rle = rle_encode(bits)
-        path = tmp_path / "results.json"
-        path.write_text(
-            json.dumps(
-                [
-                    {
-                        "image_id": 1,
-                        "category_id": 1,
-                        "score": 0.5,
-                        "segmentation": {"size": [5, 5], "counts": rle_string_encode(rle)},
-                    }
-                ]
-            )
-        )
-        assert load_results(path)[0].bbox == mask_bbox(bits)
+        # records without a box, on images of two sizes and with an empty
+        # mask, between records with one: in a results file and in a dataset
+        rng = np.random.default_rng(59)
+        block = np.zeros((5, 5), dtype=bool)
+        block[1:3, 2:4] = True
+        masks = [block, rng.random((4, 7)) < 0.5, np.zeros((5, 5), bool), rng.random((5, 5)) < 0.3]
+        masks += [rng.random((4, 7)) < 0.2, rng.random((4, 7)) < 0.1]
+        boxed = [1, 3]  # the records that carry a bbox
+        segmentations = [
+            {"size": list(bits.shape), "counts": rle_string_encode(rle_encode(bits))} for bits in masks
+        ]
+        images = [{"id": 1, "width": 5, "height": 5}, {"id": 2, "width": 7, "height": 4}]
+        records = []
+        for k, (bits, seg) in enumerate(zip(masks, segmentations)):
+            rec = {"image_id": 1 + (bits.shape == (4, 7)), "category_id": 1, "segmentation": seg}
+            records.append(dict(rec, bbox=[1.0, 1.0, 2.0, 3.0]) if k in boxed else rec)
+        results, dataset = tmp_path / "results.json", tmp_path / "gt.json"
+        results.write_text(json.dumps([dict(rec, score=0.5) for rec in records]))
+        dataset.write_text(json.dumps({
+            "images": images,
+            "annotations": [dict(rec, id=k) for k, rec in enumerate(records)],
+            "categories": [{"id": 1}],
+        }))
+        for found in load_results(results), dataset_ground_truth(load_dataset(dataset)):
+            for k, (item, bits) in enumerate(zip(found, masks)):
+                assert rle_decode(item.mask).tolist() == bits.tolist()
+                assert item.bbox == (BBox(1, 1, 2, 3) if k in boxed else mask_bbox(bits))
+            assert found[0].bbox == BBox(2, 1, 2, 2) and found[2].bbox == BBox(0, 0, 0, 0)
 
     def test_write_matches_json_dump_reference(self, tmp_path):
         rng = random.Random(57)

@@ -234,6 +234,39 @@ class TestApplyWeights:
         with pytest.raises(ValueError):
             apply_weights([ModelCandidate("a", 1.0, [])], [0.5, 0.6])
 
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 1.0),
+                    st.booleans(),  # a mask or none
+                    st.sampled_from([None, "earlier"]),  # a source model to replace
+                ),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1.5, 7.0]), st.floats(0.0, 3.0)),
+                 min_size=3, max_size=3),
+    )
+    def test_equals_replace_formula(self, drawn, weights):
+        mask = rle_encode(np.eye(3, dtype=bool))
+        models = [
+            ModelCandidate(f"m{k}", 70.0 + k, [
+                Detection(k + 1, j + 2, score, BBox(j, k, 2.0, 3.0), mask if masked else None, source)
+                for j, (score, masked, source) in enumerate(dets)
+            ])
+            for k, dets in enumerate(drawn)
+        ]
+        weights = weights[: len(models)]
+        expected = [
+            replace(det, score=min(max(det.score * w, 0.0), 1.0), source_model=model.model_id)
+            for model, w in zip(models, weights)
+            for det in model.detections
+        ]
+        assert apply_weights(models, weights) == expected
+
 
 class TestSoftNms:
     def test_single_detection_unchanged(self):
