@@ -254,7 +254,8 @@ def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tupl
         size = _require(segmentation, "size", context)
         if not isinstance(size, (list, tuple)) or len(size) != 2:
             raise SchemaError(f"{context}.size: expected [height, width]")
-        h, w = (_as_int(v, f"{context}.size") for v in size)
+        # an int passes _as_int as it is, so only other values need a name
+        h, w = (v if type(v) is int else _as_int(v, f"{context}.size") for v in size)
         if image is not None and (w, h) != image:
             raise SchemaError(
                 f"{context}.size: mask is {w}x{h} but the image is {image[0]}x{image[1]}"
