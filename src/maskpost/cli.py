@@ -171,11 +171,6 @@ def _check_writable(path: Path) -> None:
         raise InputError(f"{path}: cannot write ({exc.strerror})") from exc
 
 
-def _write_sidecar(args: argparse.Namespace, resolved: dict, inputs: dict) -> None:
-    payload = {"command": args.command, "inputs": inputs, "options": resolved}
-    _output_paths(args)[-1].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _worker_count(opts: dict) -> int:
     """Render workers for ``refine``; 0 (the default) means one per core.
     The other subcommands record ``--threads`` but run serially."""
@@ -239,8 +234,7 @@ def _render_units(args, opts):
     return cfg, units
 
 
-def cmd_refine(args: argparse.Namespace) -> None:
-    opts = _resolve(args, "refine")
+def cmd_refine(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     for flag in ("coarse", "oracle"):
         if args.synthetic and getattr(args, flag):
             raise InputError(f"--synthetic and --{flag} are mutually exclusive")
@@ -271,13 +265,10 @@ def cmd_refine(args: argparse.Namespace) -> None:
     dets = [det for det, _ in rendered]
     dets.sort(key=lambda d: (d.image_id, d.category_id, -d.score))
     write_results(args.out, dets)
-    _write_sidecar(
-        args, opts, {"coarse": args.coarse, "oracle": args.oracle, "synthetic": args.synthetic}
-    )
     ious = [iou for _, iou in rendered if iou is not None]
-    if ious:
-        print(f"mean_iou {float(np.mean(ious)):.6f}")
-    print(f"rendered {len(dets)} instances -> {args.out}")
+    summary = f"mean_iou {float(np.mean(ious)):.6f}\n" if ious else ""
+    summary += f"rendered {len(dets)} instances -> {args.out}\n"
+    return {"coarse": args.coarse, "oracle": args.oracle, "synthetic": args.synthetic}, summary
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +305,7 @@ def _check_masks(dets: list[Detection], where: str, sizes: dict, flag: str | Non
             )
 
 
-def cmd_ensemble(args: argparse.Namespace) -> None:
-    opts = _resolve(args, "ensemble")
+def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     if not args.model:
         raise InputError("at least one --model PATH:SCORE is required")
     models = []
@@ -356,18 +346,16 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
             _check_masks(model.detections, f"{model.model_id}: ", sizes, flag)
     fused = ensemble(models, cfg)
     write_results(args.out, fused)
-    _write_sidecar(args, opts, {"models": list(args.model)})
-    for model, w in zip(models, model_weights(models, cfg)):
-        print(f"weight {model.model_id} {w:.6f}")
-    print(f"fused {len(fused)} detections -> {args.out}")
+    weights = model_weights(models, cfg)
+    summary = "".join(f"weight {m.model_id} {w:.6f}\n" for m, w in zip(models, weights))
+    return {"models": list(args.model)}, summary + f"fused {len(fused)} detections -> {args.out}\n"
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args: argparse.Namespace) -> None:
-    opts = _resolve(args, "eval")
+def cmd_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     gt_path = _require_path(args.gt, "--gt dataset file")
     results_path = _require_path(args.results, "--results file")
     ds = load_dataset(gt_path)
@@ -384,18 +372,17 @@ def cmd_eval(args: argparse.Namespace) -> None:
     _check_masks(dets, "", sizes, "--iou-on mask" if cfg.iou_on == "mask" else None)
     report = evaluate(gts, dets, cfg)
     out, text, _ = _output_paths(args)
+    summary = report.to_text()
     out.write_text(report.to_json())
-    text.write_text(report.to_text())
-    _write_sidecar(args, opts, {"gt": args.gt, "results": args.results})
-    sys.stdout.write(report.to_text())
+    text.write_text(summary)
+    return {"gt": args.gt, "results": args.results}, summary
 
 
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
 
-def cmd_stats(args: argparse.Namespace) -> None:
-    opts = _resolve(args, "stats")
+def cmd_stats(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     gt_path = _require_path(args.gt, "--gt dataset file")
     ds = load_dataset(gt_path)
     sample_n = int(opts["sample_n"])
@@ -417,9 +404,8 @@ def cmd_stats(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
     Path(args.out).write_text(hist.to_csv())
-    _write_sidecar(args, opts, {"gt": args.gt})
-    print(f"median_sqrt_area {median_sqrt_area(boxes):.6f}")
-    print(f"boxes {hist.total} -> {args.out}")
+    summary = f"median_sqrt_area {median_sqrt_area(boxes):.6f}\nboxes {hist.total} -> {args.out}\n"
+    return {"gt": args.gt}, summary
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: check that every output path is writable,
+    resolve the options, run the handler (it writes its own outputs and
+    returns the sidecar's ``inputs`` and its summary), write the sidecar,
+    and only then print the summary, so a failed run prints none."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
@@ -479,7 +469,11 @@ def main(argv=None) -> int:
             raise InputError(f"{paths[0]}: --out is also the .txt report; give it another suffix")
         for path in paths:
             _check_writable(path)
-        args.handler(args)
+        opts = _resolve(args, args.command)
+        inputs, summary = args.handler(args, opts)
+        payload = {"command": args.command, "inputs": inputs, "options": opts}
+        paths[-1].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(summary)
     except (InputError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -387,11 +387,7 @@ def write_results(path, dets: list[Detection]) -> None:
                 "counts": next(strings),
             }
         records.append(rec)
-    # the same bytes as json.dump(records, sort_keys=True), but through the C
-    # encoder (dump runs the pure-Python one) one record at a time, so no
-    # fragment list of the whole file is held
-    encode = json.JSONEncoder(sort_keys=True).encode
-    Path(path).write_text("[" + ", ".join(map(encode, records)) + "]\n")
+    Path(path).write_text(json.dumps(records, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

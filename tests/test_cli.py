@@ -1483,3 +1483,59 @@ class TestFileBoundary:
         assert (code, stdout) == (2, "")
         assert err == f"error: {tmp_path / blocked}: cannot write (Is a directory)\n"
         assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+
+
+# what each run of _WRITING_RUNS records as the sidecar's ``inputs``, and the
+# summary it prints for the --out path ``{out}`` (None: eval's text report,
+# which it also writes to <out>.txt)
+_RUN_RECORDS = {
+    "refine": (
+        {"coarse": None, "oracle": None, "synthetic": "disk:1"},
+        "mean_iou 1.000000\nrendered 1 instances -> {out}\n",
+    ),
+    "ensemble": (
+        {"models": [f"{_MICRO_RESULTS}:1"]},
+        f"weight {_MICRO_RESULTS} 1.000000\nfused 6 detections -> {{out}}\n",
+    ),
+    "eval": ({"gt": _MICRO_GT, "results": _MICRO_RESULTS}, None),
+    "stats": ({"gt": _MICRO_GT}, "median_sqrt_area 40.000000\nboxes 4 -> {out}\n"),
+}
+
+
+class TestRunProtocol:
+    """``main`` resolves the options, runs the subcommand, writes the
+    sidecar and only then prints the summary, the same for all four."""
+
+    @pytest.mark.parametrize("argv", _WRITING_RUNS, ids=lambda argv: argv[0])
+    def test_sidecar_records_command_inputs_and_options(self, tmp_path, capsys, argv):
+        command = argv[0]
+        inputs, summary = _RUN_RECORDS[command]
+        out = tmp_path / "o.json"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, err) == (0, "")
+        sidecar = json.loads(Path(f"{out}.config.json").read_text())
+        assert sorted(sidecar) == ["command", "inputs", "options"]
+        assert sidecar["command"] == command
+        assert sidecar["inputs"] == inputs
+        assert sidecar["options"].keys() == cli._OPTIONS[command].keys()
+        if summary is None:
+            summary = out.with_suffix(".txt").read_text()
+            assert summary.startswith("mAP    0.550990\n")
+        assert stdout == summary.format(out=out)
+
+    @pytest.mark.parametrize("argv", _WRITING_RUNS, ids=lambda argv: argv[0])
+    def test_failed_sidecar_write_prints_no_summary(self, tmp_path, capsys, monkeypatch, argv):
+        """A sidecar write that fails after the up-front writability check
+        exits 2 with nothing on stdout."""
+        write_text = Path.write_text
+
+        def failing(path, *args, **kwargs):
+            if path.name.endswith(".config.json"):
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.json"))
+        assert (code, stdout) == (2, "")
+        assert err == "error: [Errno 28] No space left on device\n"
