@@ -85,7 +85,7 @@ _OPTIONS = {
 }
 for _options in _OPTIONS.values():
     _options["seed"] = (0, "random seed where sampling applies")
-    _options["threads"] = (0, "worker threads (0 = all cores, default)")
+    _options["threads"] = (0, "worker threads (0 = one per available core, default)")
 
 
 # allowed values of the options whose flag takes a fixed set
@@ -172,10 +172,15 @@ def _check_writable(path: Path) -> None:
 
 
 def _worker_count(opts: dict) -> int:
-    """Render workers for ``refine``; 0 (the default) means one per core.
-    The other subcommands record ``--threads`` but run serially."""
+    """Render workers for ``refine``; 0 (the default) means one per core this
+    process may run on. The other subcommands record ``--threads`` but run
+    serially."""
     threads = int(opts["threads"])
-    return threads if threads > 0 else (os.cpu_count() or 1)
+    if threads > 0:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _require_path(path: str | None, what: str) -> Path:

@@ -530,7 +530,7 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
         counts[p::2] = run[1:] - np.repeat(run[lo[:-1]], np.diff(lo))
     counts[heads] = lead
 
-    fault = _counts_fault(sizes, counts, bounds)
+    fault = _counts_fault(sizes, counts, bounds, pixels)
     if fault:
         faults.append((fault[0], "RLE string decodes to invalid counts: " + fault[1]))
     if faults:

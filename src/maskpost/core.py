@@ -196,12 +196,18 @@ def sample_points(field: ScoreField, points) -> np.ndarray:
     if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
         bad = pts[~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)][0]
         raise DomainError(f"point ({bad[0]}, {bad[1]}) outside the unit square")
-    v = field.logits
-    h, w = v.shape
-    x0, x1, fx = _taps(pts[:, 0], w)
-    y0, y1, fy = _taps(pts[:, 1], h)
-    top = v[y0, x0] * (1.0 - fx) + v[y0, x1] * fx
-    bot = v[y1, x0] * (1.0 - fx) + v[y1, x1] * fx
+    h, w = field.logits.shape
+    return _interpolate(field.logits, _taps(pts[:, 1], h), _taps(pts[:, 0], w))
+
+
+def _interpolate(v: np.ndarray, ty, tx) -> np.ndarray:
+    """Bilinear values of the 2-D array ``v`` at row taps ``ty`` and column
+    taps ``tx``, each ``(i0, i1, weight of i1)`` as :func:`_taps` gives them,
+    in the order of operations of :func:`resample`, so bit for bit equal."""
+    (y0, y1, fy), (x0, x1, fx), w = ty, tx, v.shape[1]
+    y0, y1, fx0 = y0 * w, y1 * w, 1.0 - fx  # flat indices take faster than pairs
+    top = v.take(y0 + x0) * fx0 + v.take(y0 + x1) * fx
+    bot = v.take(y1 + x0) * fx0 + v.take(y1 + x1) * fx
     return top * (1.0 - fy) + bot * fy
 
 
@@ -258,7 +264,7 @@ class RleMask:
         if arr.size and arr.max() >= 1 << 63:  # past int64
             raise ValueError(f"count {arr.max()} exceeds the {width * height} pixels of the mask")
         arr = arr.astype(np.int64)
-        fault = _counts_fault([(width, height)], arr, [0, arr.size])
+        fault = _counts_fault([(width, height)], arr, [0, arr.size], _mask_pixels([(width, height)]))
         if fault:
             raise ValueError(fault[1])
         arr.setflags(write=False)
@@ -299,27 +305,33 @@ def _mask_pixels(sizes) -> np.ndarray:
     return np.array(pixels, np.int64)
 
 
-def _counts_fault(sizes, counts: np.ndarray, bounds) -> tuple[int, str] | None:
+def _counts_fault(sizes, counts: np.ndarray, bounds, pixels) -> tuple[int, str] | None:
     """The RLE counts rule: ``(k, reason)`` for the first mask that breaks it,
     mask ``k`` being ``sizes[k]`` over int64 ``counts[bounds[k]:bounds[k + 1]]``,
     and ``reason`` the first part it breaks, in the order of the messages
-    below; else None."""
-    pixels, bounds = _mask_pixels(sizes), np.asarray(bounds)
-    owner = np.repeat(np.arange(len(sizes)), bounds[1:] - bounds[:-1])
-    start = bounds[owner]
-    before = np.zeros(counts.size + 1, np.int64)
-    np.cumsum(counts, out=before[1:])  # int64 sums wrap round
-    totals, sums = before[1:] - before[start], before[bounds[1:]] - before[bounds[:-1]]
-    zeros = (counts == 0).nonzero()[0]
+    below; else None. ``pixels`` is ``_mask_pixels(sizes)``."""
+    bounds = np.asarray(bounds)
+    held = bounds[:-1] < bounds[1:]  # the masks with counts
+    starts = bounds[:-1][held]
+    sums, wraps = np.zeros(len(sizes), np.int64), np.zeros(len(sizes), bool)
+    if starts.size:
+        sums[held] = np.add.reduceat(counts, starts)  # int64 sums wrap round
+        # a mask that breaks no part before the last, its counts non-negative
+        # and their int64 sum its pixel count, passes the pixels only on the
+        # way past 2**63, where the running total wraps round negative; its
+        # true sum is then 2**64 or more, not below 2**59, and its float sum
+        # tells which
+        wraps[held] = np.add.reduceat(counts, starts, dtype=np.float64) > 2.0**63
+    zeros = counts == 0
+    zeros[starts] = False  # a mask's leading run may be empty
+    # the first mask at fault under each part; a count names its mask
     broken = [
-        (pixels == 0).nonzero()[0],
-        (bounds[1:] == bounds[:-1]).nonzero()[0],
-        owner[counts < 0],
-        owner[zeros[zeros > start[zeros]]],
-        (sums != pixels).nonzero()[0],
-        # counts that are non-negative and sum right pass the pixels only on
-        # the way past 2**63, where the running total wraps round negative
-        owner[totals < 0],
+        np.flatnonzero(pixels == 0)[:1],
+        np.flatnonzero(~held)[:1],
+        np.searchsorted(bounds, np.flatnonzero(counts < 0)[:1], "right") - 1,
+        np.searchsorted(bounds, np.flatnonzero(zeros)[:1], "right") - 1,
+        np.flatnonzero(sums != pixels)[:1],
+        np.flatnonzero(wraps)[:1],
     ]
     found = [(int(m[0]), rule) for rule, m in enumerate(broken) if m.size]
     if not found:

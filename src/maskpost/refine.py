@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ScoreField, _ranges, _taps, binarize, grid_coords, resample, sample_points
+from .core import ScoreField, _interpolate, _ranges, _taps, binarize, grid_coords, resample, sample_points
 
 __all__ = [
     "PointPredictor",
@@ -191,20 +191,24 @@ def subdivision_render(
 def subdivision_mask(
     coarse: ScoreField, predictor: PointPredictor, cfg: SubdivisionConfig
 ) -> np.ndarray:
-    """``binarize(subdivision_render(coarse, predictor, cfg))``: the steps
-    before the last run dense, and the last computes pixel values only in
-    the band where a sign or a rank is still open (see :func:`_band_signs`).
-    """
+    """``binarize(subdivision_render(coarse, predictor, cfg))``, column-major:
+    the steps up to ``target_side / 4`` run dense, and the last two compute
+    pixel values only in bands (see :func:`_band_signs` and
+    :func:`_two_step_signs`)."""
     if cfg.num_steps == 0:
-        return binarize(subdivision_render(coarse, predictor, cfg))
-    field = subdivision_render(coarse, predictor, replace(cfg, target_side=cfg.target_side // 2))
-    n = min(cfg.subdivision_k ** 2, 4 * field.width * field.height)
-    return _band_signs(field, 2 * field.height, 2 * field.width, predictor, n)
+        return np.asfortranarray(binarize(subdivision_render(coarse, predictor, cfg)))
+    dense = replace(cfg, target_side=cfg.target_side >> min(cfg.num_steps, 2))
+    field = subdivision_render(coarse, predictor, dense)
+    h, w, budget = field.height, field.width, cfg.subdivision_k ** 2
+    if cfg.num_steps == 1:
+        return _band_signs(field, 2 * h, 2 * w, predictor, min(budget, 4 * h * w))
+    return _two_step_signs(field, predictor, min(budget, 4 * h * w), min(budget, 16 * h * w))
 
 
 def resample_mask(field: ScoreField, height: int, width: int) -> np.ndarray:
-    """``binarize(resample(field, height, width))``, with pixel values
-    computed only in the cells whose sign is open (see :func:`_band_signs`)."""
+    """``binarize(resample(field, height, width))``, column-major, with pixel
+    values computed only in the cells whose sign is open (see
+    :func:`_band_signs`)."""
     if height < 1 or width < 1:
         raise ValueError("target dimensions must be positive")
     return _band_signs(field, height, width)
@@ -226,15 +230,89 @@ def _band_signs(
     share a sign and lie in [2^-1000, 2^1000] in magnitude, each pixel of the
     cell, two convex combinations of the taps that lose at most 6 ulps, has
     that sign and ``|value| >= bound = min|tap| * (1 - 2^-40)``. Every other
-    cell has bound 0 and is always in the band. The band grows until it is
-    every cell with bound <= t, t being the n-th smallest ``|value|`` in it:
-    a pixel outside then has ``|value| > t``, so it is not selected, ties
-    with none that is, and has its cell's sign. Band values come from
-    ``sample_points``, which equals ``resample`` at grid points bit for bit.
+    cell has bound 0 and is always in the band (see :func:`_ranked_band`).
+    Band values come from ``sample_points`` arithmetic, which equals
+    ``resample`` at grid points bit for bit.
+    """
+    lo, _, ty, tx, (rows, cols, vals, _, _) = _cell_band(field, height, width, predictor, n)
+    return _signs(lo > 0.0, ty[0], tx[0], rows, cols, vals)
+
+
+def _cell_band(field, height, width, predictor, n):
+    """The cells' ``(lo, bound)``, the taps ``ty``, ``tx`` of the pixel rows
+    and columns, and :func:`_ranked_band` over the cells."""
+    v = field.logits
+    ty, tx = _taps(grid_coords(height), v.shape[0]), _taps(grid_coords(width), v.shape[1])
+    lo, bound = _cell_bounds(v)
+    count = np.bincount(tx[0], minlength=bound.shape[1])  # each cell column's pixel columns
+    first = np.cumsum(count) - count
+
+    def band(cut):
+        ys, xs = np.divmod(np.flatnonzero(bound <= cut), bound.shape[1])
+        rows, cols, _ = _expand(ys, first[xs], count[xs], ty[0], bound.shape[0])
+        return rows, cols, _finite(_interpolate(v, [t[rows] for t in ty], [t[cols] for t in tx]))
+
+    return lo, bound, ty, tx, _ranked_band(band, bound, predictor, n, (height, width))
+
+
+def _two_step_signs(field: ScoreField, predictor: PointPredictor, n1: int, n2: int) -> np.ndarray:
+    """``binarize(subdivision_step(subdivision_step(field, predictor, n1),
+    predictor, n2))`` bit for bit for ``n1 >= 1``, building neither grid.
+
+    The middle step is :func:`_band_signs`'s band, kept as its re-predicted
+    pixels. A last-grid pixel's four middle taps take their own taps from a
+    block of at most 2x2 cells. When each cell of the block has a bound, they
+    share a sign (neighbouring cells share a tap) and, two convex
+    combinations deeper, the pixel has it and ``|value| >= min bound * (1 -
+    2^-40)``, unless a middle tap was re-predicted. So the band to ``cut`` is
+    the pixels whose block holds a cell with bound <= cut, and in it the
+    middle taps are computed on demand. It starts at the middle step's cut:
+    a cell holding a re-predicted pixel has a bound no larger, so it is
+    always in the band, and the n-th smallest ``|value|`` on the finer grid
+    is most often below that cut, so one pass suffices.
     """
     v = field.logits
-    (h, w), gy, gx = v.shape, grid_coords(height), grid_coords(width)
-    y0, x0 = _taps(gy, h)[0], _taps(gx, w)[0]
+    h, w = v.shape
+    lo, bound, gy, gx, (rows, cols, vals, idx, cut) = _cell_band(field, 2 * h, 2 * w, predictor, n1)
+    hy, hx = _taps(grid_coords(4 * h), 2 * h), _taps(grid_coords(4 * w), 2 * w)  # last pixels on middle
+    nx = bound.shape[1]
+    bound *= 1 - 2.0**-40
+    order = np.argsort(rows[idx] * 2 * w + cols[idx])  # the re-predicted pixels, row-major
+    moved, moved_to = (rows[idx] * 2 * w + cols[idx])[order], vals[idx][order]
+    # the middle cells l that span cell column c are span[0][c] to span[1][c] - 1
+    span = [np.searchsorted(gx[0][1:], np.arange(nx)), np.searchsorted(gx[0][:-1], np.arange(nx), "right")]
+    count = np.bincount(hx[0], minlength=2 * w - 1)  # each middle cell column's last-grid columns
+    first = np.cumsum(count) - count
+
+    def band(cut):
+        inside = bound <= cut
+        # the middle cell rows against the cell columns their blocks hold
+        at = np.flatnonzero(inside[gy[0][:-1]] | inside[gy[0][1:]])
+        cj, c = np.divmod(at, nx)
+        after = np.concatenate([[False], at[1:] - at[:-1] == 1]) & (c > 0)  # so is cell column c - 1
+        start = np.where(after, span[1][c - 1], span[0][c])
+        cj, cl = np.repeat(cj, span[1][c] - start), _ranges(start, span[1][c] - start)
+        # each middle cell's 2x2 taps, taps[dy, dx * m + cell], the
+        # re-predicted ones written over them
+        tj, tl = cj + np.arange(2)[:, None, None], cl + np.arange(2)[:, None]
+        taps = _interpolate(v, [t[tj] for t in gy], [t[tl] for t in gx]).reshape(2, -1)
+        key = (tj * 2 * w + tl).reshape(2, -1)
+        found = np.minimum(np.searchsorted(moved, key), moved.size - 1)
+        hit = moved[found] == key
+        taps[hit] = moved_to[found[hit]]
+        rows, cols, cell = _expand(cj, first[cl], count[cl], hy[0], 2 * h - 1)
+        tx = (cell, cell + cj.size, hx[2][cols])
+        return rows, cols, _finite(_interpolate(taps, (0, 1, hy[2][rows]), tx))
+
+    rows, cols, vals, _, _ = _ranked_band(band, bound, predictor, n2, (4 * h, 4 * w), cut)
+    return _signs(lo > 0.0, gy[0][hy[0]], gx[0][hx[0]], rows, cols, vals)
+
+
+def _cell_bounds(v: np.ndarray):
+    """``(lo, bound)`` of each cell of ``v``, its 2x2 taps: the least tap, and
+    ``min|tap| * (1 - 2^-40)`` when the four share a sign and lie in
+    [2^-1000, 2^1000] in magnitude, else 0."""
+    h, w = v.shape
     # each cell's taps: columns (b, b + 1) and rows (a, a + 1), one on a 1-pixel axis
     left, right = v[:, : max(w - 1, 1)], v[:, min(w, 2) - 1 :]
     lo, hi = np.minimum(left, right), np.maximum(left, right)
@@ -244,41 +322,62 @@ def _band_signs(
     hi = np.maximum(hi[top], hi[bottom], out=hi[top])
     far = (hi > 2.0**1000) | (lo < -(2.0**1000))
     # min|tap| when the four share a sign, else <= 0; written over hi, as lo
-    # gives the cell signs below
+    # gives the cell signs
     bound = np.maximum(lo, np.negative(hi, out=hi), out=hi)
     bound[(bound < 2.0**-1000) | far] = 0.0
     bound *= 1 - 2.0**-40
-    cx = np.bincount(x0, minlength=bound.shape[1])
-    first = np.cumsum(cx) - cx  # each cell column's first output column
+    return lo, bound
 
-    def band(cut):
-        """The output pixels, row-major, of the cells with bound <= cut, and
-        their values."""
-        ys, xs = np.divmod(np.flatnonzero(bound <= cut), bound.shape[1])
-        # the band's columns lie cell row after cell row; output row r takes
-        # the slice ends[y0[r]]:ends[y0[r] + 1] of them
-        ends = np.searchsorted(ys, np.arange(bound.shape[0] + 1))
-        ends = np.concatenate([[0], np.cumsum(cx[xs])])[ends]
-        count = ends[y0 + 1] - ends[y0]
-        cols = _ranges(first[xs], cx[xs])[_ranges(ends[y0], count)]
-        rows = np.repeat(np.arange(height), count)
-        vals = sample_points(field, np.stack([gx[cols], gy[rows]], axis=1))
-        if not np.isfinite(vals).all():  # as resample's own field check
-            raise ValueError("logits must be finite")
-        return rows, cols, vals
 
-    cut = 0.0
+def _ranked_band(band, bound, predictor, n: int, shape, cut=0.0):
+    """The band that decides the ``n`` pixels of least ``|value|`` on a
+    ``shape`` grid, with their values re-predicted: its rows, columns and
+    values, row-major, the indices re-predicted, and its cut. ``band(cut)``
+    lists the pixels of the cells with bound <= cut, a pixel outside having
+    ``|value| > cut`` and its cell's sign; any start >= 0 will do. The band
+    grows at most once, to t, the n-th smallest ``|value|`` in it: a pixel
+    outside then has ``|value| > t``, so it is not selected, nor tied with
+    one that is.
+    """
     rows, cols, vals = band(cut)
-    if rows.size < n:  # widen to the n cells of least bound: on a x2 step each holds a pixel
+    if rows.size < n:  # widen to the n cells of least bound: each holds a pixel
         cut = np.partition(bound, n - 1, axis=None)[n - 1] if n <= bound.size else np.inf
         rows, cols, vals = band(cut)
+    idx = np.empty(0, np.intp)
     if n:
         t = np.partition(np.abs(vals), n - 1)[n - 1]  # the n-th smallest |value| in the band
         if t > cut:  # grown once: the band to t holds this one, so its n-th smallest is <= t
-            rows, cols, vals = band(t)
+            cut = t
+            rows, cols, vals = band(cut)
         idx = select_most_uncertain(ScoreField._wrap(vals[None]), n)
-        vals[idx] = _repredict(predictor, vals[idx], rows[idx], cols[idx], (height, width))
-    # outside the band a pixel has its cell's sign, and there lo > 0 means positive
-    mask = np.take(np.take(lo > 0.0, x0, axis=1), y0, axis=0)
+        vals[idx] = _repredict(predictor, vals[idx], rows[idx], cols[idx], shape)
+    return rows, cols, vals, idx, cut
+
+
+def _expand(ys, first, count, row_class, classes: int):
+    """The pixels, row-major, of column runs listed row-major: run e is the
+    ``count[e]`` columns from ``first[e]`` of each row r with
+    ``row_class[r] == ys[e]``, ``row_class`` being non-decreasing and below
+    ``classes``. Also the run of each pixel."""
+    # the runs' columns lie class row after class row; row r takes the slice
+    # ends[row_class[r]]:ends[row_class[r] + 1] of them
+    ends = np.concatenate([[0], np.cumsum(count)])[np.searchsorted(ys, np.arange(classes + 1))]
+    n = ends[row_class + 1] - ends[row_class]
+    at = _ranges(ends[row_class], n)
+    rows, run = np.repeat(np.arange(row_class.size), n), np.repeat(np.arange(ys.size), count)[at]
+    return rows, _ranges(first, count)[at], run
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vals).all():  # as resample's own field check
+        raise ValueError("logits must be finite")
+    return vals
+
+
+def _signs(positive, sy, sx, rows, cols, vals) -> np.ndarray:
+    """The mask of pixel rows ``sy`` and columns ``sx`` of cells: the sign of
+    ``positive`` outside the band and of ``vals`` inside, built column-major
+    so that its column-major run-length encoding reads it in place."""
+    mask = np.take(np.take(positive, sy, axis=0).T, sx, axis=0).T
     mask[rows, cols] = vals > 0.0
     return mask

@@ -152,7 +152,7 @@ def write_scenario_files(tmp_path):
 _CONFIG = ("--config", "config", None, None, "_StoreAction", "JSON file of option defaults")
 _OUT = ("--out", "out", None, None, "_StoreAction", "output file path")
 _SEED = ("--seed", "seed", "int", None, "_StoreAction", "random seed where sampling applies")
-_THREADS = ("--threads", "threads", "int", None, "_StoreAction", "worker threads (0 = all cores, default)")
+_THREADS = ("--threads", "threads", "int", None, "_StoreAction", "worker threads (0 = one per available core, default)")
 PARSER_OPTIONS = {
     "refine": [
         ("--coarse", "coarse", None, None, "_StoreAction", "field archive (.npz) of coarse per-instance logits"),
@@ -461,6 +461,16 @@ class TestRefineCommand:
             for inst, det in zip(by_id, dets, strict=True):
                 expected = binarize(plain_upsample(inst.field, 28))
                 assert np.array_equal(rle_decode(det.mask), expected)
+
+    def test_threads_zero_is_one_worker_per_available_core(self, monkeypatch):
+        """``--threads 0`` sizes the pool by the CPUs this process may run
+        on, not by the host's count."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._worker_count({"threads": 0}) == 2
+        assert cli._worker_count({"threads": 3}) == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._worker_count({"threads": 0}) == 64
 
     def test_more_points_non_decreasing_mean_iou(self, tmp_path, capsys):
         means = {}

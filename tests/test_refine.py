@@ -230,6 +230,11 @@ def _band_predictor(kind, reference):
 
 PREDICTOR_KINDS = st.sampled_from(["identity", "oracle", "flip"])
 
+# at a budget of 6 the middle step of a render flips pixels of the top cell,
+# whose four taps share a sign, and the last grid's top-left pixel, deep
+# inside that cell's sign, takes its sign from them
+_FLIPPED_CELL = np.array([[-1.0, -4.0], [-4.0, -1.0], [-2.0, -4.0], [-4.0, 2.0], [4.0, -4.0]])
+
 
 class TestBandedSigns:
     """``subdivision_mask`` and ``resample_mask`` compute pixel values only in
@@ -279,14 +284,84 @@ class TestBandedSigns:
         for h, w in ((height, width), field.logits.shape, (2 * height, width)):
             assert np.array_equal(resample_mask(field, h, w), binarize(resample(field, h, w)))
 
+    @settings(max_examples=60)
+    @given(
+        logits=_band_fields(st.integers(1, 4), st.integers(1, 4)),
+        reference=_band_fields(st.integers(1, 9), st.integers(1, 9)),
+        kind=PREDICTOR_KINDS,
+    )
+    @example(logits=_FLIPPED_CELL, reference=np.zeros((1, 1)), kind="flip")
+    @example(logits=_FLIPPED_CELL.T, reference=np.zeros((1, 1)), kind="flip")
+    # 1-pixel axes
+    @example(logits=np.array([[1.0, 0.5, -0.5, 1.0]]), reference=np.zeros((1, 1)), kind="flip")
+    @example(logits=np.array([[2.0], [-1.0]]), reference=-np.ones((2, 1)), kind="oracle")
+    @example(logits=np.ones((1, 1)), reference=np.zeros((1, 1)), kind="flip")
+    def test_two_steps_equal_dense_steps_for_every_budget(self, logits, reference, kind):
+        """The last two steps of a render, banded together, are the two
+        dense steps at every budget ``k**2``, up to and past the pixel count."""
+        field = ScoreField(logits)
+        predictor = _band_predictor(kind, reference)
+        pixels = 4 * field.logits.size
+        for budget in range(1, 4 * pixels + 2):
+            n1, n2 = min(budget, pixels), min(budget, 4 * pixels)
+            want = binarize(subdivision_step(subdivision_step(field, predictor, n1), predictor, n2))
+            got = refine._two_step_signs(field, predictor, n1, n2)
+            assert np.array_equal(got, want), budget
+
+    @pytest.mark.parametrize(
+        "side, steps, k", [(7, 0, 5), (7, 1, 5), (7, 3, 5), (3, 2, 40), (1, 3, 1), (1, 2, 8)]
+    )
+    def test_masks_are_column_major_and_dense(self, side, steps, k):
+        """Both masks are F-ordered, so that ``rle_encode`` reads them in
+        place, and equal their dense forms."""
+        coarse = ScoreField(np.random.default_rng(side + steps).normal(size=(side, side)))
+        cfg = SubdivisionConfig(subdivision_k=k, target_side=side << steps, start_side=side)
+        for predictor in (IdentityPredictor(), OracleFieldPredictor(coarse), _FlipPredictor()):
+            mask = subdivision_mask(coarse, predictor, cfg)
+            assert mask.flags.f_contiguous
+            assert np.array_equal(mask, binarize(subdivision_render(coarse, predictor, cfg)))
+        for height, width in ((5, 9), (side, side), (1, 3)):
+            mask = resample_mask(coarse, height, width)
+            assert mask.flags.f_contiguous
+            assert np.array_equal(mask, binarize(resample(coarse, height, width)))
+
     def test_last_step_ranks_through_the_module_name(self):
         coarse = ScoreField(np.random.default_rng(4).normal(size=(7, 7)))
         cfg = SubdivisionConfig(subdivision_k=5, target_side=56, start_side=7)
         with patch.object(refine, "select_most_uncertain", side_effect=_full_sort_ranking) as ranked:
             mask = subdivision_mask(coarse, OracleFieldPredictor(coarse), cfg)
         sizes = [call.args[0].logits.size for call in ranked.call_args_list]
-        assert len(sizes) == cfg.num_steps and sizes[-1] < 56 * 56  # the band, not the grid
+        assert len(sizes) == cfg.num_steps
+        assert sizes[-2] < 28 * 28 and sizes[-1] < 56 * 56  # bands, not grids
         assert np.array_equal(mask, binarize(subdivision_render(coarse, OracleFieldPredictor(coarse), cfg)))
+
+    @pytest.mark.parametrize("target", [28, 56, 896])
+    def test_no_field_at_half_the_target(self, target):
+        """The dense steps stop at a quarter of the target side: no step
+        builds the field the last step would upsample."""
+        sides = []
+
+        def recorded(step):
+            def run(*args):
+                field = step(*args)
+                sides.append(max(field.logits.shape))
+                return field
+            return run
+
+        coarse = ScoreField(np.random.default_rng(8).normal(size=(7, 7)))
+        cfg = SubdivisionConfig(subdivision_k=28, target_side=target, start_side=7)
+        with patch.object(refine, "subdivision_step", recorded(refine.subdivision_step)), \
+                patch.object(refine, "upsample_x2", recorded(refine.upsample_x2)):
+            subdivision_mask(coarse, OracleFieldPredictor(coarse), cfg)
+        assert max(sides, default=cfg.start_side) == target // 4
+
+    @pytest.mark.parametrize("target", [8, 16, 32])
+    def test_wrong_start_side_rejected_as_the_render(self, target):
+        cfg = SubdivisionConfig(subdivision_k=4, target_side=target, start_side=8)
+        with pytest.raises(ValueError) as dense:
+            subdivision_render(ScoreField.constant(7, 7), IdentityPredictor(), cfg)
+        with pytest.raises(ValueError, match=re.escape(str(dense.value))):
+            subdivision_mask(ScoreField.constant(7, 7), IdentityPredictor(), cfg)
 
     @pytest.mark.parametrize(
         "refined",
