@@ -192,120 +192,133 @@ def subdivision_mask(
     coarse: ScoreField, predictor: PointPredictor, cfg: SubdivisionConfig
 ) -> np.ndarray:
     """``binarize(subdivision_render(coarse, predictor, cfg))``, column-major:
-    the steps up to ``target_side / 4`` run dense, and the last two compute
-    pixel values only in bands (see :func:`_band_signs` and
-    :func:`_two_step_signs`)."""
+    the steps up to ``target_side / 4`` run dense, and the last two (the one,
+    on a one-step render) compute pixel values only in bands, as a chain of
+    :func:`_band_signs`."""
     if cfg.num_steps == 0:
         return np.asfortranarray(binarize(subdivision_render(coarse, predictor, cfg)))
-    dense = replace(cfg, target_side=cfg.target_side >> min(cfg.num_steps, 2))
-    field = subdivision_render(coarse, predictor, dense)
-    h, w, budget = field.height, field.width, cfg.subdivision_k ** 2
-    if cfg.num_steps == 1:
-        return _band_signs(field, 2 * h, 2 * w, predictor, min(budget, 4 * h * w))
-    return _two_step_signs(field, predictor, min(budget, 4 * h * w), min(budget, 16 * h * w))
+    banded = min(cfg.num_steps, 2)
+    field = subdivision_render(coarse, predictor, replace(cfg, target_side=cfg.target_side >> banded))
+    shapes = [(field.height << k, field.width << k) for k in range(1, banded + 1)]
+    return _band_signs(field, shapes, predictor, [min(cfg.subdivision_k**2, h * w) for h, w in shapes])
 
 
 def resample_mask(field: ScoreField, height: int, width: int) -> np.ndarray:
     """``binarize(resample(field, height, width))``, column-major, with pixel
-    values computed only in the cells whose sign is open (see
-    :func:`_band_signs`)."""
+    values computed only in the cells whose sign is open: the one-level
+    chain of :func:`_band_signs` at budget 0."""
     if height < 1 or width < 1:
         raise ValueError("target dimensions must be positive")
-    return _band_signs(field, height, width)
+    return _band_signs(field, [(height, width)])
 
 
 def _band_signs(
-    field: ScoreField,
-    height: int,
-    width: int,
-    predictor: PointPredictor | None = None,
-    n: int = 0,
+    field: ScoreField, shapes, predictor: PointPredictor | None = None, budgets=(0,)
 ) -> np.ndarray:
-    """``binarize(subdivision_step(field, predictor, n))`` for ``n > 0``, where
-    ``height x width`` is twice the field's size, and
-    ``binarize(resample(field, height, width))`` for ``n == 0``, bit for bit,
-    with pixel values computed only in a band.
+    """``binarize`` of the last level of a chain, bit for bit and column-major,
+    with pixel values computed only in bands. Level 0 is ``field``, and level
+    k is level k - 1 resampled to ``shapes[k - 1]`` with its ``budgets[k - 1]``
+    pixels of least ``|value|`` re-predicted, as :func:`subdivision_step`
+    does; each level after the first doubles the one before, and every
+    budget but the last is positive.
 
-    A cell is the 2x2 taps ``(y0, x0)`` of ``core._taps``. When its four taps
-    share a sign and lie in [2^-1000, 2^1000] in magnitude, each pixel of the
-    cell, two convex combinations of the taps that lose at most 6 ulps, has
-    that sign and ``|value| >= bound = min|tap| * (1 - 2^-40)``. Every other
-    cell has bound 0 and is always in the band (see :func:`_ranked_band`).
-    Band values come from ``sample_points`` arithmetic, which equals
-    ``resample`` at grid points bit for bit.
+    A cell is the 2x2 taps ``(y0, x0)`` of ``core._taps`` on a level. A
+    level-k pixel's block is the field cells between its lowest and its
+    highest tap chain, at most 2 per axis. When each cell of the block has
+    four taps of one sign in [2^-1000, 2^1000] in magnitude, they share that
+    sign (neighbouring cells share a tap), and the pixel, two convex
+    combinations per level that lose at most 6 ulps each, has it too and
+    ``|value| >= min|tap| * (1 - 2^-40)^k``, the cells' bound at level k;
+    any other cell has bound 0. That holds while no pixel of its chain was
+    re-predicted. But a re-predicted pixel's block holds a cell with bound
+    at most its level's cut, and each level starts at the cut of the level
+    before, so that cell stays inside. The band to ``cut`` is thus the
+    pixels whose block holds a cell with bound <= cut (see
+    :func:`_ranked_band`), and a pixel outside has the sign of its block.
     """
-    lo, _, ty, tx, (rows, cols, vals, _, _) = _cell_band(field, height, width, predictor, n)
-    return _signs(lo > 0.0, ty[0], tx[0], rows, cols, vals)
-
-
-def _cell_band(field, height, width, predictor, n):
-    """The cells' ``(lo, bound)``, the taps ``ty``, ``tx`` of the pixel rows
-    and columns, and :func:`_ranked_band` over the cells."""
     v = field.logits
-    ty, tx = _taps(grid_coords(height), v.shape[0]), _taps(grid_coords(width), v.shape[1])
     lo, bound = _cell_bounds(v)
-    count = np.bincount(tx[0], minlength=bound.shape[1])  # each cell column's pixel columns
-    first = np.cumsum(count) - count
+    # per axis, the field cells at the two ends of the block of each cell
+    # of the level below
+    ends = [(np.arange(cells),) * 2 for cells in bound.shape]
+    levels, below, cut = [], v.shape, 0.0
+    for shape, n in zip(shapes, budgets):
+        if levels:
+            bound *= 1 - 2.0**-40
+        ty, tx = _taps(grid_coords(shape[0]), below[0]), _taps(grid_coords(shape[1]), below[1])
+        band = _band(v, levels, ends, bound, below, ty, tx)
+        rows, cols, vals, idx, cut = _ranked_band(band, bound, predictor, n, shape, cut)
+        idx = np.sort(idx)  # row-major, as the band
+        levels.append((ty, tx, shape[1], rows[idx] * shape[1] + cols[idx], vals[idx]))
+        # the ends of each pixel's block, then of each cell's: the low end of
+        # its first pixel's and the high end of its last one's
+        pixel_ends = [(low[t[0]], high[t[0]]) for (low, high), t in zip(ends, (ty, tx))]
+        ends = [(low[: max(k - 1, 1)], high[min(k, 2) - 1 :]) for (low, high), k in zip(pixel_ends, shape)]
+        below = shape
+    (sy, _), (sx, _) = pixel_ends
+    mask = np.take(np.take(lo > 0.0, sy, axis=0).T, sx, axis=0).T
+    mask[rows, cols] = vals > 0.0
+    return mask
 
-    def band(cut):
-        ys, xs = np.divmod(np.flatnonzero(bound <= cut), bound.shape[1])
-        rows, cols, _ = _expand(ys, first[xs], count[xs], ty[0], bound.shape[0])
-        return rows, cols, _finite(_interpolate(v, [t[rows] for t in ty], [t[cols] for t in tx]))
 
-    return lo, bound, ty, tx, _ranked_band(band, bound, predictor, n, (height, width))
-
-
-def _two_step_signs(field: ScoreField, predictor: PointPredictor, n1: int, n2: int) -> np.ndarray:
-    """``binarize(subdivision_step(subdivision_step(field, predictor, n1),
-    predictor, n2))`` bit for bit for ``n1 >= 1``, building neither grid.
-
-    The middle step is :func:`_band_signs`'s band, kept as its re-predicted
-    pixels. A last-grid pixel's four middle taps take their own taps from a
-    block of at most 2x2 cells. When each cell of the block has a bound, they
-    share a sign (neighbouring cells share a tap) and, two convex
-    combinations deeper, the pixel has it and ``|value| >= min bound * (1 -
-    2^-40)``, unless a middle tap was re-predicted. So the band to ``cut`` is
-    the pixels whose block holds a cell with bound <= cut, and in it the
-    middle taps are computed on demand. It starts at the middle step's cut:
-    a cell holding a re-predicted pixel has a bound no larger, so it is
-    always in the band, and the n-th smallest ``|value|`` on the finer grid
-    is most often below that cut, so one pass suffices.
-    """
-    v = field.logits
-    h, w = v.shape
-    lo, bound, gy, gx, (rows, cols, vals, idx, cut) = _cell_band(field, 2 * h, 2 * w, predictor, n1)
-    hy, hx = _taps(grid_coords(4 * h), 2 * h), _taps(grid_coords(4 * w), 2 * w)  # last pixels on middle
+def _band(v, levels, ends, bound, below, ty, tx):
+    """``band(cut)`` of the next level of :func:`_band_signs`'s chain, whose
+    pixels have taps ``ty``, ``tx`` on the ``below`` grid of the last of
+    ``levels``: the pixels, row-major, whose block holds a cell with bound
+    <= cut, and their values. Each of its cells on the level below has its
+    four corners computed once (:func:`_values`), and its pixels take
+    their values from them."""
+    (ylo, yhi), (xlo, xhi) = ends
     nx = bound.shape[1]
-    bound *= 1 - 2.0**-40
-    order = np.argsort(rows[idx] * 2 * w + cols[idx])  # the re-predicted pixels, row-major
-    moved, moved_to = (rows[idx] * 2 * w + cols[idx])[order], vals[idx][order]
-    # the middle cells l that span cell column c are span[0][c] to span[1][c] - 1
-    span = [np.searchsorted(gx[0][1:], np.arange(nx)), np.searchsorted(gx[0][:-1], np.arange(nx), "right")]
-    count = np.bincount(hx[0], minlength=2 * w - 1)  # each middle cell column's last-grid columns
+    count = np.bincount(tx[0], minlength=xlo.size)  # each cell column's pixel columns
     first = np.cumsum(count) - count
+    # the cell columns whose blocks hold field cell column c are span[0][c]
+    # to span[1][c] - 1; on level 1, c alone
+    if levels:
+        span = np.searchsorted(xhi, np.arange(nx)), np.searchsorted(xlo, np.arange(nx), "right")
+    oy = np.arange(2).reshape(2, 1, 1) * (below[0] > 1)  # a cell's corners, one on a 1-pixel axis
+    ox = np.arange(2).reshape(1, 2, 1) * (below[1] > 1)
 
     def band(cut):
         inside = bound <= cut
-        # the middle cell rows against the cell columns their blocks hold
-        at = np.flatnonzero(inside[gy[0][:-1]] | inside[gy[0][1:]])
-        cj, c = np.divmod(at, nx)
-        after = np.concatenate([[False], at[1:] - at[:-1] == 1]) & (c > 0)  # so is cell column c - 1
-        start = np.where(after, span[1][c - 1], span[0][c])
-        cj, cl = np.repeat(cj, span[1][c] - start), _ranges(start, span[1][c] - start)
-        # each middle cell's 2x2 taps, taps[dy, dx * m + cell], the
-        # re-predicted ones written over them
-        tj, tl = cj + np.arange(2)[:, None, None], cl + np.arange(2)[:, None]
-        taps = _interpolate(v, [t[tj] for t in gy], [t[tl] for t in gx]).reshape(2, -1)
-        key = (tj * 2 * w + tl).reshape(2, -1)
-        found = np.minimum(np.searchsorted(moved, key), moved.size - 1)
-        hit = moved[found] == key
-        taps[hit] = moved_to[found[hit]]
-        rows, cols, cell = _expand(cj, first[cl], count[cl], hy[0], 2 * h - 1)
-        tx = (cell, cell + cj.size, hx[2][cols])
-        return rows, cols, _finite(_interpolate(taps, (0, 1, hy[2][rows]), tx))
+        if not levels:  # the cells of the level below are the field's
+            cj, cl = np.divmod(np.flatnonzero(inside), nx)
+        else:  # the cell rows against the field cell columns their blocks hold
+            at = np.flatnonzero(inside[ylo] | inside[yhi])
+            cj, c = np.divmod(at, nx)
+            after = np.concatenate([[False], at[1:] - at[:-1] == 1]) & (c > 0)  # so is column c - 1
+            start = np.where(after, span[1][c - 1], span[0][c])
+            cj, cl = np.repeat(cj, span[1][c] - start), _ranges(start, span[1][c] - start)
+        corners = _values(v, levels, len(levels), cj + oy, cl + ox).reshape(2, -1)
+        rows, cols, cell = _expand(cj, first[cl], count[cl], ty[0], ylo.size)
+        vals = _interpolate(corners, (0, 1, ty[2][rows]), (cell, cell + cj.size, tx[2][cols]))
+        if not np.isfinite(vals).all():  # as resample's own field check
+            raise ValueError("logits must be finite")
+        return rows, cols, vals
 
-    rows, cols, vals, _, _ = _ranked_band(band, bound, predictor, n2, (4 * h, 4 * w), cut)
-    return _signs(lo > 0.0, gy[0][hy[0]], gx[0][hx[0]], rows, cols, vals)
+    return band
+
+
+def _values(v, levels, m, rows, cols):
+    """The values of level ``m`` of :func:`_band_signs`'s chain at pixels
+    ``(rows, cols)``, broadcast together: ``v`` at level 0, else the bilinear
+    values of level m - 1 in ``core._interpolate``'s arithmetic, with the
+    level's re-predicted pixels written over them."""
+    if m == 0:
+        return v.take(rows * v.shape[1] + cols)
+    ty, tx, width, moved, moved_to = levels[m - 1]
+    ty, tx, below = [t[rows] for t in ty], [t[cols] for t in tx], v
+    if m > 1:  # the taps' values, laid out as a (2, 2 * taps) grid
+        below = _values(v, levels, m - 1, np.stack(ty[:2])[:, None], np.stack(tx[:2])[None])
+        below = below.reshape(2, -1)
+        at = np.arange(below.size // 4).reshape(np.broadcast_shapes(rows.shape, cols.shape))
+        ty, tx = (0, 1, ty[2]), (at, at + at.size, tx[2])
+    vals = _interpolate(below, ty, tx)
+    key = rows * width + cols
+    found = np.minimum(np.searchsorted(moved, key), moved.size - 1)
+    hit = moved[found] == key
+    vals[hit] = moved_to[found[hit]]
+    return vals
 
 
 def _cell_bounds(v: np.ndarray):
@@ -366,18 +379,3 @@ def _expand(ys, first, count, row_class, classes: int):
     at = _ranges(ends[row_class], n)
     rows, run = np.repeat(np.arange(row_class.size), n), np.repeat(np.arange(ys.size), count)[at]
     return rows, _ranges(first, count)[at], run
-
-
-def _finite(vals: np.ndarray) -> np.ndarray:
-    if not np.isfinite(vals).all():  # as resample's own field check
-        raise ValueError("logits must be finite")
-    return vals
-
-
-def _signs(positive, sy, sx, rows, cols, vals) -> np.ndarray:
-    """The mask of pixel rows ``sy`` and columns ``sx`` of cells: the sign of
-    ``positive`` outside the band and of ``vals`` inside, built column-major
-    so that its column-major run-length encoding reads it in place."""
-    mask = np.take(np.take(positive, sy, axis=0).T, sx, axis=0).T
-    mask[rows, cols] = vals > 0.0
-    return mask

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 from unittest.mock import patch
@@ -15,6 +16,7 @@ from maskpost import (
     SubdivisionConfig,
     binarize,
     default_corpus,
+    grid_coords,
     mask_iou,
     plain_upsample,
     resample,
@@ -29,6 +31,7 @@ from maskpost import (
     upsample_x2,
 )
 from maskpost import refine
+from maskpost.core import _taps
 from maskpost.synthetic import Shape, parse_corpus_spec
 
 
@@ -236,6 +239,17 @@ PREDICTOR_KINDS = st.sampled_from(["identity", "oracle", "flip"])
 _FLIPPED_CELL = np.array([[-1.0, -4.0], [-4.0, -1.0], [-2.0, -4.0], [-4.0, 2.0], [4.0, -4.0]])
 
 
+def _chain_ends(sides):
+    """Per pixel of the last axis of a chain of axes of ``sides`` pixels, the
+    first-axis pixels its lowest and its highest tap chain end at: its
+    block is the cells from ``low`` to ``max(high - 1, low)``."""
+    low = high = np.arange(sides[-1])
+    for side, below in zip(sides[:0:-1], sides[-2::-1]):
+        y0, y1, _ = _taps(grid_coords(side), below)
+        low, high = y0[low], y1[high]
+    return low, high
+
+
 class TestBandedSigns:
     """``subdivision_mask`` and ``resample_mask`` compute pixel values only in
     a band of cells; their masks are the dense ones, pixel for pixel."""
@@ -254,7 +268,7 @@ class TestBandedSigns:
         height, width = 2 * field.height, 2 * field.width
         for n in range(height * width + 1):
             want = binarize(subdivision_step(field, predictor, n))
-            assert np.array_equal(refine._band_signs(field, height, width, predictor, n), want), n
+            assert np.array_equal(refine._band_signs(field, [(height, width)], predictor, [n]), want), n
 
     @settings(max_examples=60)
     @given(
@@ -301,12 +315,82 @@ class TestBandedSigns:
         dense steps at every budget ``k**2``, up to and past the pixel count."""
         field = ScoreField(logits)
         predictor = _band_predictor(kind, reference)
-        pixels = 4 * field.logits.size
+        (h, w), pixels = field.logits.shape, 4 * field.logits.size
         for budget in range(1, 4 * pixels + 2):
             n1, n2 = min(budget, pixels), min(budget, 4 * pixels)
             want = binarize(subdivision_step(subdivision_step(field, predictor, n1), predictor, n2))
-            got = refine._two_step_signs(field, predictor, n1, n2)
+            got = refine._band_signs(field, [(2 * h, 2 * w), (4 * h, 4 * w)], predictor, [n1, n2])
             assert np.array_equal(got, want), budget
+
+    @settings(max_examples=10)
+    @given(
+        logits=_band_fields(st.integers(1, 4), st.integers(1, 4)),
+        reference=_band_fields(st.integers(1, 9), st.integers(1, 9)),
+        kind=PREDICTOR_KINDS,
+    )
+    @example(logits=_FLIPPED_CELL, reference=np.zeros((1, 1)), kind="flip")
+    @example(logits=_FLIPPED_CELL.T, reference=np.zeros((1, 1)), kind="flip")
+    def test_three_steps_equal_dense_steps_for_every_budget(self, logits, reference, kind):
+        """A chain of three levels, each started at the cut of the one
+        before, is three dense steps at every budget."""
+        field = ScoreField(logits)
+        predictor = _band_predictor(kind, reference)
+        shapes = [(field.height << k, field.width << k) for k in (1, 2, 3)]
+        for budget in range(1, shapes[-1][0] * shapes[-1][1] + 2):
+            budgets, want = [min(budget, h * w) for h, w in shapes], field
+            for n in budgets:
+                want = subdivision_step(want, predictor, n)
+            got = refine._band_signs(field, shapes, predictor, budgets)
+            assert np.array_equal(got, binarize(want)), budget
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_blocks_span_at_most_two_cells(self, depth):
+        """The block of a pixel of a doubling chain holds at most 2 cells
+        per axis, so the two cells at its ends cover it; a one-level
+        resample's holds one."""
+        for side in range(1, 81):
+            low, high = _chain_ends([side << k for k in range(depth + 1)])
+            assert (np.maximum(high - low, 1) <= 2).all(), side
+            for target in (1, 2, side + 1, 3 * side, 7 * side + 5):
+                low, high = _chain_ends([side, target])
+                assert (np.maximum(high - low, 1) == 1).all(), (side, target)
+
+    @settings(max_examples=100)
+    @given(logits=_band_fields(st.integers(1, 5), st.integers(1, 5)), depth=st.integers(1, 3))
+    def test_block_of_one_sign_bounds_the_pixel(self, logits, depth):
+        """On the dense identity chain, a pixel whose block taps share a
+        sign and lie in [2^-1000, 2^1000] has that sign and a magnitude of
+        at least min|tap| * (1 - 2^-40)^depth."""
+        field = ScoreField(logits)
+        for _ in range(depth):
+            field = upsample_x2(field)
+        ends = [_chain_ends([n << k for k in range(depth + 1)]) for n in logits.shape]
+        # the block's field pixels, from the low end to the high one, at most 3 per axis
+        ry, rx = ([np.minimum(low + d, high) for d in range(3)] for low, high in ends)
+        taps = np.stack([logits[np.ix_(y, x)] for y in ry for x in rx])
+        magnitude = np.abs(taps)
+        bound = magnitude.min(axis=0)
+        one_sign = (taps.min(axis=0) > 0) | (taps.max(axis=0) < 0)
+        ruled = one_sign & (bound >= 2.0**-1000) & (magnitude.max(axis=0) <= 2.0**1000)
+        for _ in range(depth):
+            bound *= 1 - 2.0**-40
+        value = field.logits[ruled]
+        assert np.array_equal(value > 0, taps[0][ruled] > 0)
+        assert (np.abs(value) >= bound[ruled]).all()
+
+    def test_no_cyclic_garbage(self):
+        """A render and a ground truth leave nothing for the cycle
+        collector: their memory is freed as soon as they return."""
+        coarse = ScoreField(np.random.default_rng(3).normal(size=(7, 7)))
+        cfg = SubdivisionConfig(subdivision_k=5, target_side=28, start_side=7)
+        gc.collect()
+        gc.disable()
+        try:
+            subdivision_mask(coarse, OracleFieldPredictor(coarse), cfg)
+            resample_mask(coarse, 28, 28)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "side, steps, k", [(7, 0, 5), (7, 1, 5), (7, 3, 5), (3, 2, 40), (1, 3, 1), (1, 2, 8)]
