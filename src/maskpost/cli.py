@@ -194,12 +194,12 @@ def _require_path(path: str | None, what: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _render_units(args, opts):
-    """The render config and one ``(instance id, build)`` unit per instance,
-    sorted by id; ``build()`` returns ``(instance, reference field or None)``.
-    A synthetic shape's reference is made at ``target_side`` in its build, so
-    memory follows the renders in flight, and its coarse field is that
-    reference resampled to ``start_side``. An archive instance's reference
-    is its oracle field, or None under ``identity``."""
+    """The render config and one zero-argument build per instance, in
+    instance-id order; ``build()`` returns ``(instance, reference field or
+    None)``. A synthetic shape's reference is made at ``target_side`` in its
+    build, so memory follows the renders in flight, and its coarse field is
+    that reference resampled to ``start_side``. An archive instance's
+    reference is its oracle field, or None under ``identity``."""
     cfg = SubdivisionConfig(
         subdivision_k=int(opts["subdivision_k"]),
         target_side=int(opts["target_side"]),
@@ -207,36 +207,33 @@ def _render_units(args, opts):
     )
     side = cfg.start_side
 
-    def shape_unit(name, image_id, shape):
+    def shape_unit(i, shape):
         ref = shape_field(shape, cfg.target_side)
-        return FieldInstance(name, image_id, 1, 1.0, resample(ref, side, side)), ref
+        return FieldInstance(f"shape{i:04d}", i + 1, 1, 1.0, resample(ref, side, side)), ref
 
-    units = []
     if args.synthetic:
-        for i, shape in enumerate(parse_corpus_spec(args.synthetic)):
-            name = f"shape{i:04d}"
-            units.append((name, partial(shape_unit, name, i + 1, shape)))
-    else:
-        coarse_path = _require_path(args.coarse, "--coarse input (or use --synthetic)")
-        instances = load_field_archive(coarse_path)
-        refs = {}
-        if opts["predictor"] == "oracle":
-            oracle_path = _require_path(
-                args.oracle, "--oracle archive (required with the oracle predictor)"
+        shapes = parse_corpus_spec(args.synthetic)
+        order = sorted(range(len(shapes)), key="shape{:04d}".format)  # ids compare as strings
+        return cfg, [partial(shape_unit, i, shapes[i]) for i in order]
+    coarse_path = _require_path(args.coarse, "--coarse input (or use --synthetic)")
+    instances = load_field_archive(coarse_path)
+    refs = {}
+    if opts["predictor"] == "oracle":
+        oracle_path = _require_path(
+            args.oracle, "--oracle archive (required with the oracle predictor)"
+        )
+        refs = {inst.instance_id: inst.field for inst in load_field_archive(oracle_path)}
+    for inst in instances:
+        if (inst.field.width, inst.field.height) != (side, side):
+            raise InputError(
+                f"{coarse_path}: instance {inst.instance_id}: coarse field is "
+                f"{inst.field.width}x{inst.field.height}, expected {side}x{side} (--start-side)"
             )
-            refs = {inst.instance_id: inst.field for inst in load_field_archive(oracle_path)}
-        for inst in instances:
-            if (inst.field.width, inst.field.height) != (side, side):
-                raise InputError(
-                    f"{coarse_path}: instance {inst.instance_id}: coarse field is "
-                    f"{inst.field.width}x{inst.field.height}, expected {side}x{side} (--start-side)"
-                )
-            if opts["predictor"] == "oracle" and inst.instance_id not in refs:
-                raise InputError(f"oracle archive has no instance {inst.instance_id}")
-            pair = (inst, refs.get(inst.instance_id))
-            units.append((inst.instance_id, lambda pair=pair: pair))
-    units.sort(key=lambda unit: unit[0])
-    return cfg, units
+        if opts["predictor"] == "oracle" and inst.instance_id not in refs:
+            raise InputError(f"oracle archive has no instance {inst.instance_id}")
+    instances.sort(key=lambda inst: inst.instance_id)
+    # a build of an archive instance returns its loaded pair: tuple(pair) is the pair
+    return cfg, [partial(tuple, (inst, refs.get(inst.instance_id))) for inst in instances]
 
 
 def cmd_refine(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
@@ -249,10 +246,10 @@ def cmd_refine(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
         raise InputError(str(exc))
     side, oracle = cfg.target_side, opts["predictor"] == "oracle"
 
-    def render(unit):
+    def render(build):
         """Render one instance; with a reference field, also its IoU
         against the reference binarized at the target side."""
-        inst, ref = unit[1]()
+        inst, ref = build()
         predictor = OracleFieldPredictor(ref) if oracle else IdentityPredictor()
         mask = subdivision_mask(inst.field, predictor, cfg)
         det = Detection(
@@ -314,7 +311,6 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     if not args.model:
         raise InputError("at least one --model PATH:SCORE is required")
     models = []
-    image_sets = []
     for spec in args.model:
         path, score = _parse_model_arg(spec)
         dets = load_results(path)
@@ -322,8 +318,7 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
             models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
         except ValueError as exc:
             raise InputError(f"--model {spec!r}: {exc}")
-        image_sets.append({d.image_id for d in dets})
-    if len(set(map(frozenset, image_sets))) > 1:
+    if len({frozenset(d.image_id for d in m.detections) for m in models}) > 1:
         print("warning: model files cover different image id sets", file=sys.stderr)
 
     try:

@@ -248,8 +248,8 @@ def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tupl
     """Check a ``segmentation`` payload. ``image`` is the ``(width, height)``
     it must match; without one, as in a results file, only an RLE object,
     which carries its size, is accepted. A compressed counts string comes
-    back as ``(counts, width, height)``, for :func:`_decode_strings`, and
-    any other payload as its mask."""
+    back as ``(counts, width, height)``, for :func:`_finish`, and any other
+    payload as its mask."""
     if isinstance(segmentation, dict):
         size = _require(segmentation, "size", context)
         if not isinstance(size, (list, tuple)) or len(size) != 2:
@@ -265,7 +265,8 @@ def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tupl
             return counts, w, h
         if isinstance(counts, (list, tuple)):
             for k, count in enumerate(counts):
-                _as_int(count, f"{context}.counts[{k}]")
+                if type(count) is not int:  # as for size: only other values need a name
+                    _as_int(count, f"{context}.counts[{k}]")
             try:
                 return RleMask(w, h, counts)
             except ValueError as exc:
@@ -284,16 +285,18 @@ def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tupl
     raise SchemaError(f"{context}: expected a polygon list or RLE object")
 
 
-def _decode_strings(masks: list, context) -> None:
-    """Replace each ``(counts, width, height)`` left in ``masks`` by its mask,
-    decoded in one batched call; entry ``i`` is named ``context(i)`` in
-    errors."""
+def _finish(masks: list, boxes: list, section: str) -> None:
+    """Decode every ``(counts, width, height)`` left in ``masks`` in one batched
+    call, naming a string at fault ``{section}[i].segmentation.counts``, then
+    fill every None in ``boxes`` with its mask's tight box, all in place."""
     todo = [i for i, mask in enumerate(masks) if isinstance(mask, tuple)]
-    decoded = rle_strings_decode(
-        [masks[i][0] for i in todo], [masks[i][1:] for i in todo], [context(i) for i in todo]
-    )
+    names = [f"{section}[{i}].segmentation.counts" for i in todo]
+    decoded = rle_strings_decode([masks[i][0] for i in todo], [masks[i][1:] for i in todo], names)
     for i, mask in zip(todo, decoded):
         masks[i] = mask
+    todo = [i for i, box in enumerate(boxes) if box is None]
+    for i, box in zip(todo, _rle_bboxes([masks[i] for i in todo])):
+        boxes[i] = box
 
 
 def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
@@ -303,30 +306,19 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
     instance area is the decoded mask's pixel count regardless of the
     file's ``area`` field.
     """
-    by_id = {img.id: img for img in ds.images}
+    sizes = {img.id: (img.width, img.height) for img in ds.images}
     masks = []
     for i, ann in enumerate(ds.annotations):
-        img = by_id[ann.image_id]
         if ann.segmentation is None:
             raise SchemaError(f"annotations[{i}].segmentation: missing (annotation {ann.id})")
         ctx = f"annotations[{i}].segmentation"
-        masks.append(_segmentation_mask(ann.segmentation, ctx, (img.width, img.height)))
-    _decode_strings(masks, lambda i: f"annotations[{i}].segmentation.counts")
-    boxes = _boxes_or_tight(
-        [None if ann.bbox is None else BBox(*ann.bbox) for ann in ds.annotations], masks
-    )
+        masks.append(_segmentation_mask(ann.segmentation, ctx, sizes[ann.image_id]))
+    boxes = [None if ann.bbox is None else BBox(*ann.bbox) for ann in ds.annotations]
+    _finish(masks, boxes, "annotations")
     return [
         GroundTruthInstance(image_id=ann.image_id, category_id=ann.category_id, mask=mask, bbox=bbox)
         for ann, mask, bbox in zip(ds.annotations, masks, boxes)
     ]
-
-
-def _boxes_or_tight(boxes: list, masks: list) -> list[BBox]:
-    """``boxes`` with each None replaced by the tight box of its mask."""
-    todo = [i for i, box in enumerate(boxes) if box is None]
-    for i, box in zip(todo, _rle_bboxes([masks[i] for i in todo])):
-        boxes[i] = box
-    return boxes
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +336,8 @@ def load_results(path) -> list[Detection]:
             records.append(_result_record(rec))
         except SchemaError as exc:  # named here, so a record that passes formats no name
             raise SchemaError(f"results[{i}]{exc}") from exc.__cause__
-    masks = [rec[4] for rec in records]
-    _decode_strings(masks, lambda i: f"results[{i}].segmentation.counts")
-    boxes = _boxes_or_tight([rec[3] for rec in records], masks)
+    boxes, masks = [rec[3] for rec in records], [rec[4] for rec in records]
+    _finish(masks, boxes, "results")
     return [Detection(*rec[:3], box, mask) for rec, box, mask in zip(records, boxes, masks)]
 
 
@@ -567,14 +558,16 @@ def _vertex_array(polygon) -> np.ndarray:
     if not isinstance(polygon, (list, tuple)):
         raise ValueError(f"polygon: got {type(polygon).__name__}, but {_POLYGON_RULE}")
     pairs = bool(polygon) and isinstance(polygon[0], (list, tuple))
+    kind = "vertex" if pairs else "coordinate"
     coords = []
     for k, v in enumerate(polygon):
-        where = f"polygon {'vertex' if pairs else 'coordinate'} {k}"
         listed = isinstance(v, (list, tuple))
         if listed != pairs or listed and len(v) != 2:
             got = f"a list of length {len(v)}" if listed else type(v).__name__
-            raise ValueError(f"{where}: got {got}, but {_POLYGON_RULE}")
-        coords += [_as_number(c, where) for c in (v if pairs else [v])]
+            raise ValueError(f"polygon {kind} {k}: got {got}, but {_POLYGON_RULE}")
+        # a float passes _as_number as it is, so only other values need a name
+        for c in v if pairs else [v]:
+            coords.append(c if type(c) is float else _as_number(c, f"polygon {kind} {k}"))
     if len(coords) % 2:
         raise ValueError("flat polygon needs an even number of coordinates")
     if len(coords) < 6:

@@ -176,7 +176,8 @@ def _taps(coords: np.ndarray, n: int):
     """Bilinear taps of unit-interval ``coords`` on an axis of ``n`` pixels:
     the lower and upper pixel indices and the weight of the upper one."""
     g = coords * (n - 1)
-    i0 = np.clip(np.floor(g).astype(np.intp), 0, max(n - 2, 0))
+    # not np.clip, whose Python wrapper costs about twice as much per call
+    i0 = np.minimum(np.maximum(np.floor(g).astype(np.intp), 0), max(n - 2, 0))
     i1 = np.minimum(i0 + 1, n - 1)
     return i0, i1, g - i0
 

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskpost import (
     BBox,
@@ -1549,3 +1554,137 @@ class TestRunProtocol:
         code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.json"))
         assert (code, stdout) == (2, "")
         assert err == "error: [Errno 28] No space left on device\n"
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: a change to the input that must not matter does not
+# ---------------------------------------------------------------------------
+
+_SIDES = {1: (6, 6), 2: (5, 7), 3: (7, 4)}  # image id -> (width, height)
+
+# a few repeated values, so that many scores tie, and floats in [0, 1] above
+# the subnormal range, where halving a score is exact
+_SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(2.0**-1021, 1.0))
+
+_FUSE_FLAGS = [
+    [], ["--mask-iou-nms"], ["--merge-masks"], ["--mask-iou-nms", "--merge-masks"],
+    ["--nms-method", "hard"], ["--class-agnostic"], ["--strategy", "linear_reweight"],
+]
+
+
+@st.composite
+def _result_records(draw, images=(1, 2), min_size=0):
+    """Results records on ``images``: rectangle masks, so that many overlap,
+    each with its tight box, that box trimmed by half a pixel, or no box."""
+    records = []
+    for _ in range(draw(st.integers(min_size, 6))):
+        image_id = draw(st.sampled_from(images))
+        w, h = _SIDES[image_id]
+        x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        x1, y1 = draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h))
+        bits = np.zeros((h, w), dtype=bool)
+        bits[y0:y1, x0:x1] = True
+        rec = {
+            "image_id": image_id,
+            "category_id": draw(st.integers(1, 2)),
+            "score": draw(_SCORES),
+            "segmentation": {"size": [h, w], "counts": rle_string_encode(rle_encode(bits))},
+        }
+        box = draw(st.sampled_from(["tight", "trimmed", None]))
+        if box:
+            rec["bbox"] = [x0, y0, x1 - x0 - (box == "trimmed") / 2, y1 - y0]
+        records.append(rec)
+    return records
+
+
+def _run_main(*argv):
+    """``(exit code, stdout)`` of ``cli.main`` run in process; stderr is
+    dropped (``ensemble`` warns there when model files differ in images)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue()
+
+
+def _fuse(tmp, models, scores, flags):
+    """Run ``ensemble`` on one results file per model; the fused bytes and
+    the summary."""
+    argv = ["ensemble", *flags, "--out", tmp / "fused.json"]
+    for k, (records, score) in enumerate(zip(models, scores)):
+        path = tmp / f"model{k}.json"
+        path.write_text(json.dumps(records))
+        argv += ["--model", f"{path}:{score}"]
+    code, summary = _run_main(*argv)
+    assert code == 0
+    return (tmp / "fused.json").read_bytes(), summary
+
+
+class TestMetamorphicRelations:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_ensemble_model_order_changes_only_the_weight_lines(self, data):
+        models = data.draw(st.lists(_result_records(), min_size=2, max_size=3))
+        scores = data.draw(st.lists(st.sampled_from([70.0, 71.0, 72.5]), min_size=3, max_size=3))
+        flags = data.draw(st.sampled_from(_FUSE_FLAGS))
+        order = data.draw(st.permutations(range(len(models))))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            fused, summary = _fuse(tmp, models, scores, flags)
+            # the same files, listed in another order
+            argv = ["ensemble", *flags, "--out", tmp / "fused.json"]
+            argv += [arg for k in order for arg in ("--model", f"{tmp / f'model{k}.json'}:{scores[k]}")]
+            code, permuted_summary = _run_main(*argv)
+            assert code == 0
+            assert (tmp / "fused.json").read_bytes() == fused
+        lines, permuted = summary.splitlines(), permuted_summary.splitlines()
+        assert permuted[:-1] == [lines[k] for k in order]
+        assert permuted[-1] == lines[-1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        _result_records(),
+        _result_records(),
+        st.sampled_from([[], ["--iou-on", "bbox"], ["--max-dets", "2"]]),
+    )
+    def test_eval_report_is_unchanged_when_every_score_is_halved(self, truth, results, flags):
+        # AP depends only on the rank order of the scores; halving is exact
+        # above the subnormal range, so it makes and breaks no tie
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            gt = tmp / "gt.json"
+            gt.write_text(json.dumps({
+                "images": [{"id": i, "width": w, "height": h} for i, (w, h) in _SIDES.items()],
+                "annotations": [
+                    {k: v for k, v in dict(rec, id=j).items() if k != "score"}
+                    for j, rec in enumerate(truth)
+                ],
+                "categories": [{"id": 1}, {"id": 2}],
+            }))
+            reports = []
+            for halve in (False, True):
+                path = tmp / "results.json"
+                path.write_text(json.dumps([dict(rec, score=rec["score"] / (1 + halve)) for rec in results]))
+                code, _ = _run_main("eval", "--gt", gt, "--results", path, *flags, "--out", tmp / "report.json")
+                assert code == 0
+                reports.append(((tmp / "report.json").read_bytes(), (tmp / "report.txt").read_bytes()))
+        assert reports[0] == reports[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_ensemble_detection_on_another_image_leaves_this_image_alone(self, data):
+        models = data.draw(st.lists(_result_records(), min_size=1, max_size=3))
+        scores = data.draw(st.lists(st.sampled_from([70.0, 71.0, 72.5]), min_size=3, max_size=3))
+        flags = data.draw(st.sampled_from(_FUSE_FLAGS))
+        extra = data.draw(_result_records(images=(1, 2, 3), min_size=1))[0]
+        k = data.draw(st.integers(0, len(models) - 1))
+        position = data.draw(st.integers(0, len(models[k])))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            fused, _ = _fuse(tmp, models, scores, flags)
+            models[k].insert(position, extra)
+            grown, _ = _fuse(tmp, models, scores, flags)
+        elsewhere = [
+            [rec for rec in json.loads(out) if rec["image_id"] != extra["image_id"]]
+            for out in (fused, grown)
+        ]
+        assert elsewhere[0] == elsewhere[1]

@@ -778,6 +778,55 @@ class TestResultsIo:
             load_results(path)
 
 
+class TestFinishingStep:
+    """Each reader checks every record, then decodes all of a file's
+    compressed strings in one batched call and fills all missing boxes in
+    one call; a record still reads as it does in a file of its own."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.sampled_from([1, 5, coco_io._SLICE_SIZE]))
+    def test_record_reads_as_it_does_alone(self, data, slice_size):
+        sides = data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=2, max_size=2))
+        images = [{"id": k + 1, "width": w, "height": h} for k, (w, h) in enumerate(sides)]
+        annotations = []  # the kinds of segmentation drawn record by record, so mixed
+        for k in range(data.draw(st.integers(1, 8))):
+            image = data.draw(st.integers(0, 1))
+            w, h = sides[image]
+            kind = data.draw(st.sampled_from(["string", "list", "polygon"]))
+            if kind == "polygon":
+                halves = st.tuples(st.integers(-2, 2 * w + 2), st.integers(-2, 2 * h + 2))
+                vertices = data.draw(st.lists(halves, min_size=3, max_size=5))
+                segmentation = [[v / 2 for vertex in vertices for v in vertex]]
+            else:
+                bits = np.array(data.draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h)))
+                rle = rle_encode(bits.reshape(h, w))
+                counts = rle_string_encode(rle) if kind == "string" else rle.counts.tolist()
+                segmentation = {"size": [h, w], "counts": counts}
+            ann = {"id": k, "image_id": image + 1, "category_id": 1, "segmentation": segmentation}
+            if data.draw(st.booleans()):  # a box within the image, of integers and a half
+                x, y = data.draw(st.integers(0, w)), data.draw(st.integers(0, h))
+                ann["bbox"] = [x, y, data.draw(st.integers(0, w - x)), data.draw(st.integers(0, h - y)) / 2]
+            annotations.append(ann)
+        results = [dict(a, score=0.5) for a in annotations if isinstance(a["segmentation"], dict)]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.json"
+
+            def read_results(records):
+                path.write_text(json.dumps(records))
+                return load_results(path)
+
+            def read_dataset(anns):
+                path.write_text(json.dumps({"images": images, "annotations": anns, "categories": [{"id": 1}]}))
+                return dataset_ground_truth(load_dataset(path))
+
+            with patch.object(coco_io, "_SLICE_SIZE", slice_size):  # many slices per file
+                dets, gts = read_results(results), read_dataset(annotations)
+            assert all(isinstance(item.bbox, BBox) for item in dets + gts)
+            assert dets == [read_results([rec])[0] for rec in results]
+            assert gts == [read_dataset([ann])[0] for ann in annotations]
+
+
 class TestSizeStats:
     @staticmethod
     def _boxes(sides):
