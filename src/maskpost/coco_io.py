@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import BBox, RleMask, ScoreField, rle_encode
 from .core import _counts_fault, _mask_pixels, _rle_masks  # the RLE counts rule
-from .core import _rle_bboxes
+from .core import _ranges, _rle_bboxes
 from .evaluation import GroundTruthInstance
 from .fusion import Detection
 
@@ -597,7 +597,7 @@ def rasterize_polygon(polygon, width: int, height: int) -> np.ndarray:
     r1 = np.clip(np.ceil(np.maximum(y1, y2) - 0.5), 0, height).astype(np.intp)
     spans = r1 - r0
     edge = np.repeat(np.arange(len(verts)), spans)  # one entry per crossing, edge-major
-    row = np.arange(edge.size) - np.repeat(np.cumsum(spans) - spans - r0, spans)
+    row = _ranges(r0, spans)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         x = x1[edge] + (row + 0.5 - y1[edge]) * (x2[edge] - x1[edge]) / (y2[edge] - y1[edge])
     bad = np.flatnonzero(~np.isfinite(x))

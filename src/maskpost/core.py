@@ -96,12 +96,17 @@ def size_bucket(
     """
     if area < 0:
         raise ValueError(f"area must be non-negative, got {area}")
+    return list(SizeBucket)[_bucket_codes([area], thresholds)[0]]
+
+
+def _bucket_codes(areas, thresholds) -> np.ndarray:
+    """:func:`size_bucket` of each area, as its position in ``SizeBucket``:
+    0 small, 1 medium, 2 large. Each area is compared as the object it is,
+    so an int past 2^53 meets a float threshold exactly, and NaN is large."""
+    areas = np.asarray(areas, dtype=object)
     t1, t2 = thresholds
-    if area < t1 * t1:
-        return SizeBucket.SMALL
-    if area <= t2 * t2:
-        return SizeBucket.MEDIUM
-    return SizeBucket.LARGE
+    with np.errstate(invalid="ignore"):  # Python's own NaN comparisons flag it
+        return np.where(areas < t1 * t1, 0, np.where(areas <= t2 * t2, 1, 2))
 
 
 class ScoreField:
@@ -543,7 +548,7 @@ def rle_merge(masks, weights) -> RleMask:
         raise ValueError(f"{len(masks)} masks but {len(weights)} weights")
     all_bounds, _, at = _geometry(masks)
     at = at.tolist()
-    bounds = np.sort(all_bounds)
+    bounds = np.sort(all_bounds)  # not np.unique: numpy 2.3+ hashes before it sorts, ~9x slower
     bounds = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
     seg_starts = bounds[:-1]
     votes = np.zeros(seg_starts.size)

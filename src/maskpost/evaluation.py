@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import MEDIUM_LARGE_SIDE, SMALL_MEDIUM_SIDE
-from .core import BBox, RleMask, SizeBucket, box_iou_matrix, rle_iou_matrix, size_bucket
+from .core import BBox, RleMask, SizeBucket, _bucket_codes, box_iou_matrix, rle_iou_matrix
 from .fusion import Detection
 
 __all__ = [
@@ -188,25 +188,21 @@ def evaluate(
     cats = sorted({g.category_id for g in gts})
     cat_pos = {c: i for i, c in enumerate(cats)}
     skipped = tuple(sorted({d.category_id for d in dets if d.category_id not in cat_pos}))
-    buckets = (SizeBucket.SMALL, SizeBucket.MEDIUM, SizeBucket.LARGE)
-
-    def code(area) -> int:
-        return buckets.index(size_bucket(area, cfg.bucket_thresholds))
 
     # ground-truth positions per (image, category), and counts per (category, bucket)
     gt_groups: dict[tuple[int, int], list[int]] = {}
     for j, gt in enumerate(gts):
         gt_groups.setdefault((gt.image_id, gt.category_id), []).append(j)
-    gt_code = np.array([code(gt.area) for gt in gts], dtype=np.int64)
+    gt_code = _bucket_codes([gt.area for gt in gts], cfg.bucket_thresholds)
     gt_cat = np.array([cat_pos[gt.category_id] for gt in gts], dtype=np.int64)
-    n_gt = np.zeros((len(cats), len(buckets)), dtype=np.int64)
+    n_gt = np.zeros((len(cats), len(SizeBucket)), dtype=np.int64)
     np.add.at(n_gt, (gt_cat, gt_code), 1)
 
     score = np.array([d.score for d in dets], dtype=np.float64)
     cat_of = np.array([cat_pos.get(d.category_id, -1) for d in dets], dtype=np.int64)
     # a detection's bucket area: mask pixels when it has a mask, box area otherwise
-    det_code = np.array(
-        [code(d.bbox.area if d.mask is None else d.mask.area) for d in dets], dtype=np.int64
+    det_code = _bucket_codes(
+        [d.bbox.area if d.mask is None else d.mask.area for d in dets], cfg.bucket_thresholds
     )
     empty = np.zeros(0, dtype=np.int64)
 
@@ -246,12 +242,12 @@ def evaluate(
 
     # AP per (category, threshold, restriction): restriction 0 is all sizes,
     # 1 + b the size bucket b
-    ap = np.zeros((len(cats), len(cfg.iou_thresholds), 1 + len(buckets)))
+    ap = np.zeros((len(cats), len(cfg.iou_thresholds), 1 + len(SizeBucket)))
     for t in range(len(cfg.iou_thresholds)):
         for c, pooled in enumerate(pooled_by_cat):
             scores, flags, codes = score[pooled], tp[t, pooled], bucket_of[t, pooled]
             ap[c, t, 0] = average_precision(scores, flags, int(n_gt[c].sum()))
-            for b in range(len(buckets)):
+            for b in range(len(SizeBucket)):
                 sel = codes == b
                 ap[c, t, 1 + b] = average_precision(scores[sel], flags[sel], int(n_gt[c, b]))
 

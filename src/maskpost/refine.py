@@ -243,8 +243,7 @@ def _band_signs(
     ends = [(np.arange(cells),) * 2 for cells in bound.shape]
     levels, below, cut = [], v.shape, 0.0
     for shape, n in zip(shapes, budgets):
-        if levels:
-            bound *= 1 - 2.0**-40
+        bound *= 1 - 2.0**-40  # the margin of one more level
         ty, tx = _taps(grid_coords(shape[0]), below[0]), _taps(grid_coords(shape[1]), below[1])
         band = _band(v, levels, ends, bound, below, ty, tx)
         rows, cols, vals, idx, cut = _ranked_band(band, bound, predictor, n, shape, cut)
@@ -323,8 +322,8 @@ def _values(v, levels, m, rows, cols):
 
 def _cell_bounds(v: np.ndarray):
     """``(lo, bound)`` of each cell of ``v``, its 2x2 taps: the least tap, and
-    ``min|tap| * (1 - 2^-40)`` when the four share a sign and lie in
-    [2^-1000, 2^1000] in magnitude, else 0."""
+    ``min|tap|`` when the four share a sign and lie in [2^-1000, 2^1000] in
+    magnitude, else 0."""
     h, w = v.shape
     # each cell's taps: columns (b, b + 1) and rows (a, a + 1), one on a 1-pixel axis
     left, right = v[:, : max(w - 1, 1)], v[:, min(w, 2) - 1 :]
@@ -338,7 +337,6 @@ def _cell_bounds(v: np.ndarray):
     # gives the cell signs
     bound = np.maximum(lo, np.negative(hi, out=hi), out=hi)
     bound[(bound < 2.0**-1000) | far] = 0.0
-    bound *= 1 - 2.0**-40
     return lo, bound
 
 

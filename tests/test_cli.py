@@ -20,6 +20,7 @@ from maskpost import (
     plain_upsample,
     rle_decode,
     rle_encode,
+    rle_string_decode,
     rle_string_encode,
     write_field_archive,
     write_results,
@@ -1555,6 +1556,99 @@ class TestRunProtocol:
         assert (code, stdout) == (2, "")
         assert err == "error: [Errno 28] No space left on device\n"
 
+    def test_internal_error_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """An exception that is not an input or output error exits 1 with
+        one ``internal error`` line, no summary and no output files."""
+
+        def failing(args, opts):
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(cli, "cmd_stats", failing)
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(capsys, "stats", "--gt", _MICRO_GT, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "internal error: RuntimeError: handler failed\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+
+def _write_archive(path, ids, logits=None):
+    """A field archive of 7x7 instances ``ids`` whose arrays are those of
+    ``logits`` (default: all of ``ids``); without a manifest if ids is None."""
+    logits = ids if logits is None else logits
+    arrays = {f"logits:{i}": np.ones((7, 7)) for i in logits or ()}
+    if ids is not None:
+        meta = {"instances": [{"id": i, "image_id": 1, "category_id": 1, "score": 0.9} for i in ids]}
+        arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    return str(path)
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# each refusal: a run given a scratch directory, and the one message it
+# exits 2 with
+_REFUSALS = {
+    "config-not-object": lambda d: (
+        ["stats", "--gt", _MICRO_GT, "--config", _write(d / "c.json", [1])],
+        f"config file {d / 'c.json'}: expected a JSON object",
+    ),
+    "refine-no-coarse": lambda d: (["refine"], "missing --coarse input (or use --synthetic)"),
+    "stats-no-gt": lambda d: (["stats"], "missing --gt dataset file"),
+    "oracle-lacks-instance": lambda d: (
+        ["refine", "--coarse", _write_archive(d / "c.npz", ["a"]),
+         "--oracle", _write_archive(d / "o.npz", ["b"])],
+        "oracle archive has no instance a",
+    ),
+    "model-score-not-number": lambda d: (
+        ["ensemble", "--model", f"{_MICRO_RESULTS}:abc"],
+        f"--model '{_MICRO_RESULTS}:abc': score 'abc' is not a number",
+    ),
+    "ensemble-no-model": lambda d: (["ensemble"], "at least one --model PATH:SCORE is required"),
+    "stats-no-boxes": lambda d: (
+        ["stats", "--gt", _write(d / "g.json", {
+            "images": [{"id": 1, "width": 8, "height": 8}],
+            "annotations": [{"image_id": 1, "category_id": 1, "segmentation": [[0, 0, 4, 0, 4, 4]]}],
+            "categories": [{"id": 1}],
+        })],
+        "no boxes found in the selected images",
+    ),
+    "dataset-not-object": lambda d: (
+        ["stats", "--gt", _write(d / "g.json", [])], f"{d / 'g.json'}: top level must be an object"
+    ),
+    "results-not-array": lambda d: (
+        ["eval", "--gt", _MICRO_GT, "--results", _write(d / "r.json", {})],
+        f"{d / 'r.json'}: results file must be a JSON array",
+    ),
+    "archive-no-manifest": lambda d: (
+        ["refine", "--coarse", _write_archive(d / "c.npz", None, ["a"]), "--predictor", "identity"],
+        f"{d / 'c.npz'}: not a field archive (no manifest)",
+    ),
+    "archive-missing-logits": lambda d: (
+        ["refine", "--coarse", _write_archive(d / "c.npz", ["a", "z"], ["a"]), "--predictor", "identity"],
+        f"{d / 'c.npz'}: missing logits for instance z",
+    ),
+}
+
+
+class TestRefusals:
+    """Refusals that no other test reaches: each exits 2 with exactly its
+    one error line, prints no summary and writes no output."""
+
+    @pytest.mark.parametrize("case", _REFUSALS)
+    def test_refusal_exits_2_with_its_message(self, tmp_path, capsys, case):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        argv, message = _REFUSALS[case](inputs)
+        out = tmp_path / "out" / "o.json"
+        out.parent.mkdir()
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {message}\n"
+        assert list(out.parent.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # Metamorphic relations: a change to the input that must not matter does not
@@ -1573,9 +1667,10 @@ _FUSE_FLAGS = [
 
 
 @st.composite
-def _result_records(draw, images=(1, 2), min_size=0):
+def _result_records(draw, images=(1, 2), min_size=0, speckle=False):
     """Results records on ``images``: rectangle masks, so that many overlap,
-    each with its tight box, that box trimmed by half a pixel, or no box."""
+    each with its tight box, that box trimmed by half a pixel, or no box.
+    With ``speckle``, up to three pixels of each mask are flipped."""
     records = []
     for _ in range(draw(st.integers(min_size, 6))):
         image_id = draw(st.sampled_from(images))
@@ -1584,6 +1679,10 @@ def _result_records(draw, images=(1, 2), min_size=0):
         x1, y1 = draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h))
         bits = np.zeros((h, w), dtype=bool)
         bits[y0:y1, x0:x1] = True
+        if speckle:
+            pixel = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+            for y, x in draw(st.lists(pixel, max_size=3)):
+                bits[y, x] = not bits[y, x]
         rec = {
             "image_id": image_id,
             "category_id": draw(st.integers(1, 2)),
@@ -1604,6 +1703,41 @@ def _run_main(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([str(arg) for arg in argv])
     return code, out.getvalue()
+
+
+def _eval_report(tmp, truth, results, *flags, sides=_SIDES):
+    """Run ``eval`` on ``truth`` (records whose scores are dropped) over
+    images of ``sides``, and ``results``; the JSON and text reports."""
+    gt, path = tmp / "gt.json", tmp / "results.json"
+    gt.write_text(json.dumps({
+        "images": [{"id": i, "width": w, "height": h} for i, (w, h) in sides.items()],
+        "annotations": [
+            {k: v for k, v in dict(rec, id=j).items() if k != "score"}
+            for j, rec in enumerate(truth)
+        ],
+        "categories": [{"id": 1}, {"id": 2}],
+    }))
+    path.write_text(json.dumps(results))
+    code, _ = _run_main("eval", "--gt", gt, "--results", path, *flags, "--out", tmp / "report.json")
+    assert code == 0
+    return (tmp / "report.json").read_bytes(), (tmp / "report.txt").read_bytes()
+
+
+def _turned(records, transpose):
+    """``records`` with every mask mirrored left to right, or transposed
+    (its image's sides swapped), and its box to match."""
+    turned = []
+    for rec in records:
+        h, w = rec["segmentation"]["size"]
+        bits = rle_decode(rle_string_decode(rec["segmentation"]["counts"], w, h))
+        bits = bits.T if transpose else bits[:, ::-1]
+        counts = rle_string_encode(rle_encode(bits))
+        rec = dict(rec, segmentation={"size": list(bits.shape), "counts": counts})
+        if "bbox" in rec:
+            x, y, bw, bh = rec["bbox"]
+            rec["bbox"] = [y, x, bh, bw] if transpose else [w - x - bw, y, bw, bh]
+        turned.append(rec)
+    return turned
 
 
 def _fuse(tmp, models, scores, flags):
@@ -1650,24 +1784,25 @@ class TestMetamorphicRelations:
         # AP depends only on the rank order of the scores; halving is exact
         # above the subnormal range, so it makes and breaks no tie
         with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            gt = tmp / "gt.json"
-            gt.write_text(json.dumps({
-                "images": [{"id": i, "width": w, "height": h} for i, (w, h) in _SIDES.items()],
-                "annotations": [
-                    {k: v for k, v in dict(rec, id=j).items() if k != "score"}
-                    for j, rec in enumerate(truth)
-                ],
-                "categories": [{"id": 1}, {"id": 2}],
-            }))
             reports = []
             for halve in (False, True):
-                path = tmp / "results.json"
-                path.write_text(json.dumps([dict(rec, score=rec["score"] / (1 + halve)) for rec in results]))
-                code, _ = _run_main("eval", "--gt", gt, "--results", path, *flags, "--out", tmp / "report.json")
-                assert code == 0
-                reports.append(((tmp / "report.json").read_bytes(), (tmp / "report.txt").read_bytes()))
+                halved = [dict(rec, score=rec["score"] / (1 + halve)) for rec in results]
+                reports.append(_eval_report(Path(tmp), truth, halved, *flags))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["mirror", "transpose"])
+    @settings(max_examples=30, deadline=None)
+    @given(_result_records(speckle=True), _result_records(speckle=True))
+    def test_eval_mask_report_is_unchanged_when_every_mask_is_turned(self, transpose, truth, results):
+        # mask IoU is a ratio of pixel counts, which neither a mirror nor a
+        # transpose changes; RLE ground truth, as a polygon's rasterization
+        # need not be mirror-symmetric
+        sides = {i: (h, w) for i, (w, h) in _SIDES.items()} if transpose else _SIDES
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            report = _eval_report(tmp, truth, results)
+            turned = _eval_report(tmp, _turned(truth, transpose), _turned(results, transpose), sides=sides)
+        assert turned == report
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

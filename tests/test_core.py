@@ -1,3 +1,4 @@
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -355,8 +356,53 @@ class TestSizeBucket:
         assert size_bucket(3, thresholds=(2, 5)) is SizeBucket.SMALL
 
     def test_negative_area_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^area must be non-negative, got -1$"):
             size_bucket(-1)
+
+    @settings(max_examples=200)
+    @given(
+        areas=st.lists(
+            st.one_of(
+                st.integers(0, 2**59),
+                st.floats(0.0, 2.0**60),
+                st.sampled_from([math.nan, math.inf]),
+            ),
+            max_size=8,
+        ),
+        thresholds=st.one_of(
+            # the paper's, equal, inverted, and squares past 2^53 as ints and floats
+            st.sampled_from(
+                [(113, 256), (50, 50), (256, 113), (2**29, 2**29 + 3), (2.0**29 + 0.5, 2.0**29)]
+            ),
+            st.tuples(st.integers(0, 2**30), st.integers(0, 2**30)),
+            st.tuples(st.floats(0.0, 2.0**30), st.floats(0.0, 2.0**30)),
+        ),
+    )
+    def test_bucket_codes_match_the_if_chain(self, areas, thresholds):
+        """``_bucket_codes`` equals, element by element, the if-chain that
+        ``size_bucket`` was written as, at and just below each squared
+        threshold too, and ``size_bucket`` is its one-area view."""
+
+        def reference(area):
+            t1, t2 = thresholds
+            if area < t1 * t1:
+                return 0
+            if area <= t2 * t2:
+                return 1
+            return 2
+
+        for square in (t * t for t in thresholds):
+            if isinstance(square, int):
+                areas = areas + [square, square - 1]
+            else:  # the float, the one below it, and the ints around it
+                areas = areas + [square, math.nextafter(square, -math.inf)]
+                areas = areas + [int(square) - 1, int(square), int(square) + 1]
+        want = [reference(area) for area in areas]
+        assert core._bucket_codes(areas, thresholds).tolist() == want
+        buckets = list(SizeBucket)
+        for area, code in zip(areas, want):
+            if not area < 0:
+                assert size_bucket(area, thresholds) is buckets[code], area
 
 
 class TestMaskBbox:
