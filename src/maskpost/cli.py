@@ -310,17 +310,7 @@ def _check_masks(dets: list[Detection], where: str, sizes: dict, flag: str | Non
 def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     if not args.model:
         raise InputError("at least one --model PATH:SCORE is required")
-    models = []
-    for spec in args.model:
-        path, score = _parse_model_arg(spec)
-        dets = load_results(path)
-        try:
-            models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
-        except ValueError as exc:
-            raise InputError(f"--model {spec!r}: {exc}")
-    if len({frozenset(d.image_id for d in m.detections) for m in models}) > 1:
-        print("warning: model files cover different image id sets", file=sys.stderr)
-
+    specs = [_parse_model_arg(spec) for spec in args.model]
     try:
         cfg = EnsembleConfig(
             theta_min=float(opts["theta_min"]),
@@ -339,6 +329,15 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
         )
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
+    models = []
+    for spec, (path, score) in zip(args.model, specs):
+        dets = load_results(path)
+        try:
+            models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
+        except ValueError as exc:
+            raise InputError(f"--model {spec!r}: {exc}")
+    if len({frozenset(d.image_id for d in m.detections) for m in models}) > 1:
+        print("warning: model files cover different image id sets", file=sys.stderr)
     if cfg.nms.use_mask_iou or cfg.merge_masks:
         flag = "--mask-iou-nms" if cfg.nms.use_mask_iou else "--merge-masks"
         sizes = {}
@@ -358,13 +357,13 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
 def cmd_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     gt_path = _require_path(args.gt, "--gt dataset file")
     results_path = _require_path(args.results, "--results file")
-    ds = load_dataset(gt_path)
-    gts = dataset_ground_truth(ds)
-    dets = load_results(results_path)
     try:
         cfg = EvalConfig(max_detections_per_image=int(opts["max_dets"]), iou_on=str(opts["iou_on"]))
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
+    ds = load_dataset(gt_path)
+    gts = dataset_ground_truth(ds)
+    dets = load_results(results_path)
     sizes = {img.id: (img.width, img.height, gt_path) for img in ds.images}
     for i, det in enumerate(dets):
         if det.image_id not in sizes:

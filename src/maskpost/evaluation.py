@@ -177,9 +177,9 @@ def evaluate(
     per (category, threshold) pooling detections across images, and the
     report aggregates means over categories and thresholds. Categories with
     no ground truth are excluded from every mean and listed in the report.
-    Deterministic: detections are ordered internally by score (ties by input
-    position), so with distinct scores the result does not depend on input
-    order.
+    Deterministic: detections are ranked once by score, ties by image id and
+    then input position, so with distinct scores the result does not depend
+    on input order.
     """
     cfg = cfg or EvalConfig()
     if cfg.iou_on == "mask" and any(det.mask is None for det in dets):
@@ -199,57 +199,56 @@ def evaluate(
     np.add.at(n_gt, (gt_cat, gt_code), 1)
 
     score = np.array([d.score for d in dets], dtype=np.float64)
-    cat_of = np.array([cat_pos.get(d.category_id, -1) for d in dets], dtype=np.int64)
+    cat_of = [cat_pos.get(d.category_id, -1) for d in dets]
     # a detection's bucket area: mask pixels when it has a mask, box area otherwise
     det_code = _bucket_codes(
         [d.bbox.area if d.mask is None else d.mask.area for d in dets], cfg.bucket_thresholds
     )
-    empty = np.zeros(0, dtype=np.int64)
 
-    # input positions per (image, category), ranked once: score descending, ties by position
+    # one ranking, as the reference's ``accumulate`` pools: score descending,
+    # then image id (compared as the int it is), then input position. Each
+    # group keeps its first ``max_detections_per_image``, pooled per category
     det_groups: dict[tuple[int, int], list[int]] = {}
-    for idx in np.argsort(-score, kind="stable").tolist():
-        if cat_of[idx] >= 0:
-            det_groups.setdefault((dets[idx].image_id, dets[idx].category_id), []).append(idx)
+    pooled_by_cat: list[list[int]] = [[] for _ in cats]
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id)):
+        if cat_of[i] >= 0:
+            members = det_groups.setdefault((dets[i].image_id, dets[i].category_id), [])
+            if len(members) < cfg.max_detections_per_image:
+                members.append(i)
+                pooled_by_cat[cat_of[i]].append(i)
     # ``iou_on`` names the compared attribute, "mask" or "bbox"
     overlap = rle_iou_matrix if cfg.iou_on == "mask" else box_iou_matrix
 
-    # one visit per group: its IoU matrix, matched at every threshold. A
-    # matched detection is a TP in its ground truth's bucket, an unmatched
-    # one an FP in its own; row t of ``tp`` and ``bucket_of`` is threshold t
-    tp = np.zeros((len(cfg.iou_thresholds), len(dets)), dtype=bool)
-    bucket_of = np.tile(det_code, (len(cfg.iou_thresholds), 1))
-    kept_by_group = [empty]
-    for key in sorted(det_groups):
-        idx = np.array(det_groups[key][: cfg.max_detections_per_image])
-        gt_idx = gt_groups.get(key, empty)
+    # one visit per group: its IoU matrix, matched at every threshold;
+    # ``matched[t, d]`` is the ground truth detection d takes at threshold t, or -1
+    matched = np.full((len(cfg.iou_thresholds), len(dets)), -1, dtype=np.int64)
+    for key, members in det_groups.items():
+        idx = np.array(members)
+        gt_idx = np.array(gt_groups.get(key, []), dtype=np.int64)
         ious = overlap(
-            [getattr(dets[i], cfg.iou_on) for i in idx],
+            [getattr(dets[i], cfg.iou_on) for i in members],
             [getattr(gts[j], cfg.iou_on) for j in gt_idx],
         )
-        for t, thr in enumerate(cfg.iou_thresholds):
-            g = match_detections(ious, thr)
-            hit = g >= 0
-            tp[t, idx[hit]] = True
-            bucket_of[t, idx[hit]] = gt_code[gt_idx][g[hit]]
-        kept_by_group.append(idx)
+        g = np.array([match_detections(ious, thr) for thr in cfg.iou_thresholds])
+        t, col = np.nonzero(g >= 0)
+        matched[t, idx[col]] = gt_idx[g[t, col]]
 
-    # pooled order per category: score descending, ties by image (the key
-    # order of the groups) then input position
-    kept = np.concatenate(kept_by_group)
-    order = kept[np.argsort(-score[kept], kind="stable")]
-    pooled_by_cat = [order[cat_of[order] == c] for c in range(len(cats))]
+    # a matched detection is a TP in its ground truth's bucket, an unmatched
+    # one an FP in its own; row t of ``tp`` and ``bucket_of`` is threshold t
+    tp = matched >= 0
+    bucket_of = np.tile(det_code, (len(cfg.iou_thresholds), 1))
+    bucket_of[tp] = gt_code[matched[tp]]
 
     # AP per (category, threshold, restriction): restriction 0 is all sizes,
     # 1 + b the size bucket b
     ap = np.zeros((len(cats), len(cfg.iou_thresholds), 1 + len(SizeBucket)))
-    for t in range(len(cfg.iou_thresholds)):
-        for c, pooled in enumerate(pooled_by_cat):
-            scores, flags, codes = score[pooled], tp[t, pooled], bucket_of[t, pooled]
-            ap[c, t, 0] = average_precision(scores, flags, int(n_gt[c].sum()))
+    for c, pooled in enumerate(pooled_by_cat):
+        scores, flags, codes = score[pooled], tp[:, pooled], bucket_of[:, pooled]
+        for t in range(len(cfg.iou_thresholds)):
+            ap[c, t, 0] = average_precision(scores, flags[t], int(n_gt[c].sum()))
             for b in range(len(SizeBucket)):
-                sel = codes == b
-                ap[c, t, 1 + b] = average_precision(scores[sel], flags[sel], int(n_gt[c, b]))
+                sel = codes[t] == b
+                ap[c, t, 1 + b] = average_precision(scores[sel], flags[t, sel], int(n_gt[c, b]))
 
     def _mean(cells: np.ndarray) -> float:
         # C-order flattening keeps the summation order category-major

@@ -244,8 +244,8 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
         key = (det.image_id, det.category_id) if cfg.per_category else (det.image_id,)
         groups.setdefault(key, []).append(det)
     out: list[Detection] = []
-    for key in sorted(groups):
-        out.extend(_suppress_group(groups[key], cfg))
+    for members in groups.values():
+        out.extend(_suppress_group(members, cfg))
     out.sort(key=lambda d: (-d.score, d.image_id, d.category_id, d.source_model or ""))
     return out
 

@@ -1461,6 +1461,31 @@ class TestFileBoundary:
         assert (code, stdout) == (2, "")
         assert err == f"error: {out}: cannot write (No such file or directory)\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["eval", "--gt", "{missing}/gt.json", "--results", "{missing}/r.json", "--max-dets", "0"],
+                "invalid option: max_detections_per_image must be at least 1, got 0",
+            ),
+            (
+                ["ensemble", "--model", "{missing}/m.json:1", "--sigma", "0"],
+                "invalid option: sigma must be positive, got 0.0",
+            ),
+            (
+                ["ensemble", "--model", "{missing}/a.json:1", "--model", "bad"],
+                "--model expects PATH:SCORE, got 'bad'",
+            ),
+        ],
+        ids=["eval-max-dets", "ensemble-sigma", "ensemble-later-spec"],
+    )
+    def test_bad_option_named_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        missing = tmp_path / "missing"
+        argv = [arg.format(missing=missing) for arg in argv]
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.json"))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_eval_out_that_is_its_own_report_exits_2(self, tmp_path, capsys, monkeypatch):
         """``eval``'s text report is ``--out`` with the suffix ``.txt``, so
         an ``--out`` ending in ``.txt`` would be overwritten by it: refused

@@ -290,10 +290,28 @@ class TestEvaluate:
             gt.area = 6
 
     def test_oracle_agreement_random_sample(self):
-        rng = np.random.default_rng(2024)
+        rng, grid = np.random.default_rng(2024), np.random.default_rng(7)
+        shift = 2**70  # image ids past the int64 range compare as the ints they are
         for _ in range(60):
             gts, dets, cfg = random_micro_case(rng)
             assert_matches_oracle(gts, dets, cfg)
+            # scores from a coarse grid: ties cross images and fall at the max-dets cut
+            tied = [replace(d, score=float(grid.choice([0.25, 0.5, 0.75]))) for d in dets]
+            assert_matches_oracle(gts, tied, cfg)
+            assert_matches_oracle(
+                [replace(g, image_id=g.image_id + shift) for g in gts],
+                [replace(d, image_id=d.image_id + shift) for d in tied],
+                cfg,
+            )
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_score_tie_across_images_goes_to_the_lower_image_id(self, order):
+        # the false positive on image 1 ranks before the true positive on
+        # image 2 in either input order, so precision at full recall is 1/2
+        far = _mask(slice(9, 11), slice(9, 11))
+        gts = [_gt(image_id=2)]
+        dets = [_det(image_id=1, score=0.5, bits=far), _det(image_id=2, score=0.5)]
+        assert evaluate(gts, dets[::order]).map == 0.5
 
     def test_report_bytes(self):
         report = MetricReport(
