@@ -51,21 +51,21 @@ class InputError(Exception):
     """User-facing input problem; reported on stderr with exit code 2."""
 
 
-# The tunable options of each subcommand: key -> (default, help). Each key is
-# a --config key and the flag --key-with-dashes; a bool default makes the
-# flag a switch. Defaults the library owns are read from its config classes.
+# The tunable options of each subcommand: key -> (default, help[, choices]).
+# Each key is a --config key and the flag --key-with-dashes; a bool default
+# makes the flag a switch. Library defaults and choices come from its configs.
 _OPTIONS = {
     "refine": {
-        "predictor": ("oracle", "point predictor"),
+        "predictor": ("oracle", "point predictor", ("oracle", "identity")),
         "subdivision_k": (SubdivisionConfig.subdivision_k, "points re-predicted per step = k^2"),
         "target_side": (SubdivisionConfig.target_side, "output resolution"),
         "start_side": (SubdivisionConfig.start_side, "coarse resolution"),
     },
     "ensemble": {
-        "strategy": (EnsembleConfig.strategy, None),
+        "strategy": (EnsembleConfig.strategy, None, EnsembleConfig.STRATEGIES),
         "theta_min": (EnsembleConfig.theta_min, None),
         "theta_max": (EnsembleConfig.theta_max, None),
-        "nms_method": (SoftNmsConfig.method, None),
+        "nms_method": (SoftNmsConfig.method, None, SoftNmsConfig.METHODS),
         "sigma": (SoftNmsConfig.sigma, "gaussian decay width"),
         "iou_threshold": (SoftNmsConfig.iou_threshold, None),
         "score_floor": (SoftNmsConfig.score_floor, None),
@@ -75,7 +75,7 @@ _OPTIONS = {
         "cluster_iou": (EnsembleConfig.cluster_iou, None),
     },
     "eval": {
-        "iou_on": (EvalConfig.iou_on, None),
+        "iou_on": (EvalConfig.iou_on, None, EvalConfig.IOU_ON),
         "max_dets": (EvalConfig.max_detections_per_image, "detections kept per image and category"),
     },
     "stats": {
@@ -88,28 +88,20 @@ for _options in _OPTIONS.values():
     _options["threads"] = (0, "worker threads (0 = one per available core, default)")
 
 
-# allowed values of the options whose flag takes a fixed set
-_CHOICES = {
-    "predictor": ("oracle", "identity"),
-    "strategy": EnsembleConfig.STRATEGIES,
-    "nms_method": SoftNmsConfig.METHODS,
-    "iou_on": EvalConfig.IOU_ON,
-}
-
-
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _config_value_error(value, default, key: str) -> str | None:
-    """Why a config-file ``value`` cannot stand in for ``default``, or None.
-    A value has its default's JSON type (an int passes for a float, a bool
-    for nothing but a bool) and, for a fixed-choice option, is one of them."""
+def _config_value_error(value, option: tuple) -> str | None:
+    """Why a config-file ``value`` cannot stand in for an ``_OPTIONS`` entry,
+    or None. It must have the default's JSON type (an int passes for a float,
+    a bool for nothing but a bool) and be one of the option's choices, if any."""
+    default, _, *choices = option
     kind = type(default)
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         return f"expected {_JSON_TYPES[kind]}, got {json.dumps(value)}"
-    if key in _CHOICES and value not in _CHOICES[key]:
-        return f"{json.dumps(value)} is not one of {', '.join(_CHOICES[key])}"
+    if choices and value not in choices[0]:
+        return f"{json.dumps(value)} is not one of {', '.join(choices[0])}"
     return None
 
 
@@ -118,7 +110,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     config key of another subcommand is skipped, so one file can serve all
     of them; a key no subcommand has is an error, and so is a negative
     ``seed``, ``threads`` or ``sample_n``."""
-    resolved = {key: default for key, (default, _) in _OPTIONS[command].items()}
+    resolved = {key: default for key, (default, *_) in _OPTIONS[command].items()}
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
@@ -129,7 +121,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             raise InputError(f"config file {path}: expected a JSON object")
         for key, value in loaded.items():
             if key in resolved:
-                problem = _config_value_error(value, resolved[key], key)
+                problem = _config_value_error(value, _OPTIONS[command][key])
             elif any(key in options for options in _OPTIONS.values()):
                 continue
             else:
@@ -277,14 +269,18 @@ def cmd_refine(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
 # ensemble
 # ---------------------------------------------------------------------------
 
-def _parse_model_arg(spec: str) -> tuple[str, float]:
+def _parse_model_arg(spec: str) -> ModelCandidate:
     path, sep, score = spec.rpartition(":")
     if not sep or not path:
         raise InputError(f"--model expects PATH:SCORE, got {spec!r}")
     try:
-        return path, float(score)
+        value = float(score)
     except ValueError:
         raise InputError(f"--model {spec!r}: score {score!r} is not a number")
+    try:
+        return ModelCandidate(model_id=path, validation_score=value, detections=[])
+    except ValueError as exc:
+        raise InputError(f"--model {spec!r}: {exc}")
 
 
 def _check_masks(dets: list[Detection], where: str, sizes: dict, flag: str | None) -> None:
@@ -310,7 +306,7 @@ def _check_masks(dets: list[Detection], where: str, sizes: dict, flag: str | Non
 def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     if not args.model:
         raise InputError("at least one --model PATH:SCORE is required")
-    specs = [_parse_model_arg(spec) for spec in args.model]
+    models = [_parse_model_arg(spec) for spec in args.model]
     try:
         cfg = EnsembleConfig(
             theta_min=float(opts["theta_min"]),
@@ -327,15 +323,11 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
             merge_masks=bool(opts["merge_masks"]),
             cluster_iou=float(opts["cluster_iou"]),
         )
+        weights = model_weights(models, cfg)
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
-    models = []
-    for spec, (path, score) in zip(args.model, specs):
-        dets = load_results(path)
-        try:
-            models.append(ModelCandidate(model_id=path, validation_score=score, detections=dets))
-        except ValueError as exc:
-            raise InputError(f"--model {spec!r}: {exc}")
+    for model in models:
+        model.detections = load_results(model.model_id)
     if len({frozenset(d.image_id for d in m.detections) for m in models}) > 1:
         print("warning: model files cover different image id sets", file=sys.stderr)
     if cfg.nms.use_mask_iou or cfg.merge_masks:
@@ -345,7 +337,6 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
             _check_masks(model.detections, f"{model.model_id}: ", sizes, flag)
     fused = ensemble(models, cfg)
     write_results(args.out, fused)
-    weights = model_weights(models, cfg)
     summary = "".join(f"weight {m.model_id} {w:.6f}\n" for m, w in zip(models, weights))
     return {"models": list(args.model)}, summary + f"fused {len(fused)} detections -> {args.out}\n"
 
@@ -388,9 +379,9 @@ def cmd_stats(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     image_ids = [img.id for img in ds.images]
     if 0 < sample_n < len(image_ids):
         rng = np.random.default_rng(int(opts["seed"]))
-        chosen = set(rng.choice(np.array(image_ids), size=sample_n, replace=False).tolist())
-    else:
-        chosen = set(image_ids)
+        # sample positions: a numpy array of ids past 2^63 would hold floats
+        image_ids = [image_ids[i] for i in rng.choice(len(image_ids), size=sample_n, replace=False)]
+    chosen = set(image_ids)
     boxes = [
         BBox(*ann.bbox)
         for ann in ds.annotations
@@ -439,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_stats)
 
     for command, p in sub.choices.items():
-        for key, (default, text) in _OPTIONS[command].items():
+        for key, (default, text, *choices) in _OPTIONS[command].items():
             if isinstance(default, bool):
                 kind = dict(action="store_const", const=True)
-            elif key in _CHOICES:
-                kind = dict(choices=_CHOICES[key])
+            elif choices:
+                kind = dict(choices=choices[0])
             else:
                 kind = dict(type=type(default))
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **kind)

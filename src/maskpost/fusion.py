@@ -159,11 +159,19 @@ def linear_reweight_weights(
 
 
 def model_weights(models: list[ModelCandidate], cfg: EnsembleConfig) -> np.ndarray:
-    """Per-model weights from the validation scores, by ``cfg.strategy``."""
+    """Weights from the validation scores, by ``cfg.strategy``; ValueError if any overflows."""
     scores = [m.validation_score for m in models]
-    if cfg.strategy == "linear_interpolation":
-        return linear_interpolation_weights(scores, cfg.theta_min, cfg.theta_max)
-    return linear_reweight_weights(scores, cfg.theta_min, cfg.theta_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.strategy == "linear_interpolation":
+            weights = linear_interpolation_weights(scores, cfg.theta_min, cfg.theta_max)
+        else:
+            weights = linear_reweight_weights(scores, cfg.theta_min, cfg.theta_max)
+    if not np.isfinite(weights).all():
+        raise ValueError(
+            f"model weights overflow: theta_min {cfg.theta_min}, theta_max {cfg.theta_max}, "
+            f"validation scores {min(scores)} to {max(scores)}"
+        )
+    return weights
 
 
 def apply_weights(models: list[ModelCandidate], weights) -> list[Detection]:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,32 @@ class TestEnsembleCommand:
         code, _, err = run_cli(capsys, "ensemble", "--model", spec, "--out", str(out))
         assert code == 2
         assert "--model" in err and spec in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, fault",
+        [
+            (["--model=/nonexistent/a.json:0", "--model=/nonexistent/a.json:1",
+              "--theta-min=-1e308", "--theta-max=1e308"],
+             "theta_min -1e+308, theta_max 1e+308, validation scores 0.0 to 1.0"),
+            (["--model=/nonexistent/a.json:0", "--model=/nonexistent/a.json:1",
+              "--theta-min=-1e308", "--theta-max=1e308", "--strategy", "linear_reweight"],
+             "theta_min -1e+308, theta_max 1e+308, validation scores 0.0 to 1.0"),
+            (["--model=/nonexistent/a.json:1e308", "--model=/nonexistent/a.json:-1e308"],
+             "theta_min 0.6, theta_max 1.0, validation scores -1e+308 to 1e+308"),
+        ],
+        ids=["interpolation-thetas", "reweight-thetas", "interpolation-scores"],
+    )
+    def test_weight_overflow_exits_2_before_any_read(self, tmp_path, capsys, flags, fault):
+        """Weights are computed before the first read, so the missing files
+        are never named, and numpy's overflow is not warned about."""
+        out = tmp_path / "fused.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, "ensemble", *flags, "--out", str(out))
+        assert [str(w.message) for w in caught] == []
+        assert (code, stdout) == (2, "")
+        assert err == f"error: invalid option: model weights overflow: {fault}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bbox", HUGE_BOXES)
@@ -1204,6 +1231,19 @@ class TestStatsCommand:
         run_cli(capsys, "stats", "--gt", str(path), "--sample-n", "5", "--seed", "9", "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_sampling_keeps_image_ids_past_2_63(self, tmp_path, capsys):
+        """Sampled ids are looked up by position, so ids no int64 holds still
+        match their annotations."""
+        path = self._stats_dataset(tmp_path, [10, 20, 30])
+        data = json.loads(path.read_text())
+        for image, ann, image_id in zip(data["images"], data["annotations"], [2**63 + 1, 2**63 + 3, 5]):
+            image["id"] = ann["image_id"] = image_id
+        path.write_text(json.dumps(data))
+        out = tmp_path / "hist.csv"
+        code, stdout, _ = run_cli(capsys, "stats", "--gt", str(path), "--sample-n", "2", "--out", str(out))
+        assert code == 0
+        assert f"boxes 2 -> {out}" in stdout
+
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -1262,6 +1302,7 @@ class TestConfigPrecedence:
             ("refine", "subdivision_k", 27.9, "expected an integer, got 27.9"),
             ("ensemble", "sigma", True, "expected a number, got true"),
             ("refine", "predictor", "idenity", '"idenity" is not one of oracle, identity'),
+            ("ensemble", "strategy", "vote", '"vote" is not one of linear_interpolation, linear_reweight'),
             ("refine", "predictor", 1, "expected a string, got 1"),
             ("refine", "threads", "many", 'expected an integer, got "many"'),
             ("stats", "seed", "x", 'expected an integer, got "x"'),
@@ -1476,8 +1517,12 @@ class TestFileBoundary:
                 ["ensemble", "--model", "{missing}/a.json:1", "--model", "bad"],
                 "--model expects PATH:SCORE, got 'bad'",
             ),
+            (
+                ["ensemble", "--model", "/nonexistent/m.json:nan"],
+                "--model '/nonexistent/m.json:nan': validation_score must be finite",
+            ),
         ],
-        ids=["eval-max-dets", "ensemble-sigma", "ensemble-later-spec"],
+        ids=["eval-max-dets", "ensemble-sigma", "ensemble-later-spec", "ensemble-nan-score"],
     )
     def test_bad_option_named_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         missing = tmp_path / "missing"

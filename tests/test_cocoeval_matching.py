@@ -90,3 +90,25 @@ def test_an_exact_iou_tie_goes_to_the_lower_index_not_the_later_ground_truth():
     assert report.ap50 == 1.0
     # the reference's matches would leave b a false positive at recall 1/2
     assert average_precision([0.9, 0.8], [True, False], 2) == 51 / 101
+
+
+def test_an_iou_just_below_0_9_matches_at_the_reference_ninth_threshold_only():
+    """cocoapi's ``iouThrs`` are ``np.linspace(.5, .95, 10)``, whose ninth
+    entry is 0.8999999999999999; maskpost's is the literal 0.9."""
+    reference_ninth = np.linspace(0.5, 0.95, 10)[8]
+    assert reference_ninth == 0.8999999999999999 < EvalConfig.iou_thresholds[8] == 0.9
+    mask, box = _instance([0, 0, 1, 1])
+    det = Detection(1, 1, 0.9, BBox(0.0, 0.0, 0.8999999999999999, 1.0))
+    ious = box_iou_matrix([det.bbox], [box])
+    assert ious[0, 0] == 0.8999999999999999
+
+    assert evaluate_img_matches(ious, reference_ninth) == [0]
+    assert match_detections(ious, 0.9).tolist() == [-1]
+
+    report = evaluate([GroundTruthInstance(1, 1, mask, box)], [det], EvalConfig(iou_on="bbox"))
+    assert report.map == 0.8  # matched at the first eight thresholds
+    reference = [
+        average_precision([0.9], [evaluate_img_matches(ious, thr) == [0]], 1)
+        for thr in np.linspace(0.5, 0.95, 10)
+    ]
+    assert np.mean(reference) == 0.9  # and at nine

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest.mock import patch
@@ -545,6 +546,35 @@ class TestEnsemble:
         ]:
             cfg = EnsembleConfig(strategy=strategy, theta_min=0.5)
             assert model_weights(models, cfg).tolist() == weigh([71.0, 70.0, 73.0], 0.5).tolist()
+
+    @pytest.mark.parametrize(
+        "strategy, scores, thetas, fault",
+        [
+            ("linear_interpolation", [0.0, 1.0], (-1e308, 1e308),
+             "theta_min -1e+308, theta_max 1e+308, validation scores 0.0 to 1.0"),
+            ("linear_reweight", [0.0, 1.0], (-1e308, 1e308),
+             "theta_min -1e+308, theta_max 1e+308, validation scores 0.0 to 1.0"),
+            ("linear_interpolation", [1e308, -1e308], (0.6, 1.0),
+             "theta_min 0.6, theta_max 1.0, validation scores -1e+308 to 1e+308"),
+        ],
+        ids=["interpolation-thetas", "reweight-thetas", "interpolation-scores"],
+    )
+    def test_model_weights_refuse_an_overflow(self, strategy, scores, thetas, fault):
+        """A theta span past the float range overflows under either
+        strategy, a score span only under interpolation. ``ensemble`` fails
+        with the same message, not with a detection's score error."""
+        models = [ModelCandidate(f"m{i}", s, [_det(score=0.5)]) for i, s in enumerate(scores)]
+        cfg = EnsembleConfig(theta_min=thetas[0], theta_max=thetas[1], strategy=strategy)
+        message = f"^model weights overflow: {re.escape(fault)}$"
+        with pytest.raises(ValueError, match=message):
+            model_weights(models, cfg)
+        with pytest.raises(ValueError, match=message):
+            ensemble(models, cfg)
+
+    def test_rank_weights_ignore_the_score_span(self):
+        models = [ModelCandidate(f"m{i}", s, []) for i, s in enumerate([1e308, -1e308])]
+        cfg = EnsembleConfig(strategy="linear_reweight")
+        assert model_weights(models, cfg).tolist() == [1.0, 0.6]
 
     def test_empty_models_rejected(self):
         with pytest.raises(ValueError):

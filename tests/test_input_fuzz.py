@@ -42,7 +42,7 @@ for _ann in GT["annotations"]:
 RESULTS = json.loads(RESULTS_PATH.read_text())
 _seg = RESULTS[1]["segmentation"]
 _seg["counts"] = rle_string_decode(_seg["counts"], *_seg["size"][::-1]).counts.tolist()
-CONFIG = {key: default for options in _OPTIONS.values() for key, (default, _) in options.items()}
+CONFIG = {key: default for options in _OPTIONS.values() for key, (default, *_) in options.items()}
 # the manifest of both field archives; refine renders 7 -> 224 by default
 MANIFEST = {
     "instances": [
