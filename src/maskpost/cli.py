@@ -22,7 +22,9 @@ from .core import BBox, mask_bbox, mask_iou, rle_encode, resample
 from .coco_io import (
     FieldInstance,
     SchemaError,
+    _load_columns,
     _read_json,
+    _write_columns,
     dataset_ground_truth,
     load_dataset,
     load_field_archive,
@@ -32,7 +34,7 @@ from .coco_io import (
     write_results,
 )
 from .evaluation import EvalConfig, evaluate
-from .fusion import Detection, EnsembleConfig, ModelCandidate, SoftNmsConfig, ensemble, model_weights
+from .fusion import Detection, EnsembleConfig, ModelCandidate, SoftNmsConfig, _fuse, model_weights
 from .refine import (
     IdentityPredictor,
     OracleFieldPredictor,
@@ -283,23 +285,23 @@ def _parse_model_arg(spec: str) -> ModelCandidate:
         raise InputError(f"--model {spec!r}: {exc}")
 
 
-def _check_masks(dets: list[Detection], where: str, sizes: dict, flag: str | None) -> None:
+def _check_masks(image_ids: list, masks: list, where: str, sizes: dict, flag: str | None) -> None:
     """A mask on every record when ``flag`` needs one, and one mask size per
     image. ``sizes`` maps an image id to ``(width, height, source)``; an
     image it lacks takes its size from the first mask seen. Records are
     named ``{where}results[i]``."""
-    for i, det in enumerate(dets):
+    for i, (image_id, mask) in enumerate(zip(image_ids, masks)):
         at = f"{where}results[{i}]"
-        if det.mask is None:
+        if mask is None:
             if flag:
                 raise InputError(f"{at} has no segmentation, which {flag} needs")
             continue
-        w, h = det.mask.width, det.mask.height
-        w0, h0, source = sizes.setdefault(det.image_id, (w, h, at))
+        w, h = mask.width, mask.height
+        w0, h0, source = sizes.setdefault(image_id, (w, h, at))
         if (w, h) != (w0, h0):
             raise InputError(
                 f"{at}.segmentation: mask is {w}x{h} but {source} gives "
-                f"image {det.image_id} a {w0}x{h0} mask"
+                f"image {image_id} a {w0}x{h0} mask"
             )
 
 
@@ -326,17 +328,16 @@ def cmd_ensemble(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
         weights = model_weights(models, cfg)
     except ValueError as exc:
         raise InputError(f"invalid option: {exc}")
-    for model in models:
-        model.detections = load_results(model.model_id)
-    if len({frozenset(d.image_id for d in m.detections) for m in models}) > 1:
+    tables = [_load_columns(model.model_id) for model in models]
+    if len({frozenset(t.image_id) for t in tables}) > 1:
         print("warning: model files cover different image id sets", file=sys.stderr)
     if cfg.nms.use_mask_iou or cfg.merge_masks:
         flag = "--mask-iou-nms" if cfg.nms.use_mask_iou else "--merge-masks"
         sizes = {}
-        for model in models:
-            _check_masks(model.detections, f"{model.model_id}: ", sizes, flag)
-    fused = ensemble(models, cfg)
-    write_results(args.out, fused)
+        for model, t in zip(models, tables):
+            _check_masks(t.image_id, t.mask, f"{model.model_id}: ", sizes, flag)
+    fused = _fuse(tables, [model.model_id for model in models], weights, cfg)
+    _write_columns(args.out, fused)
     summary = "".join(f"weight {m.model_id} {w:.6f}\n" for m, w in zip(models, weights))
     return {"models": list(args.model)}, summary + f"fused {len(fused)} detections -> {args.out}\n"
 
@@ -359,7 +360,8 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     for i, det in enumerate(dets):
         if det.image_id not in sizes:
             raise InputError(f"results[{i}].image_id: image {det.image_id} is not in {gt_path}")
-    _check_masks(dets, "", sizes, "--iou-on mask" if cfg.iou_on == "mask" else None)
+    flag = "--iou-on mask" if cfg.iou_on == "mask" else None
+    _check_masks([d.image_id for d in dets], [d.mask for d in dets], "", sizes, flag)
     report = evaluate(gts, dets, cfg)
     out, text, _ = _output_paths(args)
     summary = report.to_text()

@@ -21,7 +21,7 @@ from .core import BBox, RleMask, ScoreField, rle_encode
 from .core import _counts_fault, _mask_pixels, _rle_masks  # the RLE counts rule
 from .core import _ranges, _rle_bboxes
 from .evaluation import GroundTruthInstance
-from .fusion import Detection
+from .fusion import Detection, _Columns
 
 __all__ = [
     "SchemaError",
@@ -285,18 +285,24 @@ def _segmentation_mask(segmentation, context: str, image=None) -> RleMask | tupl
     raise SchemaError(f"{context}: expected a polygon list or RLE object")
 
 
-def _finish(masks: list, boxes: list, section: str) -> None:
+def _finish(masks: list, boxes: list, section: str) -> list[str | None]:
     """Decode every ``(counts, width, height)`` left in ``masks`` in one batched
     call, naming a string at fault ``{section}[i].segmentation.counts``, then
-    fill every None in ``boxes`` with its mask's tight box, all in place."""
+    fill every None in ``boxes`` with its mask's tight box as ``[x, y, w, h]``,
+    all in place. Returns each mask's wire string: the string it was decoded
+    from when the mask encodes back to exactly that string, else None."""
     todo = [i for i, mask in enumerate(masks) if isinstance(mask, tuple)]
     names = [f"{section}[{i}].segmentation.counts" for i in todo]
-    decoded = rle_strings_decode([masks[i][0] for i in todo], [masks[i][1:] for i in todo], names)
-    for i, mask in zip(todo, decoded):
-        masks[i] = mask
+    strings, sizes = [masks[i][0] for i in todo], [masks[i][1:] for i in todo]
+    wire = [None] * len(masks)
+    for a, b in _slices([len(s) for s in strings]):  # rle_strings_decode, with the flags
+        decoded, canonical = _decode_slice(strings[a:b], sizes[a:b], names[a:b])
+        for i, string, mask, kept in zip(todo[a:b], strings[a:b], decoded, canonical):
+            masks[i], wire[i] = mask, string if kept else None
     todo = [i for i, box in enumerate(boxes) if box is None]
     for i, box in zip(todo, _rle_bboxes([masks[i] for i in todo])):
-        boxes[i] = box
+        boxes[i] = box.to_list()
+    return wire
 
 
 def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
@@ -313,11 +319,11 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
             raise SchemaError(f"annotations[{i}].segmentation: missing (annotation {ann.id})")
         ctx = f"annotations[{i}].segmentation"
         masks.append(_segmentation_mask(ann.segmentation, ctx, sizes[ann.image_id]))
-    boxes = [None if ann.bbox is None else BBox(*ann.bbox) for ann in ds.annotations]
+    boxes = [ann.bbox for ann in ds.annotations]
     _finish(masks, boxes, "annotations")
     return [
-        GroundTruthInstance(image_id=ann.image_id, category_id=ann.category_id, mask=mask, bbox=bbox)
-        for ann, mask, bbox in zip(ds.annotations, masks, boxes)
+        GroundTruthInstance(image_id=ann.image_id, category_id=ann.category_id, mask=mask, bbox=BBox(*box))
+        for ann, mask, box in zip(ds.annotations, masks, boxes)
     ]
 
 
@@ -327,6 +333,12 @@ def dataset_ground_truth(ds: DatasetFile) -> list[GroundTruthInstance]:
 
 def load_results(path) -> list[Detection]:
     """Parse a COCO results JSON file into detections."""
+    return _load_columns(path).detections()
+
+
+def _load_columns(path) -> _Columns:
+    """:func:`load_results` as columns; a mask read from a canonical string
+    keeps that string in ``wire``."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: results file must be a JSON array")
@@ -336,15 +348,17 @@ def load_results(path) -> list[Detection]:
             records.append(_result_record(rec))
         except SchemaError as exc:  # named here, so a record that passes formats no name
             raise SchemaError(f"results[{i}]{exc}") from exc.__cause__
-    boxes, masks = [rec[3] for rec in records], [rec[4] for rec in records]
-    _finish(masks, boxes, "results")
-    return [Detection(*rec[:3], box, mask) for rec, box, mask in zip(records, boxes, masks)]
+    columns = [list(c) for c in zip(*records)] or [[] for _ in range(5)]
+    image_ids, category_ids, scores, boxes, masks = columns
+    wire = _finish(masks, boxes, "results")
+    scores, boxes = np.array(scores, np.float64), np.array(boxes, np.float64).reshape(-1, 4)
+    return _Columns(image_ids, category_ids, scores, boxes, masks, wire, [None] * len(masks))
 
 
 def _result_record(rec) -> tuple:
     """``(image_id, category_id, score, bbox, mask)`` of one results record,
-    ``bbox`` None when the record has none; a refusal names the field within
-    the record (``.score: ...``)."""
+    ``bbox`` an ``[x, y, w, h]`` list, or None when the record has none; a
+    refusal names the field within the record (``.score: ...``)."""
     if not isinstance(rec, dict):
         raise SchemaError(": expected an object")
     score = _as_score(rec, "")
@@ -353,7 +367,7 @@ def _result_record(rec) -> tuple:
         mask = _segmentation_mask(rec["segmentation"], ".segmentation")
     bbox = rec.get("bbox")
     if bbox is not None:
-        bbox = BBox(*_as_box(bbox, ".bbox"))
+        bbox = _as_box(bbox, ".bbox")
     elif mask is None:
         raise SchemaError(": needs a bbox or a segmentation")
     image_id = _as_int(_require(rec, "image_id", ""), ".image_id")
@@ -363,20 +377,23 @@ def _result_record(rec) -> tuple:
 
 def write_results(path, dets: list[Detection]) -> None:
     """Write detections as COCO results JSON, in the given order."""
-    strings = iter(rle_strings_encode(det.mask for det in dets if det.mask is not None))
+    _write_columns(path, _Columns.of(dets))
+
+
+def _write_columns(path, cols: _Columns) -> None:
+    """:func:`write_results` of columns: a mask with a wire string is
+    written as that string, and only the others are encoded."""
+    strings = list(cols.wire)
+    todo = [k for k, (mask, s) in enumerate(zip(cols.mask, strings)) if mask is not None and s is None]
+    for k, string in zip(todo, rle_strings_encode(cols.mask[k] for k in todo)):
+        strings[k] = string
     records = []
-    for det in dets:
-        rec = {
-            "image_id": int(det.image_id),
-            "category_id": int(det.category_id),
-            "score": float(det.score),
-            "bbox": det.bbox.to_list(),
-        }
-        if det.mask is not None:
-            rec["segmentation"] = {
-                "size": [det.mask.height, det.mask.width],
-                "counts": next(strings),
-            }
+    for i, c, score, box, mask, string in zip(
+        cols.image_id, cols.category_id, cols.score.tolist(), cols.box.tolist(), cols.mask, strings
+    ):
+        rec = {"image_id": int(i), "category_id": int(c), "score": score, "bbox": box}
+        if mask is not None:
+            rec["segmentation"] = {"size": [mask.height, mask.width], "counts": string}
         records.append(rec)
     Path(path).write_text(json.dumps(records, sort_keys=True) + "\n")
 
@@ -451,14 +468,15 @@ def rle_strings_decode(strings, sizes, contexts=None) -> list[RleMask]:
         contexts = [f"strings[{k}]" for k in range(len(strings))]
     masks: list[RleMask] = []
     for a, b in _slices([len(s) for s in strings]):
-        masks += _decode_slice(strings[a:b], sizes[a:b], contexts[a:b])
+        masks += _decode_slice(strings[a:b], sizes[a:b], contexts[a:b])[0]
     return masks
 
 
-def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
+def _decode_slice(strings, sizes, contexts) -> tuple[list[RleMask], list[bool]]:
     """Decode one slice: every wire check runs over all of its strings, and
     the counts rule of ``core`` over the counts they decode to; the first
-    string at fault is reported."""
+    string at fault is reported. Returns the masks and whether each string
+    is canonical: exactly what :func:`rle_strings_encode` writes for its mask."""
     joined = "".join(strings)
     # one entry per code point, so that an invalid character can be named
     chunks = np.frombuffer(joined.encode("utf-32-le"), np.uint32) - 48
@@ -491,6 +509,13 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
     # string's longer values keep garbage that stays inside int64)
     values = ((chunks[stops] & 0x1F).astype(np.int64) ^ 0x10) - 0x10
     more = np.flatnonzero(span > 1)
+    # the encoder writes each value in the fewest chunks, so a string is
+    # canonical unless some value's last chunk only sign-extends the chunk
+    # below: 0 over a chunk with bit 4 clear, 31 over one with it set
+    below = chunks[stops[more] - 1]
+    padded = more[(below >> 4 & 1) * 0x1F == chunks[stops[more]] & 0x1F]
+    canonical = np.ones(len(strings), bool)
+    canonical[np.searchsorted(bounds, padded, "right") - 1] = False
     for j in range(1, _MAX_VALUE_CHARS):
         more = more[span[more] > j]
         if not more.size:
@@ -527,7 +552,7 @@ def _decode_slice(strings, sizes, contexts) -> list[RleMask]:
     if faults:
         k, message = min(faults, key=lambda f: f[0])
         raise SchemaError(f"{contexts[k]}: {message}")
-    return _rle_masks(sizes, counts, bounds.tolist())
+    return _rle_masks(sizes, counts, bounds.tolist()), canonical.tolist()
 
 
 def rle_string_encode(rle: RleMask) -> str:

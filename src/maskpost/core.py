@@ -584,10 +584,16 @@ def mask_iou(a, b) -> float:
 def box_iou_matrix(a, b) -> np.ndarray:
     """IoU of every box in ``a`` (rows) with every box in ``b`` (columns);
     0 where the union is degenerate."""
-    (ax, ay, aw, ah), (bx, by, bw, bh) = (
-        np.array([(q.x, q.y, q.w, q.h) for q in boxes], dtype=np.float64).reshape(-1, 4).T
+    return _box_ious(*(
+        np.array([(q.x, q.y, q.w, q.h) for q in boxes], dtype=np.float64).reshape(-1, 4)
         for boxes in (a, b)
-    )
+    ))
+
+
+def _box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`box_iou_matrix` of two ``(n, 4)`` float64 arrays of
+    ``[x, y, w, h]`` rows."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a.T, b.T
     ix = np.minimum.outer(ax + aw, bx + bw) - np.maximum.outer(ax, bx)
     iy = np.minimum.outer(ay + ah, by + bh) - np.maximum.outer(ay, by)
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)

@@ -7,12 +7,12 @@ merging of near-duplicate detections is available behind a flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .core import BBox, RleMask, box_iou_matrix, rle_iou_matrix, rle_merge
+from .core import BBox, RleMask, _box_ious, rle_iou_matrix, rle_merge
 
 __all__ = [
     "Detection",
@@ -43,6 +43,59 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+
+
+@dataclass
+class _Columns:
+    """Detections as columns, as the commands carry them: ids as the Python
+    ints they are, scores and ``[x, y, w, h]`` boxes as float64 arrays, and
+    ``wire``, the string each mask was read from when it encodes back to
+    exactly that string, else None. The list routines are views of these."""
+
+    image_id: list
+    category_id: list
+    score: np.ndarray
+    box: np.ndarray
+    mask: list
+    wire: list
+    source: list
+
+    @classmethod
+    def of(cls, dets) -> _Columns:
+        """The columns of detections; no mask keeps a wire string."""
+        dets = list(dets)
+        boxes = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets], np.float64)
+        return cls([d.image_id for d in dets], [d.category_id for d in dets],
+                   np.array([d.score for d in dets], np.float64), boxes.reshape(-1, 4),
+                   [d.mask for d in dets], [None] * len(dets), [d.source_model for d in dets])
+
+    @classmethod
+    def joined(cls, tables) -> _Columns:
+        """The rows of every table, in order."""
+        tables = [cls.of([]), *tables]
+        return cls(*(
+            np.concatenate([getattr(t, f) for t in tables]) if f in ("score", "box")
+            else [x for t in tables for x in getattr(t, f)]
+            for f in cls.__dataclass_fields__
+        ))
+
+    def __len__(self) -> int:
+        return len(self.mask)
+
+    def take(self, rows: list[int]) -> _Columns:
+        """The given rows, in the given order."""
+        return _Columns(*(
+            getattr(self, f)[rows] if f in ("score", "box") else [getattr(self, f)[k] for k in rows]
+            for f in self.__dataclass_fields__
+        ))
+
+    def detections(self) -> list[Detection]:
+        """The rows as detections."""
+        return [
+            Detection(i, c, s, BBox(*box), mask, source)
+            for i, c, s, box, mask, source in zip(self.image_id, self.category_id, self.score.tolist(),
+                                                  self.box.tolist(), self.mask, self.source)
+        ]
 
 
 @dataclass
@@ -180,16 +233,22 @@ def apply_weights(models: list[ModelCandidate], weights) -> list[Detection]:
     Scores are clamped to [0, 1]; each pooled detection is tagged with its
     model of origin.
     """
+    tables = [_Columns.of(model.detections) for model in models]
+    return _pool(tables, [model.model_id for model in models], weights).detections()
+
+
+def _pool(tables: list[_Columns], names: list[str], weights) -> _Columns:
+    """:func:`apply_weights` on columns, one table per model."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.size != len(models):
-        raise ValueError(f"{len(models)} models but {w.size} weights")
-    pooled: list[Detection] = []
-    for model, weight in zip(models, w.tolist()):
-        pooled += [
-            Detection(d.image_id, d.category_id, min(max(d.score * weight, 0.0), 1.0),
-                      d.bbox, d.mask, model.model_id)
-            for d in model.detections
-        ]
+    if w.size != len(tables):
+        raise ValueError(f"{len(tables)} models but {w.size} weights")
+    pooled = _Columns.joined(tables)
+    with np.errstate(invalid="ignore"):  # 0 * inf is nan, as in Python, and then refused
+        pooled.score *= np.repeat(w, [len(t) for t in tables])
+    # min(max(s, 0.0), 1.0), which keeps a -0.0 (a zero score times a
+    # negative weight), while np.clip and np.maximum give +0.0
+    pooled.score = np.where(pooled.score < 0.0, 0.0, np.minimum(pooled.score, 1.0))
+    pooled.source = [name for name, t in zip(names, tables) for _ in range(len(t))]
     return pooled
 
 
@@ -202,37 +261,36 @@ def _decay(ious: np.ndarray, cfg: SoftNmsConfig) -> np.ndarray:
     return np.where(ious > cfg.iou_threshold, 0.0, 1.0)
 
 
-def _suppress_group(dets: list[Detection], cfg: SoftNmsConfig) -> list[Detection]:
-    """Soft-NMS over one image (and category) worth of detections, listed
-    in tie order: on equal scores argmax keeps the first.
-
-    The group's IoU matrix is built once, of the masks or of the declared
-    boxes.
+def _suppress_group(rows: np.ndarray, cols: _Columns, cfg: SoftNmsConfig) -> list[int]:
+    """Soft-NMS over one image (and category) worth of rows of ``cols``,
+    listed in tie order: on equal scores argmax keeps the first. Returns the
+    rows kept, as they are picked, and writes their scores into ``cols``.
+    The group's IoU matrix is built once, of the masks or of the boxes.
     """
-    masks = [det.mask for det in dets]
+    masks = [cols.mask[k] for k in rows]
     if cfg.use_mask_iou and any(mask is None for mask in masks):
         raise ValueError("use_mask_iou requires every detection to carry a mask")
-    boxes = [det.bbox for det in dets]
-    ious = rle_iou_matrix(masks, masks) if cfg.use_mask_iou else box_iou_matrix(boxes, boxes)
+    boxes = cols.box[rows]
+    ious = rle_iou_matrix(masks, masks) if cfg.use_mask_iou else _box_ious(boxes, boxes)
     # a subnormal gaussian sigma overflows iou**2 / sigma to inf, and
     # exp(-inf) = 0 is the intended decay
     with np.errstate(over="ignore"):
         decay = _decay(ious, cfg)
-    # the detections still live, in input order, and their decayed scores
-    live = np.arange(len(dets))
-    scores = np.array([det.score for det in dets], dtype=np.float64)
-    kept: list[Detection] = []
+    # the group positions still live, in input order, and their decayed scores
+    live = np.arange(len(rows))
+    scores = cols.score[rows]
+    picked, final = [], []
     while live.size:
         i = np.argmax(scores)
-        det, score = dets[live[i]], float(scores[i])
-        if det.score != score:
-            det = Detection(det.image_id, det.category_id, score, det.bbox, det.mask, det.source_model)
-        kept.append(det)
+        picked.append(live[i])
+        final.append(scores[i])
         scores *= decay[live[i], live]
         stay = scores >= cfg.score_floor
         stay[i] = False
         live, scores = live[stay], scores[stay]
-    return kept
+    kept = rows[picked]
+    cols.score[kept] = final
+    return kept.tolist()
 
 
 def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[Detection]:
@@ -245,17 +303,22 @@ def soft_nms(dets: list[Detection], cfg: SoftNmsConfig | None = None) -> list[De
     masks are never altered. The output is sorted by final score,
     descending.
     """
-    cfg = cfg or SoftNmsConfig()
+    return _soft_nms(_Columns.of(dets), cfg or SoftNmsConfig()).detections()
+
+
+def _soft_nms(cols: _Columns, cfg: SoftNmsConfig) -> _Columns:
+    """:func:`soft_nms` on columns; it writes the decayed scores into ``cols``."""
+    keys = list(zip(cols.image_id, cols.category_id) if cfg.per_category else zip(cols.image_id))
     # one stable sort gives every group its tie order: source model, then input position
-    groups: dict[tuple, list[Detection]] = {}
-    for det in sorted(dets, key=lambda d: d.source_model or ""):
-        key = (det.image_id, det.category_id) if cfg.per_category else (det.image_id,)
-        groups.setdefault(key, []).append(det)
-    out: list[Detection] = []
-    for members in groups.values():
-        out.extend(_suppress_group(members, cfg))
-    out.sort(key=lambda d: (-d.score, d.image_id, d.category_id, d.source_model or ""))
-    return out
+    groups: dict[tuple, list[int]] = {}
+    for k in sorted(range(len(cols)), key=[s or "" for s in cols.source].__getitem__):
+        groups.setdefault(keys[k], []).append(k)
+    kept: list[int] = []
+    for rows in groups.values():
+        kept += _suppress_group(np.array(rows), cols, cfg)
+    scores = cols.score.tolist()
+    kept.sort(key=lambda k: (-scores[k], cols.image_id[k], cols.category_id[k], cols.source[k] or ""))
+    return cols.take(kept)
 
 
 def cluster_merge_masks(dets: list[Detection], cluster_iou: float = 0.5) -> list[Detection]:
@@ -268,35 +331,35 @@ def cluster_merge_masks(dets: list[Detection], cluster_iou: float = 0.5) -> list
     member mask by its score; pixels carrying strictly more than half the
     total weight are foreground.
     """
-    for det in dets:
-        if det.mask is None:
-            raise ValueError("cluster_merge_masks requires every detection to carry a mask")
-    order = sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i].score, dets[i].source_model or "", i),
-    )
+    return _cluster_merge(_Columns.of(dets), cluster_iou).detections()
+
+
+def _cluster_merge(cols: _Columns, cluster_iou: float) -> _Columns:
+    """:func:`cluster_merge_masks` on columns; a merged mask has no wire string."""
+    if any(mask is None for mask in cols.mask):
+        raise ValueError("cluster_merge_masks requires every detection to carry a mask")
+    scores = cols.score.tolist()
+    order = sorted(range(len(cols)), key=lambda i: (-scores[i], cols.source[i] or "", i))
     groups: dict[tuple[int, int], list[int]] = {}
     for i in order:
-        groups.setdefault((dets[i].image_id, dets[i].category_id), []).append(i)
-    clusters: dict[int, list[Detection]] = {}  # representative index -> members
+        groups.setdefault((cols.image_id[i], cols.category_id[i]), []).append(i)
+    clusters: dict[int, list[int]] = {}  # representative row -> member rows
     for idxs in groups.values():
-        boxes = [dets[i].bbox for i in idxs]
-        ious = box_iou_matrix(boxes, boxes)
+        ious = _box_ious(cols.box[idxs], cols.box[idxs])
         reps: list[int] = []  # group positions of the representatives
         for pos, i in enumerate(idxs):
             joined = np.flatnonzero(ious[reps, pos] >= cluster_iou)
             if joined.size:
-                clusters[idxs[reps[joined[0]]]].append(dets[i])
+                clusters[idxs[reps[joined[0]]]].append(i)
             else:
                 reps.append(pos)
-                clusters[i] = [dets[i]]
-    merged: list[Detection] = []
-    for members in (clusters[i] for i in order if i in clusters):
-        rep = members[0]
+                clusters[i] = [i]
+    heads = [i for i in order if i in clusters]  # the representatives, in rank order
+    merged = cols.take(heads)
+    for k, members in enumerate(clusters[i] for i in heads):
         if len(members) > 1:
-            fused = rle_merge([det.mask for det in members], [det.score for det in members])
-            rep = replace(rep, mask=fused)
-        merged.append(rep)
+            merged.mask[k] = rle_merge([cols.mask[j] for j in members], [scores[j] for j in members])
+            merged.wire[k] = None
     return merged
 
 
@@ -312,10 +375,18 @@ def ensemble(models: list[ModelCandidate], cfg: EnsembleConfig | None = None) ->
     cfg = cfg or EnsembleConfig()
     if not models:
         raise ValueError("ensemble requires at least one model")
-    survivors = soft_nms(apply_weights(models, model_weights(models, cfg)), cfg.nms)
+    weights = model_weights(models, cfg)
+    tables = [_Columns.of(m.detections) for m in models]
+    return _fuse(tables, [m.model_id for m in models], weights, cfg).detections()
+
+
+def _fuse(tables: list[_Columns], names: list[str], weights, cfg: EnsembleConfig) -> _Columns:
+    """:func:`ensemble` on columns, one table per model, with its weights."""
+    fused = _soft_nms(_pool(tables, names, weights), cfg.nms)
     if cfg.merge_masks:
-        survivors = cluster_merge_masks(survivors, cfg.cluster_iou)
-    survivors.sort(
-        key=lambda d: (d.image_id, -d.score, d.category_id, d.source_model or "")
-    )
-    return survivors
+        fused = _cluster_merge(fused, cfg.cluster_iou)
+    scores = fused.score.tolist()
+    return fused.take(sorted(
+        range(len(fused)),
+        key=lambda k: (fused.image_id[k], -scores[k], fused.category_id[k], fused.source[k] or ""),
+    ))

@@ -4,7 +4,8 @@ Three models cover six single-instance images; each model misplaces its
 detection on a disjoint pair of images (zero IoU with the truth) while the
 other two stay correct, so pooling plus soft-NMS recovers every instance.
 Wrong detections always score below correct ones, and every score is
-distinct, keeping the arithmetic tie-free.
+distinct, keeping the arithmetic tie-free. ``pad_value`` respells a
+compressed counts string as no encoder writes it.
 """
 from __future__ import annotations
 
@@ -78,3 +79,15 @@ def build_models() -> list[ModelCandidate]:
             ModelCandidate(model_id=f"m{m}", validation_score=60.0 + m, detections=dets)
         )
     return models
+
+
+def pad_value(counts: str, j: int) -> str:
+    """The compressed counts string ``counts`` with its ``j``-th value (``j``
+    taken modulo the number of values) spelled one character longer: its
+    last character gets the continuation flag, and a new last character only
+    sign-extends it, so the value is unchanged but no encoder writes it so."""
+    ends = [k for k, ch in enumerate(counts) if (ord(ch) - 48) & 0x20 == 0]
+    k = ends[j % len(ends)]
+    chunk = ord(counts[k]) - 48
+    extension = 0x1F if chunk & 0x10 else 0
+    return counts[:k] + chr(48 + (chunk | 0x20)) + chr(48 + extension) + counts[k + 1 :]

@@ -14,9 +14,13 @@ from hypothesis import strategies as st
 from maskpost import (
     BBox,
     Detection,
+    EnsembleConfig,
     FieldInstance,
+    ModelCandidate,
     ScoreField,
+    SoftNmsConfig,
     binarize,
+    ensemble,
     load_results,
     plain_upsample,
     rle_decode,
@@ -29,7 +33,7 @@ from maskpost import (
 from maskpost import cli
 from maskpost.cli import build_parser, main
 from oracles import rle_counts_to_string
-from scenario import N_IMAGES, build_ground_truth, build_models
+from scenario import N_IMAGES, build_ground_truth, build_models, pad_value
 
 
 def run_cli(capsys, *argv):
@@ -725,6 +729,64 @@ class TestEnsembleCommand:
             f"{square}: results[0] gives image 1 a 8x8 mask"
         )
         assert not out.exists()
+
+    def test_zero_score_under_a_negative_weight_is_written_as_minus_zero(self, tmp_path, capsys):
+        """The weight clip is min(max(s * w, 0.0), 1.0), which keeps the -0.0
+        of a zero score times a negative weight (np.clip would not)."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0, "bbox": [0, 0, 2, 2]}]))
+        b.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5, "bbox": [10, 10, 2, 2]}]))
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(capsys, "ensemble", "--model", f"{a}:0", "--model", f"{b}:1",
+                               "--theta-min=-0.5", "--score-floor=-1", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_text() == (
+            '[{"bbox": [10.0, 10.0, 2.0, 2.0], "category_id": 1, "image_id": 1, "score": 0.5}, '
+            '{"bbox": [0.0, 0.0, 2.0, 2.0], "category_id": 1, "image_id": 1, "score": -0.0}]\n'
+        )
+
+    def test_padded_counts_string_is_written_as_the_encoder_writes_it(self, tmp_path, capsys):
+        """"Q0" spells the value 1 with a chunk of sign extension, so its
+        mask is encoded again, as "1", not copied."""
+        model = tmp_path / "q0.json"
+        model.write_text(json.dumps([{"image_id": 1, "category_id": 1, "score": 0.5,
+                                      "segmentation": {"size": [1, 1], "counts": "Q0"}}]))
+        out = tmp_path / "fused.json"
+        code, _, _ = run_cli(capsys, "ensemble", "--model", f"{model}:1", "--out", str(out))
+        assert code == 0
+        assert out.read_text() == (
+            '[{"bbox": [0.0, 0.0, 0.0, 0.0], "category_id": 1, "image_id": 1, "score": 0.5, '
+            '"segmentation": {"counts": "1", "size": [1, 1]}}]\n'
+        )
+
+    def test_merged_mask_is_encoded_not_copied(self, tmp_path, capsys):
+        """A vote-merged mask keeps no string: three overlapping column
+        bands vote the representative's first column out and a fourth in."""
+        def record(score, first_col):
+            bits = np.zeros((6, 6), dtype=bool)
+            bits[:, first_col : first_col + 4] = True
+            counts = rle_string_encode(rle_encode(bits))
+            return {"image_id": 1, "category_id": 1, "score": score,
+                    "segmentation": {"size": [6, 6], "counts": counts}}
+
+        model = tmp_path / "bands.json"
+        model.write_text(json.dumps([record(0.9, 0), record(0.8, 1), record(0.8, 1)]))
+        out = tmp_path / "fused.json"
+        code, _, _ = run_cli(capsys, "ensemble", "--model", f"{model}:1", "--merge-masks",
+                             "--nms-method", "hard", "--iou-threshold", "1", "--out", str(out))
+        assert code == 0
+        (fused,) = json.loads(out.read_text())
+        assert fused["score"] == 0.9
+        assert fused["segmentation"]["counts"] == record(0.8, 1)["segmentation"]["counts"]
+
+    def test_negative_exponent_value_parses_in_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "--theta-min -1e-3" as two options; "=" joins them
+        _, model_paths = write_scenario_files(tmp_path)
+        out = tmp_path / "fused.json"
+        code, _, err = run_cli(capsys, "ensemble", "--model", f"{model_paths[0][0]}:1",
+                               "--theta-min=-1e-3", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert json.loads(Path(f"{out}.config.json").read_text())["options"]["theta_min"] == -0.001
 
 
 class TestEvalCommand:
@@ -1893,3 +1955,43 @@ class TestMetamorphicRelations:
             for out in (fused, grown)
         ]
         assert elsewhere[0] == elsewhere[1]
+
+
+class TestOnePath:
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_ensemble_command_writes_what_the_library_path_writes(self, data):
+        """``ensemble`` fuses columns and copies the strings it read; the
+        library path, ``write_results(ensemble(...))`` over ``load_results``,
+        re-encodes every mask. Both write the same bytes: with score ties
+        across models, one file given twice, ids past 2**63, records
+        without a box, empty files, padded strings and every method."""
+        models = data.draw(st.lists(_result_records(), min_size=1, max_size=3))
+        big = data.draw(st.booleans())  # image 2 becomes an id past 2**63
+        for records in models:
+            for rec in records:
+                if big and rec["image_id"] == 2:
+                    rec["image_id"] = 2**64 + 2
+                if data.draw(st.integers(0, 4)) == 0:  # a string the encoder would not write
+                    counts = rec["segmentation"]["counts"]
+                    rec["segmentation"]["counts"] = pad_value(counts, data.draw(st.integers(0, 99)))
+        scores = data.draw(st.lists(st.sampled_from([70.0, 71.0]), min_size=3, max_size=3))
+        method = data.draw(st.sampled_from(SoftNmsConfig.METHODS))
+        masks = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            specs = []
+            for k, records in enumerate(models):
+                (tmp / f"model{k}.json").write_text(json.dumps(records))
+                specs.append((str(tmp / f"model{k}.json"), scores[k]))
+            if data.draw(st.booleans()):
+                specs.append(specs[0])
+            flags = ["--mask-iou-nms", "--merge-masks"] if masks else []
+            argv = ["ensemble", "--nms-method", method, *flags, "--out", tmp / "cli.json"]
+            for path, score in specs:
+                argv += ["--model", f"{path}:{score}"]
+            assert _run_main(*argv)[0] == 0
+            cfg = EnsembleConfig(nms=SoftNmsConfig(method=method, use_mask_iou=masks), merge_masks=masks)
+            candidates = [ModelCandidate(path, score, load_results(path)) for path, score in specs]
+            write_results(tmp / "library.json", ensemble(candidates, cfg))
+            assert (tmp / "cli.json").read_bytes() == (tmp / "library.json").read_bytes()

@@ -40,6 +40,7 @@ from maskpost import (
 )
 from maskpost import coco_io, core
 from oracles import rle_counts_to_string, rle_string_to_counts, shoelace_area
+from scenario import pad_value
 
 # box coordinates about half and all of the float range, and their negations
 HUGE = [1e154, -1e154, 8.9e307, -8.9e307, 1e308, -1e308, 1.7e308, -1.7e308]
@@ -150,6 +151,24 @@ def _edited_string(draw):
 
 
 class TestBatchedRleStrings:
+    @given(
+        st.lists(st.tuples(_mask_counts, st.one_of(st.none(), st.integers(0, 12))), max_size=8),
+        st.sampled_from([1, 5, coco_io._SLICE_SIZE]),
+    )
+    def test_canonical_flag_is_whether_the_encoder_writes_the_string(self, drawn, slice_size):
+        # a padded spelling has one extra sign-extension chunk on one value
+        strings = [rle_counts_to_string(c) if j is None else pad_value(rle_counts_to_string(c), j)
+                   for c, j in drawn]
+        sizes = [(1, sum(c)) for c, _ in drawn]
+        masks = [(s, w, h) for s, (w, h) in zip(strings, sizes)]
+        with patch.object(coco_io, "_SLICE_SIZE", slice_size):  # many slices per call
+            wire = coco_io._finish(masks, [None] * len(masks), "results")
+        assert masks == [RleMask(1, sum(c), c) for c, _ in drawn]
+        canonical = [s is not None for s in wire]
+        assert canonical == [rle_strings_encode([m]) == [s] for m, s in zip(masks, strings)]
+        assert canonical == [j is None for _, j in drawn]
+        assert wire == [s if j is None else None for s, (_, j) in zip(strings, drawn)]
+
     @given(
         st.lists(st.tuples(_mask_counts, st.booleans()), max_size=20),
         st.sampled_from([1, 5, 64, coco_io._SLICE_SIZE]),
@@ -636,6 +655,35 @@ class TestResultsIo:
         write_results(a, self._dets())
         write_results(b, load_results(a))
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(_mask_counts, st.one_of(st.none(), st.integers(0, 12)), st.booleans()),
+                    max_size=6))
+    def test_kept_strings_write_the_bytes_of_encoding(self, drawn):
+        """A results file read as columns keeps each canonical string and
+        writes it as read; writing without the kept strings, and
+        ``write_results`` over ``load_results``, encode every mask. The
+        three files are byte-identical."""
+        records = []
+        for counts, j, masked in drawn:
+            rec = {"image_id": 1, "category_id": 2, "score": 0.5, "bbox": [0, 0, 1, 1]}
+            if masked:
+                s = rle_counts_to_string(counts)
+                s = s if j is None else pad_value(s, j)
+                rec["segmentation"] = {"size": [sum(counts), 1], "counts": s}
+            records.append(rec)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "in.json").write_text(json.dumps(records))
+            cols = coco_io._load_columns(tmp / "in.json")
+            assert cols.wire == [rec["segmentation"]["counts"] if masked and j is None else None
+                                 for rec, (_, j, masked) in zip(records, drawn)]
+            coco_io._write_columns(tmp / "kept.json", cols)
+            cols.wire = [None] * len(cols)
+            coco_io._write_columns(tmp / "encoded.json", cols)
+            write_results(tmp / "listed.json", load_results(tmp / "in.json"))
+            written = {(tmp / name).read_bytes() for name in ("kept.json", "encoded.json", "listed.json")}
+        assert len(written) == 1
 
     def test_extra_fields_tolerated(self, tmp_path):
         path = tmp_path / "results.json"

@@ -235,6 +235,14 @@ class TestApplyWeights:
         with pytest.raises(ValueError):
             apply_weights([ModelCandidate("a", 1.0, [])], [0.5, 0.6])
 
+    def test_clip_keeps_the_sign_of_a_zero_product(self):
+        # min(max(s * w, 0.0), 1.0): a zero score times a negative weight
+        # stays -0.0, and a negative product clips to +0.0
+        model = ModelCandidate("m", 70.0, [_det(score=0.0), _det(score=0.5)])
+        scores = [d.score for d in apply_weights([model], [-0.5])]
+        assert scores == [0.0, 0.0]
+        assert [math.copysign(1.0, s) for s in scores] == [-1.0, 1.0]
+
     @given(
         st.lists(
             st.lists(
