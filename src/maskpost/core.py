@@ -274,12 +274,9 @@ class RleMask:
         if fault:
             raise ValueError(fault[1])
         arr.setflags(write=False)
-        self._own(width, height, arr)
-
-    def _own(self, width: int, height: int, counts: np.ndarray) -> None:
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("RleMask is immutable")
@@ -357,11 +354,15 @@ def _counts_fault(sizes, counts: np.ndarray, bounds, pixels) -> tuple[int, str] 
 
 def _rle_masks(sizes, counts: np.ndarray, bounds) -> list[RleMask]:
     """The masks of :func:`_counts_fault`'s layout over ``counts``, which
-    must pass the rule, without a copy."""
+    must pass the rule, without a copy; ``sizes`` holds Python ints."""
     counts.setflags(write=False)
     masks = [object.__new__(RleMask) for _ in sizes]
+    # the slot descriptors, past RleMask.__setattr__'s refusal
+    width, height, runs = RleMask.width.__set__, RleMask.height.__set__, RleMask.counts.__set__
     for mask, (w, h), a, b in zip(masks, sizes, bounds, bounds[1:]):
-        mask._own(w, h, counts[a:b])
+        width(mask, w)
+        height(mask, h)
+        runs(mask, counts[a:b])
     return masks
 
 

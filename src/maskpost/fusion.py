@@ -276,18 +276,17 @@ def _suppress_group(rows: np.ndarray, cols: _Columns, cfg: SoftNmsConfig) -> lis
     # exp(-inf) = 0 is the intended decay
     with np.errstate(over="ignore"):
         decay = _decay(ious, cfg)
-    # the group positions still live, in input order, and their decayed scores
-    live = np.arange(len(rows))
+    # the decayed scores in input order, -inf once picked or dropped: a live
+    # score is at least 0, so argmax meets the live rows alone
     scores = cols.score[rows]
     picked, final = [], []
-    while live.size:
-        i = np.argmax(scores)
-        picked.append(live[i])
-        final.append(scores[i])
-        scores *= decay[live[i], live]
-        stay = scores >= cfg.score_floor
-        stay[i] = False
-        live, scores = live[stay], scores[stay]
+    with np.errstate(invalid="ignore"):  # -inf * 0 is nan on a row already out; put back
+        while (best := scores[i := np.argmax(scores)]) != -np.inf:
+            picked.append(i)
+            final.append(best)
+            scores[i] = -np.inf
+            scores *= decay[i]
+            np.putmask(scores, ~(scores >= cfg.score_floor), -np.inf)
     kept = rows[picked]
     cols.score[kept] = final
     return kept.tolist()

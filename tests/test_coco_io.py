@@ -39,6 +39,7 @@ from maskpost import (
     write_results,
 )
 from maskpost import coco_io, core
+from maskpost.fusion import _Columns
 from oracles import rle_counts_to_string, rle_string_to_counts, shoelace_area
 from scenario import pad_value
 
@@ -193,6 +194,12 @@ class TestBatchedRleStrings:
         decoded = rle_strings_decode(strings, sizes)
         assert decoded == [rle_string_decode(s, w, h) for s, (w, h) in zip(strings, sizes)]
         assert decoded == masks
+
+    def test_sides_are_kept_as_python_ints(self):
+        # as RleMask keeps them, whatever integer type a size came as
+        [mask] = rle_strings_decode(["52203"], [(np.int64(4), np.int32(4))])
+        assert mask == RleMask(4, 4, mask.counts)
+        assert (type(mask.width), type(mask.height)) == (int, int)
 
     def test_empty_batch(self):
         assert rle_strings_encode([]) == []
@@ -873,6 +880,159 @@ class TestFinishingStep:
             assert all(isinstance(item.bbox, BBox) for item in dets + gts)
             assert dets == [read_results([rec])[0] for rec in results]
             assert gts == [read_dataset([ann])[0] for ann in annotations]
+
+
+def _per_record_columns(path) -> _Columns:
+    """``coco_io._load_columns`` without its column pass: every record goes
+    through ``_result_record``, in index order."""
+    data = coco_io._read_json(path)
+    if not isinstance(data, list):
+        raise SchemaError(f"{path}: results file must be a JSON array")
+    records = []
+    for i, rec in enumerate(data):
+        try:
+            records.append(coco_io._result_record(rec))
+        except SchemaError as exc:
+            raise SchemaError(f"results[{i}]{exc}") from exc.__cause__
+    columns = [list(c) for c in zip(*records)] or [[] for _ in range(5)]
+    image_ids, category_ids, scores, boxes, masks = columns
+    wire = coco_io._finish(masks, boxes, "results")
+    scores, boxes = np.array(scores, np.float64), np.array(boxes, np.float64).reshape(-1, 4)
+    return _Columns(image_ids, category_ids, scores, boxes, masks, wire, [None] * len(masks))
+
+
+def _read_both(path):
+    """``(outcome of the column pass, outcome of the per-record loop)``,
+    each the columns or the exception raised."""
+    outcomes = []
+    for read in coco_io._load_columns, _per_record_columns:
+        try:
+            outcomes.append(read(path))
+        except Exception as exc:  # noqa: BLE001 - compared below, whatever it is
+            outcomes.append(exc)
+    return outcomes
+
+
+def _assert_same_columns(got: _Columns, want: _Columns) -> None:
+    """Equal column for column: ids as the same Python ints, scores and
+    boxes bit for bit, and equal masks, mask sides and wire strings."""
+    for ids in ("image_id", "category_id"):
+        assert [(type(v), v) for v in getattr(got, ids)] == [(type(v), v) for v in getattr(want, ids)]
+    assert got.score.tobytes() == want.score.tobytes()
+    assert got.box.shape == want.box.shape and got.box.tobytes() == want.box.tobytes()
+    assert got.mask == want.mask
+
+    def sides(cols):
+        return [None if m is None else (type(m.width), m.width, type(m.height), m.height) for m in cols.mask]
+
+    assert sides(got) == sides(want)
+    assert (got.wire, got.source) == (want.wire, want.source)
+
+
+# values a field of a results record may take in place of its usual one, and
+# the marker of a key left out
+_OFF_SHAPE = [True, False, 1, "1", None, float("nan"), float("inf"), float("-inf"), 10**400]
+_MISSING = object()
+# where _spoiled puts such a value: "record" replaces the whole record, an
+# "entry" is one of the box's or the size's values, and "int bbox" and
+# "counts list" put the shapes the per-record check also reads
+_PLACES = ["record", "score", "image_id", "category_id", "bbox", "bbox entry", "int bbox",
+           "segmentation", "size", "size entry", "counts", "counts list"]
+
+
+def _spoiled(rec: dict, where: str, value, j: int = 0):
+    """``rec`` with ``value`` at ``where`` (one of ``_PLACES``; entry ``j``
+    of an entry list), in place unless the record itself is replaced."""
+    segmentation = rec["segmentation"]
+    if where == "record":
+        return [rec] if value is _MISSING else value
+    if where == "int bbox":
+        rec["bbox"] = [0, 0, 2, 2]
+    elif where == "counts list":
+        size = segmentation["size"]
+        segmentation["counts"] = rle_string_decode(segmentation["counts"], size[1], size[0]).counts.tolist()
+    elif where.endswith(" entry"):
+        entries = segmentation["size"] if where == "size entry" else rec.setdefault("bbox", [0.0] * 4)
+        if isinstance(entries, list):
+            entries[j % len(entries) : j % len(entries) + 1] = [] if value is _MISSING else [value]
+    else:
+        target = segmentation if where in ("size", "counts") else rec
+        if value is _MISSING:
+            target.pop(where, None)
+        else:
+            target[where] = value
+    return rec
+
+
+def _assert_reads_as_the_per_record_loop(records) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.json"
+        path.write_text(json.dumps(records))
+        got, want = _read_both(path)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        _assert_same_columns(got, want)
+
+
+class TestColumnPass:
+    """``_load_columns`` takes the records of the common shape in a column
+    pass and sends every other record through ``_result_record``: the
+    columns it returns, or the error it raises, are those of checking every
+    record one by one."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_equals_the_per_record_loop(self, data):
+        records = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            bits = np.array(data.draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h)))
+            rec = {
+                "image_id": data.draw(st.sampled_from([1, 7, 2**70])),
+                "category_id": data.draw(st.integers(1, 3)),
+                "score": data.draw(st.one_of(st.floats(0, 1), st.sampled_from([0, 1, -0.0]))),
+                "segmentation": {"size": [h, w], "counts": rle_string_encode(rle_encode(bits.reshape(h, w)))},
+            }
+            box = data.draw(st.sampled_from(["absent", "none", "floats"]))
+            if box != "absent":  # of ordinary values, or near half and all of the float range
+                values = st.one_of(st.floats(-9, 9), st.sampled_from(HUGE))
+                rec["bbox"] = None if box == "none" else data.draw(st.lists(values, min_size=4, max_size=4))
+            if data.draw(st.booleans()):  # one field off the common shape
+                where = data.draw(st.sampled_from(_PLACES))
+                value = data.draw(st.sampled_from([*_OFF_SHAPE, _MISSING]))
+                rec = _spoiled(rec, where, value, data.draw(st.integers(0, 3)))
+            records.append(rec)
+        _assert_reads_as_the_per_record_loop(records)
+
+    def test_each_off_shape_value_reads_as_the_per_record_loop(self):
+        """Every value of ``_OFF_SHAPE`` at every place, and boxes of four
+        floats that the array pass refuses, between two common records,
+        with and without a faulty record after them: the first record at
+        fault is named as the per-record loop names it."""
+        cases = [(where, value, j) for where in _PLACES for value in [*_OFF_SHAPE, _MISSING]
+                 for j in range(4 if where.endswith(" entry") else 1)]
+        refused = [[0.0, 0.0, -1.0, 1.0], [1e308, 0.0, 1e308, 1.0], [0.0, 0.0, 1e154, 1e154]]
+        for where, value, j in cases + [("bbox", box, 0) for box in refused]:
+            ok = {"image_id": 1, "category_id": 2, "score": 0.5, "bbox": [0.0, 1.0, 2.0, 1.0],
+                  "segmentation": {"size": [2, 3], "counts": "132"}}
+            spoiled = _spoiled(json.loads(json.dumps(ok)), where, value, j)
+            _assert_reads_as_the_per_record_loop([ok, spoiled, ok])
+            _assert_reads_as_the_per_record_loop([ok, spoiled, ok, dict(ok, score=True)])
+
+    def test_common_records_skip_the_per_record_check(self, tmp_path):
+        seg = {"size": [2, 3], "counts": "132"}
+        records = [
+            {"image_id": 1, "category_id": 2, "score": 0.5, "segmentation": seg, "bbox": [0.0, 1.0, 2.0, 1.0]},
+            {"image_id": 2**70, "category_id": 2, "score": 1, "segmentation": seg},
+            {"image_id": 1, "category_id": 3, "score": 0, "segmentation": seg, "bbox": None},
+            {"image_id": 1, "category_id": 3, "score": -0.0, "segmentation": seg, "rank": 7},
+        ]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(records))
+        with patch.object(coco_io, "_result_record", side_effect=AssertionError("not common")):
+            got = coco_io._load_columns(path)
+        _assert_same_columns(got, _per_record_columns(path))
 
 
 class TestSizeStats:
