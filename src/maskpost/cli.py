@@ -28,7 +28,6 @@ from .coco_io import (
     dataset_ground_truth,
     load_dataset,
     load_field_archive,
-    load_results,
     median_sqrt_area,
     size_histogram,
     write_results,
@@ -355,14 +354,15 @@ def cmd_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
         raise InputError(f"invalid option: {exc}")
     ds = load_dataset(gt_path)
     gts = dataset_ground_truth(ds)
-    dets = load_results(results_path)
+    cols = _load_columns(results_path)
+    cols.wire = [None] * len(cols)  # the report needs no wire string
     sizes = {img.id: (img.width, img.height, gt_path) for img in ds.images}
-    for i, det in enumerate(dets):
-        if det.image_id not in sizes:
-            raise InputError(f"results[{i}].image_id: image {det.image_id} is not in {gt_path}")
+    for i, image_id in enumerate(cols.image_id):
+        if image_id not in sizes:
+            raise InputError(f"results[{i}].image_id: image {image_id} is not in {gt_path}")
     flag = "--iou-on mask" if cfg.iou_on == "mask" else None
-    _check_masks([d.image_id for d in dets], [d.mask for d in dets], "", sizes, flag)
-    report = evaluate(gts, dets, cfg)
+    _check_masks(cols.image_id, cols.mask, "", sizes, flag)
+    report = evaluate(gts, cols, cfg)
     out, text, _ = _output_paths(args)
     summary = report.to_text()
     out.write_text(report.to_json())

@@ -419,15 +419,18 @@ def _write_columns(path, cols: _Columns) -> None:
     todo = [k for k, (mask, s) in enumerate(zip(cols.mask, strings)) if mask is not None and s is None]
     for k, string in zip(todo, rle_strings_encode(cols.mask[k] for k in todo)):
         strings[k] = string
+    # each record as ``json.dumps(records, sort_keys=True)`` spells it, keys in
+    # sorted order, each float as ``json.dumps`` of its column spells it
+    scores = json.dumps(cols.score.tolist())[1:-1].split(", ")
+    boxes = json.dumps(cols.box.tolist())[2:-2].split("], [")
     records = []
-    for i, c, score, box, mask, string in zip(
-        cols.image_id, cols.category_id, cols.score.tolist(), cols.box.tolist(), cols.mask, strings
-    ):
-        rec = {"image_id": int(i), "category_id": int(c), "score": score, "bbox": box}
+    for i, c, score, box, mask, s in zip(cols.image_id, cols.category_id, scores, boxes, cols.mask, strings):
+        rec = f'{{"bbox": [{box}], "category_id": {int(c)}, "image_id": {int(i)}, "score": {score}'
         if mask is not None:
-            rec["segmentation"] = {"size": [mask.height, mask.width], "counts": string}
-        records.append(rec)
-    Path(path).write_text(json.dumps(records, sort_keys=True) + "\n")
+            counts = json.encoder.encode_basestring_ascii(s)
+            rec += f', "segmentation": {{"counts": {counts}, "size": [{mask.height}, {mask.width}]}}'
+        records.append(rec + "}")
+    Path(path).write_text("[" + ", ".join(records) + "]\n")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import ClassVar
 import numpy as np
 
 from .core import MEDIUM_LARGE_SIDE, SMALL_MEDIUM_SIDE
-from .core import BBox, RleMask, SizeBucket, _bucket_codes, box_iou_matrix, rle_iou_matrix
-from .fusion import Detection
+from .core import BBox, RleMask, SizeBucket, _box_ious, _bucket_codes, rle_iou_matrix
+from .fusion import Detection, _Columns
 
 __all__ = [
     "GroundTruthInstance",
@@ -182,12 +182,13 @@ def evaluate(
     on input order.
     """
     cfg = cfg or EvalConfig()
-    if cfg.iou_on == "mask" and any(det.mask is None for det in dets):
+    cols = dets if isinstance(dets, _Columns) else _Columns.of(dets)  # ``eval`` passes its table
+    if cfg.iou_on == "mask" and any(mask is None for mask in cols.mask):
         raise ValueError("mask IoU requested but a detection has no mask")
 
     cats = sorted({g.category_id for g in gts})
     cat_pos = {c: i for i, c in enumerate(cats)}
-    skipped = tuple(sorted({d.category_id for d in dets if d.category_id not in cat_pos}))
+    skipped = tuple(sorted({c for c in cols.category_id if c not in cat_pos}))
 
     # ground-truth positions per (image, category), and counts per (category, bucket)
     gt_groups: dict[tuple[int, int], list[int]] = {}
@@ -198,37 +199,36 @@ def evaluate(
     n_gt = np.zeros((len(cats), len(SizeBucket)), dtype=np.int64)
     np.add.at(n_gt, (gt_cat, gt_code), 1)
 
-    score = np.array([d.score for d in dets], dtype=np.float64)
-    cat_of = [cat_pos.get(d.category_id, -1) for d in dets]
+    score_of = cols.score.tolist()
+    cat_of = [cat_pos.get(c, -1) for c in cols.category_id]
     # a detection's bucket area: mask pixels when it has a mask, box area otherwise
-    det_code = _bucket_codes(
-        [d.bbox.area if d.mask is None else d.mask.area for d in dets], cfg.bucket_thresholds
-    )
+    areas = [w * h if mask is None else mask.area for (*_, w, h), mask in zip(cols.box.tolist(), cols.mask)]
+    det_code = _bucket_codes(areas, cfg.bucket_thresholds)
 
     # one ranking, as the reference's ``accumulate`` pools: score descending,
     # then image id (compared as the int it is), then input position. Each
     # group keeps its first ``max_detections_per_image``, pooled per category
     det_groups: dict[tuple[int, int], list[int]] = {}
     pooled_by_cat: list[list[int]] = [[] for _ in cats]
-    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id)):
+    for i in sorted(range(len(cols)), key=lambda i: (-score_of[i], cols.image_id[i])):
         if cat_of[i] >= 0:
-            members = det_groups.setdefault((dets[i].image_id, dets[i].category_id), [])
+            members = det_groups.setdefault((cols.image_id[i], cols.category_id[i]), [])
             if len(members) < cfg.max_detections_per_image:
                 members.append(i)
                 pooled_by_cat[cat_of[i]].append(i)
-    # ``iou_on`` names the compared attribute, "mask" or "bbox"
-    overlap = rle_iou_matrix if cfg.iou_on == "mask" else box_iou_matrix
+    # ``iou_on`` names the compared column, "mask" or "bbox": boxes as (n, 4) arrays
+    gt_boxes = np.array([gt.bbox.to_list() for gt in gts]).reshape(-1, 4) if cfg.iou_on == "bbox" else None
 
     # one visit per group: its IoU matrix, matched at every threshold;
     # ``matched[t, d]`` is the ground truth detection d takes at threshold t, or -1
-    matched = np.full((len(cfg.iou_thresholds), len(dets)), -1, dtype=np.int64)
+    matched = np.full((len(cfg.iou_thresholds), len(cols)), -1, dtype=np.int64)
     for key, members in det_groups.items():
         idx = np.array(members)
         gt_idx = np.array(gt_groups.get(key, []), dtype=np.int64)
-        ious = overlap(
-            [getattr(dets[i], cfg.iou_on) for i in members],
-            [getattr(gts[j], cfg.iou_on) for j in gt_idx],
-        )
+        if cfg.iou_on == "mask":
+            ious = rle_iou_matrix([cols.mask[i] for i in members], [gts[j].mask for j in gt_idx])
+        else:
+            ious = _box_ious(cols.box[idx], gt_boxes[gt_idx])
         g = np.array([match_detections(ious, thr) for thr in cfg.iou_thresholds])
         t, col = np.nonzero(g >= 0)
         matched[t, idx[col]] = gt_idx[g[t, col]]
@@ -243,7 +243,7 @@ def evaluate(
     # 1 + b the size bucket b
     ap = np.zeros((len(cats), len(cfg.iou_thresholds), 1 + len(SizeBucket)))
     for c, pooled in enumerate(pooled_by_cat):
-        scores, flags, codes = score[pooled], tp[:, pooled], bucket_of[:, pooled]
+        scores, flags, codes = cols.score[pooled], tp[:, pooled], bucket_of[:, pooled]
         for t in range(len(cfg.iou_thresholds)):
             ap[c, t, 0] = average_precision(scores, flags[t], int(n_gt[c].sum()))
             for b in range(len(SizeBucket)):

@@ -267,8 +267,8 @@ def _suppress_group(rows: np.ndarray, cols: _Columns, cfg: SoftNmsConfig) -> lis
     rows kept, as they are picked, and writes their scores into ``cols``.
     The group's IoU matrix is built once, of the masks or of the boxes.
     """
-    masks = [cols.mask[k] for k in rows]
-    if cfg.use_mask_iou and any(mask is None for mask in masks):
+    masks = [cols.mask[k] for k in rows] if cfg.use_mask_iou else []
+    if any(mask is None for mask in masks):
         raise ValueError("use_mask_iou requires every detection to carry a mask")
     boxes = cols.box[rows]
     ious = rle_iou_matrix(masks, masks) if cfg.use_mask_iou else _box_ious(boxes, boxes)

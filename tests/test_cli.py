@@ -15,12 +15,16 @@ from maskpost import (
     BBox,
     Detection,
     EnsembleConfig,
+    EvalConfig,
     FieldInstance,
     ModelCandidate,
     ScoreField,
     SoftNmsConfig,
     binarize,
+    dataset_ground_truth,
     ensemble,
+    evaluate,
+    load_dataset,
     load_results,
     plain_upsample,
     rle_decode,
@@ -1546,7 +1550,7 @@ class TestFileBoundary:
         "argv, reader",
         [
             (["refine", "--coarse", _MICRO_GT, "--predictor", "identity"], "load_field_archive"),
-            (["ensemble", "--model", f"{_MICRO_RESULTS}:1"], "load_results"),
+            (["ensemble", "--model", f"{_MICRO_RESULTS}:1"], "_load_columns"),
             (["eval", "--gt", _MICRO_GT, "--results", _MICRO_RESULTS], "load_dataset"),
             (["stats", "--gt", _MICRO_GT], "load_dataset"),
         ],
@@ -1995,3 +1999,47 @@ class TestOnePath:
             candidates = [ModelCandidate(path, score, load_results(path)) for path, score in specs]
             write_results(tmp / "library.json", ensemble(candidates, cfg))
             assert (tmp / "cli.json").read_bytes() == (tmp / "library.json").read_bytes()
+
+    @pytest.mark.parametrize("iou_on", EvalConfig.IOU_ON)
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_eval_command_reports_what_the_library_path_reports(self, iou_on, data):
+        """``eval`` scores the column table it reads; the library path,
+        ``evaluate`` over ``load_results``, scores detections. Both give the
+        same report: with tied scores, records without a box and image ids
+        past 2**63."""
+        truth, results = data.draw(_result_records()), data.draw(_result_records(min_size=1))
+        big = data.draw(st.booleans())  # image 2 becomes an id past 2**63
+        sides = {2**64 + 2 if big and i == 2 else i: side for i, side in _SIDES.items()}
+        for rec in truth + results:
+            if big and rec["image_id"] == 2:
+                rec["image_id"] = 2**64 + 2
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            report = _eval_report(tmp, truth, results, "--iou-on", iou_on, sides=sides)
+            gts = dataset_ground_truth(load_dataset(tmp / "gt.json"))
+            want = evaluate(gts, load_results(tmp / "results.json"), EvalConfig(iou_on=iou_on))
+        assert report == (want.to_json().encode(), want.to_text().encode())
+
+    def test_eval_builds_no_detection_and_scores_no_wire_string(self, tmp_path, capsys, monkeypatch):
+        """The micro results file's masks are read from canonical strings,
+        which ``ensemble`` keeps; ``eval`` keeps none and builds no
+        ``Detection``."""
+        def built(self):
+            raise AssertionError("a Detection was built")  # exit 1, not 0
+
+        scored = []
+
+        def scoring(gts, cols, cfg):
+            scored.append(cols)
+            return evaluate(gts, cols, cfg)
+
+        monkeypatch.setattr(Detection, "__post_init__", built)
+        monkeypatch.setattr(cli, "evaluate", scoring)
+        code, stdout, _ = run_cli(
+            capsys, "eval", "--gt", _MICRO_GT, "--results", _MICRO_RESULTS, "--out", str(tmp_path / "r.json")
+        )
+        assert (code, stdout.splitlines()[0]) == (0, "mAP    0.550990")
+        assert all(cli._load_columns(_MICRO_RESULTS).wire)
+        (cols,) = scored
+        assert len(cols) == 6 and cols.wire == [None] * 6

@@ -1035,6 +1035,74 @@ class TestColumnPass:
         _assert_same_columns(got, _per_record_columns(path))
 
 
+def _dict_tree_write(path, cols: _Columns) -> None:
+    """The results writer as it was before it spelled records from the
+    columns: one dict per record, which ``json.dumps`` key-sorts."""
+    strings = list(cols.wire)
+    todo = [k for k, (mask, s) in enumerate(zip(cols.mask, strings)) if mask is not None and s is None]
+    for k, string in zip(todo, rle_strings_encode(cols.mask[k] for k in todo)):
+        strings[k] = string
+    records = []
+    for i, c, score, box, mask, string in zip(
+        cols.image_id, cols.category_id, cols.score.tolist(), cols.box.tolist(), cols.mask, strings
+    ):
+        rec = {"image_id": int(i), "category_id": int(c), "score": score, "bbox": box}
+        if mask is not None:
+            rec["segmentation"] = {"size": [mask.height, mask.width], "counts": string}
+        records.append(rec)
+    Path(path).write_text(json.dumps(records, sort_keys=True) + "\n")
+
+
+# a mask one pixel high and 100 wide, of runs 44 and 56: its string \1h1
+# holds a backslash, which JSON spells "\\1h1"
+_BACKSLASH_MASK = RleMask(100, 1, [44, 56])
+_EDGE_FLOATS = [1e308, -1e308, math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1]
+
+
+@st.composite
+def _written_rows(draw):
+    """``(detection, kept wire string or None)``: ids that are bools,
+    negative or past 2**63, scores at the edges of [0, 1], boxes near and
+    past the float range, and a mask that is absent, has no kept string, or
+    keeps its canonical string (backslashes included)."""
+    ids = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.sampled_from([2**63, 2**64 + 2, -1]))
+    score = draw(st.one_of(st.sampled_from([-0.0, 0, 1, 5e-324]), st.floats(0, 1)))
+    corner = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+    side = st.one_of(st.floats(0), st.sampled_from([1e308, math.inf, math.nan, 5e-324]))
+    box = BBox(draw(corner), draw(corner), draw(side), draw(side))
+    kind = draw(st.sampled_from(["none", "encoded", "kept"]))
+    mask = None
+    if kind != "none":
+        counts = draw(st.one_of(st.just(_BACKSLASH_MASK.counts.tolist()), _mask_counts))
+        mask = RleMask(1, sum(counts), counts)
+    det = Detection(draw(ids), draw(ids), score, box, mask)
+    return det, rle_string_encode(mask) if kind == "kept" else None
+
+
+class TestColumnWriter:
+    @settings(max_examples=50, deadline=None)
+    @example([])
+    @example([(Detection(1, 1, 0.5, BBox(0.1, 1e300, 5e-324, 2.0), _BACKSLASH_MASK), "\\1h1")])
+    @given(st.lists(_written_rows(), max_size=5))
+    def test_writes_the_bytes_of_the_dict_tree(self, rows):
+        """``_write_columns`` spells each record from the columns; it writes
+        what the dict-per-record writer wrote, byte for byte, with kept wire
+        strings and without (``write_results``), and for the empty table."""
+        dets = [det for det, _ in rows]
+        cols = _Columns.of(dets)
+        cols.wire = [wire for _, wire in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            coco_io._write_columns(tmp / "kept.json", cols)
+            _dict_tree_write(tmp / "kept_tree.json", cols)
+            write_results(tmp / "listed.json", dets)
+            _dict_tree_write(tmp / "listed_tree.json", _Columns.of(dets))
+            names = ("kept", "kept_tree", "listed", "listed_tree")
+            written = {name: (tmp / f"{name}.json").read_bytes() for name in names}
+        assert written["kept"] == written["kept_tree"]
+        assert written["listed"] == written["listed_tree"]
+
+
 class TestSizeStats:
     @staticmethod
     def _boxes(sides):
